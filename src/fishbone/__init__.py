@@ -7,7 +7,6 @@ from .hill import (
     Stability,
     classify,
     forced_check,
-    hill_coefficient,
     mode_from_energy,
     pure_mode,
 )
@@ -19,7 +18,6 @@ from .integrator import (
     Trajectory,
     make_initial,
     simulate,
-    step,
 )
 from .model import (
     EnergyBreakdown,
@@ -60,14 +58,12 @@ __all__ = [
     "energy",
     "find_threshold",
     "forced_check",
-    "hill_coefficient",
     "make_initial",
     "mode_from_energy",
     "pure_mode",
     "rhs_m_mode",
     "rhs_one_mode",
     "simulate",
-    "step",
     "sweep",
     "vertical_mode_energy",
 ]

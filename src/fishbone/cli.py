@@ -2,13 +2,13 @@
 
 Exit codes: 0 success, 2 configuration/parse error, 3 I/O error, 4 run
 terminated by blow-up (partial CSV is still written), 5 invalid threshold
-bracket.  The FISHBONE_SEED_NONE environment variable is reserved to
-document that every run is deterministic; no randomness is used anywhere.
+bracket.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -145,10 +145,9 @@ HILL_PRESETS: dict[str, dict] = {
     },
 }
 
-_SIM_OVERRIDE_FLAGS = (
-    "variant", "modes", "delta", "sigma", "t_end", "step", "scheme",
-    "sample_every", "onset_gain", "config",
-)
+# run flags shared by threshold and sweep; simulate takes these and more
+_RUN_FLAGS = ("variant", "modes", "t_end", "step", "onset_gain")
+_SIM_FLAGS = _RUN_FLAGS + ("delta", "sigma", "scheme", "sample_every")
 
 
 def _parse_kv_file(path: str) -> dict[str, str]:
@@ -197,7 +196,7 @@ def _apply_kv(cfg: ExperimentConfig, values: dict[str, str]) -> ExperimentConfig
 
 def _resolve_sim_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.preset is not None:
-        if any(getattr(args, f) is not None for f in _SIM_OVERRIDE_FLAGS):
+        if any(getattr(args, f) is not None for f in _SIM_FLAGS + ("config",)):
             raise ConfigError(
                 "a preset fully determines the run; overrides are not allowed"
             )
@@ -208,26 +207,20 @@ def _resolve_sim_config(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig()
     if args.config is not None:
         cfg = _apply_kv(cfg, _parse_kv_file(args.config))
-    flags = {}
-    for flag, key in (
-        ("variant", "variant"),
-        ("modes", "modes"),
-        ("delta", "delta"),
-        ("sigma", "sigma"),
-        ("t_end", "t_end"),
-        ("step", "step"),
-        ("scheme", "scheme"),
-        ("sample_every", "sample_every"),
-        ("onset_gain", "onset_gain"),
-    ):
-        value = getattr(args, flag)
-        if value is not None:
-            flags[key] = value
-    if flags:
-        cfg = _apply_kv(cfg, flags)
+    return _apply_flags(cfg, args, _SIM_FLAGS)
+
+
+def _apply_flags(
+    cfg: ExperimentConfig, args: argparse.Namespace, flags: Sequence[str]
+) -> ExperimentConfig:
+    """Override ``cfg`` with the given flags that were set, then validate it."""
+    values = {f: getattr(args, f) for f in flags if getattr(args, f) is not None}
+    if values:
+        cfg = _apply_kv(cfg, values)
     try:
         cfg.spec()
         cfg.integrator()
+        make_initial(cfg.sigma, cfg.modes)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg
@@ -257,6 +250,8 @@ def _parse_grid(text: str) -> list[float]:
             start, stop, step = (float(p) for p in parts)
         except ValueError:
             raise ConfigError(f"non-numeric grid bound in {text!r}") from None
+        if not all(math.isfinite(v) for v in (start, stop, step)):
+            raise ConfigError(f"grid bounds must be finite, got {text!r}")
         if step <= 0.0 or stop < start:
             raise ConfigError(f"empty grid: {text!r}")
         out = []
@@ -326,8 +321,8 @@ def cmd_hill(args: argparse.Namespace) -> int:
         energies = _parse_grid(args.grid)
     if not energies:
         raise ConfigError("energy grid is empty")
-    if any(e <= 0.0 for e in energies):
-        raise ConfigError("energies must be positive")
+    if not all(0.0 < e < math.inf for e in energies):
+        raise ConfigError("energies must be positive and finite")
     rows = stability_chart(energies, forced_delta=forced_delta,
                            horizon_periods=horizon)
     with _open_out(args.out) as fh:
@@ -345,13 +340,9 @@ def cmd_threshold(args: argparse.Namespace) -> int:
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError:
         raise ConfigError(f"non-numeric bracket in {args.bracket!r}") from None
-    variant = _VARIANTS[args.variant or "isolated"]
-    spec = ModelSpec(variant, m=args.modes or 1, delta=args.delta or 0.0)
-    config = IntegratorConfig(
-        h=args.step or 1e-3, t_end=args.t_end or 200.0
-    )
+    cfg = _apply_flags(ExperimentConfig(), args, _RUN_FLAGS + ("delta",))
     result = find_threshold(
-        spec, (lo, hi), args.tol, config, onset_gain=args.onset_gain or 100.0
+        cfg.spec(), (lo, hi), args.tol, cfg.integrator(), onset_gain=cfg.onset_gain
     )
     report = format_threshold_report(result)
     with _open_out(args.out) as fh:
@@ -362,15 +353,14 @@ def cmd_threshold(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    variant = _VARIANTS[args.variant or "cross"]
-    config = IntegratorConfig(h=args.step or 1e-3, t_end=args.t_end or 200.0)
+    cfg = _apply_flags(ExperimentConfig(variant=Variant.CROSS_DERIV), args, _RUN_FLAGS)
     rows = sweep(
-        variant,
+        cfg.variant,
         _parse_floats(args.deltas),
         _parse_floats(args.sigmas),
-        config,
-        onset_gain=args.onset_gain or 100.0,
-        m=args.modes or 1,
+        cfg.integrator(),
+        onset_gain=cfg.onset_gain,
+        m=cfg.modes,
         jobs=args.jobs,
     )
     with _open_out(args.out) as fh:
@@ -390,53 +380,10 @@ def cmd_presets(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_PLOT_STUB = """\
-#!/usr/bin/env python3
-# Minimal plotting stub for fishbone CSV output.
-# Trajectory columns: t, y1..ym, z1..zm, E_total, E_kin_y, E_kin_z,
-#                     E_quad, E_coupling, E_quartic, E_aero
-# Chart columns:      E, amplitude, period, trace, classification, zhukovskii
-# Sweep columns:      delta, sigma, t_onset, max_torsion, E0, Ef
-import csv
-import sys
-
-import matplotlib.pyplot as plt
-
-path = sys.argv[1]
-with open(path) as fh:
-    rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-header, data = rows[0], rows[1:]
-cols = {name: [float(r[i]) if r[i] else None for r in data]
-        for i, name in enumerate(header)}
-if "t" in cols:
-    plt.plot(cols["t"], cols["y1"], label="y1")
-    plt.plot(cols["t"], cols["z1"], label="z1")
-    if any(v is not None for v in cols.get("E_total", [])):
-        plt.plot(cols["t"], cols["E_total"], label="E")
-    plt.xlabel("t")
-else:
-    first = header[0]
-    plt.plot(cols[first], cols[header[3]], "o-")
-    plt.xlabel(first)
-plt.legend()
-plt.show()
-"""
-
-
-def cmd_plot_stub(args: argparse.Namespace) -> int:
-    with _open_out(args.out) as fh:
-        fh.write(_PLOT_STUB)
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fishbone",
         description="Simulate the fish-bone bridge model and analyze torsional stability.",
-        epilog=(
-            "FISHBONE_SEED_NONE is reserved: all runs are deterministic and "
-            "use no randomness."
-        ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -490,10 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     pr = sub.add_parser("presets", help="list experiment presets")
     pr.set_defaults(func=cmd_presets)
-
-    ps = sub.add_parser("plot-stub", help="emit a matplotlib script for the CSVs")
-    ps.add_argument("--out")
-    ps.set_defaults(func=cmd_plot_stub)
 
     return parser
 

@@ -47,7 +47,6 @@ __all__ = [
     "period_for_amplitude",
     "pure_mode",
     "mode_from_energy",
-    "hill_coefficient",
     "classify",
     "monodromy_matrix",
     "forced_check",
@@ -204,12 +203,6 @@ def mode_from_energy(e: float) -> PureVerticalMode:
     )
 
 
-def hill_coefficient(mode: PureVerticalMode, t: float) -> float:
-    """a(t) = 7 + (27/2) ybar(t)^2; ranges over [7, 7 + 13.5 A^2]."""
-    y, _ = mode.evaluate(t)
-    return 7.0 + 13.5 * y * y
-
-
 class Stability(enum.Enum):
     STABLE = "stable"
     UNSTABLE = "unstable"
@@ -330,8 +323,8 @@ def forced_check(
     unstable ones grow at the dominant Floquet rate, which the fitted slope
     recovers.
     """
-    if delta < 0.0:
-        raise ValueError("delta must be nonnegative")
+    if not 0.0 <= delta < math.inf:
+        raise ValueError("delta must be finite and nonnegative")
     if horizon_periods < 10:
         raise ValueError("horizon_periods must be at least 10")
     t_period = mode.period

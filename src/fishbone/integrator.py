@@ -34,7 +34,6 @@ __all__ = [
     "StepSizeCollapseError",
     "AdaptiveDriver",
     "make_initial",
-    "step",
     "simulate",
     "write_trajectory_csv",
     "BLOWUP_LIMIT",
@@ -67,6 +66,9 @@ class IntegratorConfig:
     sample_every: float = 0.01
 
     def __post_init__(self) -> None:
+        for name in ("h", "rel_tol", "abs_tol", "t_end", "sample_every"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.h <= 0.0:
             raise ValueError("h must be positive")
         if self.t_end <= 0.0:
@@ -141,14 +143,17 @@ def make_initial(sigma: float, m: int = 1) -> SystemState:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    if not math.isfinite(sigma):
+        raise ValueError(f"sigma must be finite, got {sigma}")
     y = (float(sigma),) + (0.0,) * (m - 1)
     z = (float(sigma) * 1e-4,) + (0.0,) * (m - 1)
     zeros = (0.0,) * m
     return SystemState(t=0.0, y=y, z=z, ydot=zeros, zdot=zeros)
 
 
-def _state_ok_1m(y: float, z: float, yd: float, zd: float) -> bool:
+def _state_ok_1m(u: tuple[float, float, float, float]) -> bool:
     # NaN fails every comparison, so this also catches non-finite values.
+    y, z, yd, zd = u
     return (
         abs(y) < BLOWUP_LIMIT
         and abs(z) < BLOWUP_LIMIT
@@ -157,42 +162,42 @@ def _state_ok_1m(y: float, z: float, yd: float, zd: float) -> bool:
     )
 
 
-def _rk4_step_1m(
-    y: float,
-    z: float,
-    yd: float,
-    zd: float,
-    h: float,
-    c1: float,
-    c2: float,
-    c3: float,
-    c4: float,
-) -> tuple[float, float, float, float]:
-    """One classical RK4 step of the 1-mode system."""
-    h2 = 0.5 * h
-    h6 = h / 6.0
-    ay1, az1 = one_mode_accelerations(y, z, yd, zd, c1, c2, c3, c4)
-    y2 = y + h2 * yd
-    z2 = z + h2 * zd
-    yd2 = yd + h2 * ay1
-    zd2 = zd + h2 * az1
-    ay2, az2 = one_mode_accelerations(y2, z2, yd2, zd2, c1, c2, c3, c4)
-    y3 = y + h2 * yd2
-    z3 = z + h2 * zd2
-    yd3 = yd + h2 * ay2
-    zd3 = zd + h2 * az2
-    ay3, az3 = one_mode_accelerations(y3, z3, yd3, zd3, c1, c2, c3, c4)
-    y4 = y + h * yd3
-    z4 = z + h * zd3
-    yd4 = yd + h * ay3
-    zd4 = zd + h * az3
-    ay4, az4 = one_mode_accelerations(y4, z4, yd4, zd4, c1, c2, c3, c4)
-    return (
-        y + h6 * (yd + 2.0 * (yd2 + yd3) + yd4),
-        z + h6 * (zd + 2.0 * (zd2 + zd3) + zd4),
-        yd + h6 * (ay1 + 2.0 * (ay2 + ay3) + ay4),
-        zd + h6 * (az1 + 2.0 * (az2 + az3) + az4),
-    )
+def _state_ok_m(u: np.ndarray) -> bool:
+    return bool(np.all(np.abs(u) < BLOWUP_LIMIT))
+
+
+def _rk4_1m(spec: ModelSpec) -> Callable[[tuple, float], tuple]:
+    """Classical RK4 step of the 1-mode system on the flat 4-tuple."""
+    c1, c2, c3, c4 = _cross_coefficients(spec)
+
+    def step(u: tuple[float, float, float, float], h: float):
+        y, z, yd, zd = u
+        h2 = 0.5 * h
+        h6 = h / 6.0
+        ay1, az1 = one_mode_accelerations(y, z, yd, zd, c1, c2, c3, c4)
+        y2 = y + h2 * yd
+        z2 = z + h2 * zd
+        yd2 = yd + h2 * ay1
+        zd2 = zd + h2 * az1
+        ay2, az2 = one_mode_accelerations(y2, z2, yd2, zd2, c1, c2, c3, c4)
+        y3 = y + h2 * yd2
+        z3 = z + h2 * zd2
+        yd3 = yd + h2 * ay2
+        zd3 = zd + h2 * az2
+        ay3, az3 = one_mode_accelerations(y3, z3, yd3, zd3, c1, c2, c3, c4)
+        y4 = y + h * yd3
+        z4 = z + h * zd3
+        yd4 = yd + h * ay3
+        zd4 = zd + h * az3
+        ay4, az4 = one_mode_accelerations(y4, z4, yd4, zd4, c1, c2, c3, c4)
+        return (
+            y + h6 * (yd + 2.0 * (yd2 + yd3) + yd4),
+            z + h6 * (zd + 2.0 * (zd2 + zd3) + zd4),
+            yd + h6 * (ay1 + 2.0 * (ay2 + ay3) + ay4),
+            zd + h6 * (az1 + 2.0 * (az2 + az3) + az4),
+        )
+
+    return step
 
 
 def _flat_rhs_m(spec: ModelSpec) -> Callable[[np.ndarray], np.ndarray]:
@@ -208,12 +213,18 @@ def _flat_rhs_m(spec: ModelSpec) -> Callable[[np.ndarray], np.ndarray]:
     return f
 
 
-def _rk4_step_m(f, u: np.ndarray, h: float) -> np.ndarray:
-    k1 = f(u)
-    k2 = f(u + 0.5 * h * k1)
-    k3 = f(u + 0.5 * h * k2)
-    k4 = f(u + h * k3)
-    return u + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+def _rk4_m(spec: ModelSpec) -> Callable[[np.ndarray, float], np.ndarray]:
+    """Classical RK4 step of the m-mode system on the flat state array."""
+    f = _flat_rhs_m(spec)
+
+    def step(u: np.ndarray, h: float) -> np.ndarray:
+        k1 = f(u)
+        k2 = f(u + 0.5 * h * k1)
+        k3 = f(u + 0.5 * h * k2)
+        k4 = f(u + h * k3)
+        return u + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+    return step
 
 
 # ---------------------------------------------------------------------------
@@ -338,71 +349,9 @@ class AdaptiveDriver:
                 on_step(tnew, unew)
         return self.t, self.u
 
-    def single_step(self) -> tuple[float, tuple[float, ...]]:
-        """Take exactly one accepted step at the controller's current size."""
-        target = self.t + self.h
-        n = len(self.u)
-        if self._k1 is None:
-            self._k1 = tuple(self.f(self.t, self.u))
-        # advance() with an unreachable target would loop; reuse its body by
-        # stepping to a far point but stopping after one acceptance.
-        taken = []
-
-        def once(t, u):
-            taken.append((t, u))
-            raise _OneStepDone
-
-        try:
-            self.advance(math.inf, on_step=once)
-        except _OneStepDone:
-            pass
-        return taken[0]
-
-
-class _OneStepDone(Exception):
-    pass
-
 
 # ---------------------------------------------------------------------------
-# Public stepping and simulation
-
-
-def step(spec: ModelSpec, state: SystemState, config: IntegratorConfig) -> SystemState:
-    """One accepted step of the configured scheme.
-
-    Raises :class:`BlowUpError` if the resulting state exceeds the magnitude
-    guard or becomes non-finite.
-    """
-    if config.scheme is Scheme.FIXED_RK4:
-        if state.m == 1:
-            c1, c2, c3, c4 = _cross_coefficients(spec)
-            y, z, yd, zd = _rk4_step_1m(
-                state.y[0], state.z[0], state.ydot[0], state.zdot[0],
-                config.h, c1, c2, c3, c4,
-            )
-            t = state.t + config.h
-            if not _state_ok_1m(y, z, yd, zd):
-                raise BlowUpError(t)
-            return SystemState.single(t, y, z, yd, zd)
-        f = _flat_rhs_m(spec)
-        u = _rk4_step_m(f, np.asarray(state.flat()), config.h)
-        t = state.t + config.h
-        if not bool(np.all(np.abs(u) < BLOWUP_LIMIT)):
-            raise BlowUpError(t)
-        m = state.m
-        return SystemState(t, u[:m], u[m : 2 * m], u[2 * m : 3 * m], u[3 * m :])
-    driver = AdaptiveDriver(
-        _tuple_rhs(spec),
-        state.t,
-        state.flat(),
-        rel_tol=config.rel_tol,
-        abs_tol=config.abs_tol,
-        h0=config.h,
-        magnitude_limit=BLOWUP_LIMIT,
-    )
-    t, u = driver.single_step()
-    m = state.m
-    return SystemState(t, u[:m], u[m : 2 * m], u[2 * m : 3 * m], u[3 * m :])
+# Simulation
 
 
 def _tuple_rhs(spec: ModelSpec):
@@ -423,6 +372,59 @@ def _tuple_rhs(spec: ModelSpec):
     return f
 
 
+def _split_horizon(t_end: float, h: float) -> tuple[int, float]:
+    """Number of full steps plus a final short step landing on t_end."""
+    n = round(t_end / h)
+    if abs(n * h - t_end) <= 1e-9 * max(1.0, t_end):
+        return n, 0.0
+    n = math.floor(t_end / h)
+    return n, t_end - n * h
+
+
+_BLOWUP_REASON = f"blow-up: state magnitude reached {BLOWUP_LIMIT:g}"
+
+
+class _Observer:
+    """Onset, running max |z1|, early termination and samples of one run.
+
+    Every driver hands it the flat state (y..., z..., ydot..., zdot...), so
+    z1 is ``u[m]``: ``watch`` sees every accepted step, ``record`` every
+    sample.
+    """
+
+    def __init__(self, spec: ModelSpec, t0: float, u0, onset_gain: float):
+        self.spec = spec
+        self.m = spec.m
+        self.z_seed = abs(u0[self.m])
+        self.threshold = onset_gain * self.z_seed if self.z_seed > 0.0 else math.inf
+        self.max_torsion = self.z_seed
+        self.onset: Optional[OnsetEvent] = None
+        self.terminated: Optional[tuple[float, str]] = None
+        self.samples: list[tuple[SystemState, Optional[EnergyBreakdown]]] = []
+        self.record(t0, u0)
+
+    def watch(self, t: float, u) -> None:
+        az = abs(u[self.m])
+        if az > self.max_torsion:
+            self.max_torsion = az
+        if self.onset is None and az >= self.threshold:
+            self.onset = OnsetEvent(t_onset=t, gain=az / self.z_seed)
+
+    def record(self, t: float, u) -> None:
+        m = self.m
+        st = SystemState(t, u[:m], u[m : 2 * m], u[2 * m : 3 * m], u[3 * m :])
+        self.samples.append((st, energy(self.spec, st) if m == 1 else None))
+
+    def trajectory(self) -> Trajectory:
+        return Trajectory(
+            spec=self.spec,
+            samples=self.samples,
+            onset=self.onset,
+            terminated_early=self.terminated,
+            max_torsion=self.max_torsion,
+        )
+
+
 def simulate(
     spec: ModelSpec,
     initial: SystemState,
@@ -436,198 +438,55 @@ def simulate(
     is exactly zero.  Blow-up or step-size collapse stops the run early and
     is reported in ``terminated_early``; samples up to that point are kept.
     """
-    if onset_gain <= 1.0:
-        raise ValueError("onset_gain must exceed 1")
+    if not 1.0 < onset_gain < math.inf:
+        raise ValueError("onset_gain must be finite and exceed 1")
     if initial.m != spec.m:
         raise ValueError(f"initial state has m={initial.m}, spec has m={spec.m}")
-    if config.scheme is Scheme.FIXED_RK4:
+    t0, u0 = initial.t, initial.flat()
+    if config.scheme is Scheme.ADAPTIVE_EMBEDDED:
+        obs = _Observer(spec, t0, u0, onset_gain)
+        _run_adaptive(obs, t0, u0, config)
+    else:
         if spec.m == 1:
-            return _simulate_fixed_1m(spec, initial, config, onset_gain)
-        return _simulate_fixed_m(spec, initial, config, onset_gain)
-    return _simulate_adaptive(spec, initial, config, onset_gain)
-
-
-def _split_horizon(t_end: float, h: float) -> tuple[int, float]:
-    """Number of full steps plus a final short step landing on t_end."""
-    n = round(t_end / h)
-    if abs(n * h - t_end) <= 1e-9 * max(1.0, t_end):
-        return n, 0.0
-    n = math.floor(t_end / h)
-    return n, t_end - n * h
-
-
-def _simulate_fixed_1m(
-    spec: ModelSpec,
-    initial: SystemState,
-    config: IntegratorConfig,
-    onset_gain: float,
-) -> Trajectory:
-    c1, c2, c3, c4 = _cross_coefficients(spec)
-    h = config.h
-    t0 = initial.t
-    y, z, yd, zd = initial.y[0], initial.z[0], initial.ydot[0], initial.zdot[0]
-
-    z_seed = abs(z)
-    threshold = onset_gain * z_seed if z_seed > 0.0 else math.inf
-    onset: Optional[OnsetEvent] = None
-    max_torsion = abs(z)
-
-    n_sub = max(1, round(config.sample_every / h))
-    n_steps, h_tail = _split_horizon(config.t_end, h)
-
-    samples: list[tuple[SystemState, Optional[EnergyBreakdown]]] = []
-
-    def record(t: float, y: float, z: float, yd: float, zd: float) -> None:
-        st = SystemState.single(t, y, z, yd, zd)
-        samples.append((st, energy(spec, st)))
-
-    record(t0, y, z, yd, zd)
-    terminated: Optional[tuple[float, str]] = None
-
-    i = 0
-    while i < n_steps:
-        y, z, yd, zd = _rk4_step_1m(y, z, yd, zd, h, c1, c2, c3, c4)
-        i += 1
-        t = t0 + i * h
-        if not _state_ok_1m(y, z, yd, zd):
-            terminated = (t, f"blow-up: state magnitude reached {BLOWUP_LIMIT:g}")
-            break
-        az = abs(z)
-        if az > max_torsion:
-            max_torsion = az
-        if onset is None and az >= threshold:
-            onset = OnsetEvent(t_onset=t, gain=az / z_seed)
-        if i % n_sub == 0:
-            record(t, y, z, yd, zd)
-
-    if terminated is None and h_tail > 0.0:
-        y, z, yd, zd = _rk4_step_1m(y, z, yd, zd, h_tail, c1, c2, c3, c4)
-        t = t0 + config.t_end
-        if not _state_ok_1m(y, z, yd, zd):
-            terminated = (t, f"blow-up: state magnitude reached {BLOWUP_LIMIT:g}")
+            step, ok = _rk4_1m(spec), _state_ok_1m
         else:
-            az = abs(z)
-            if az > max_torsion:
-                max_torsion = az
-            if onset is None and az >= threshold:
-                onset = OnsetEvent(t_onset=t, gain=az / z_seed)
-            record(t, y, z, yd, zd)
-    elif terminated is None:
-        t = t0 + n_steps * h
-        if samples[-1][0].t < t:
-            record(t, y, z, yd, zd)
-
-    return Trajectory(
-        spec=spec,
-        samples=samples,
-        onset=onset,
-        terminated_early=terminated,
-        max_torsion=max_torsion,
-    )
+            step, ok, u0 = _rk4_m(spec), _state_ok_m, np.asarray(u0)
+        obs = _Observer(spec, t0, u0, onset_gain)
+        _run_fixed(obs, step, ok, t0, u0, config)
+    return obs.trajectory()
 
 
-def _simulate_fixed_m(
-    spec: ModelSpec,
-    initial: SystemState,
-    config: IntegratorConfig,
-    onset_gain: float,
-) -> Trajectory:
-    f = _flat_rhs_m(spec)
-    m = spec.m
+def _run_fixed(obs: _Observer, step, ok, t0: float, u, config: IntegratorConfig) -> None:
+    """Fixed-step loop: n full steps of h, then a short step onto t_end."""
     h = config.h
-    t0 = initial.t
-    u = np.asarray(initial.flat())
-
-    z_seed = abs(u[m])
-    threshold = onset_gain * z_seed if z_seed > 0.0 else math.inf
-    onset: Optional[OnsetEvent] = None
-    max_torsion = abs(u[m])
-
     n_sub = max(1, round(config.sample_every / h))
     n_steps, h_tail = _split_horizon(config.t_end, h)
-
-    samples: list[tuple[SystemState, Optional[EnergyBreakdown]]] = []
-
-    def record(t: float, u: np.ndarray) -> None:
-        st = SystemState(t, u[:m], u[m : 2 * m], u[2 * m : 3 * m], u[3 * m :])
-        samples.append((st, energy(spec, st) if m == 1 else None))
-
-    record(t0, u)
-    terminated: Optional[tuple[float, str]] = None
-
-    def inspect(t: float, u: np.ndarray) -> bool:
-        nonlocal onset, max_torsion, terminated
-        if not bool(np.all(np.abs(u) < BLOWUP_LIMIT)):
-            terminated = (t, f"blow-up: state magnitude reached {BLOWUP_LIMIT:g}")
-            return False
-        az = abs(u[m])
-        if az > max_torsion:
-            max_torsion = az
-        if onset is None and az >= threshold:
-            onset = OnsetEvent(t_onset=t, gain=az / z_seed)
-        return True
-
-    i = 0
-    while i < n_steps:
-        u = _rk4_step_m(f, u, h)
-        i += 1
+    watch, record = obs.watch, obs.record
+    for i in range(1, n_steps + 1):
+        u = step(u, h)
         t = t0 + i * h
-        if not inspect(t, u):
-            break
+        if not ok(u):
+            obs.terminated = (t, _BLOWUP_REASON)
+            return
+        watch(t, u)
         if i % n_sub == 0:
             record(t, u)
-
-    if terminated is None and h_tail > 0.0:
-        u = _rk4_step_m(f, u, h_tail)
+    if h_tail > 0.0:
+        u = step(u, h_tail)
         t = t0 + config.t_end
-        if inspect(t, u):
-            record(t, u)
-    elif terminated is None:
-        t = t0 + n_steps * h
-        if samples[-1][0].t < t:
-            record(t, u)
-
-    return Trajectory(
-        spec=spec,
-        samples=samples,
-        onset=onset,
-        terminated_early=terminated,
-        max_torsion=max_torsion,
-    )
+        if not ok(u):
+            obs.terminated = (t, _BLOWUP_REASON)
+            return
+        watch(t, u)
+        record(t, u)
+    elif obs.samples[-1][0].t < t0 + n_steps * h:
+        record(t0 + n_steps * h, u)
 
 
-def _simulate_adaptive(
-    spec: ModelSpec,
-    initial: SystemState,
-    config: IntegratorConfig,
-    onset_gain: float,
-) -> Trajectory:
-    m = spec.m
-    t0 = initial.t
-    u0 = initial.flat()
-
-    z_seed = abs(u0[m])
-    threshold = onset_gain * z_seed if z_seed > 0.0 else math.inf
-    onset: Optional[OnsetEvent] = None
-    max_torsion = abs(u0[m])
-
-    samples: list[tuple[SystemState, Optional[EnergyBreakdown]]] = []
-
-    def record(t: float, u: Sequence[float]) -> None:
-        st = SystemState(t, u[:m], u[m : 2 * m], u[2 * m : 3 * m], u[3 * m :])
-        samples.append((st, energy(spec, st) if m == 1 else None))
-
-    def watch(t: float, u: tuple[float, ...]) -> None:
-        nonlocal onset, max_torsion
-        az = abs(u[m])
-        if az > max_torsion:
-            max_torsion = az
-        if onset is None and az >= threshold:
-            onset = OnsetEvent(t_onset=t, gain=az / z_seed)
-
-    record(t0, u0)
+def _run_adaptive(obs: _Observer, t0: float, u0, config: IntegratorConfig) -> None:
+    """Dormand-Prince onto each sample time; the driver's guard stops blow-up."""
     driver = AdaptiveDriver(
-        _tuple_rhs(spec),
+        _tuple_rhs(obs.spec),
         t0,
         u0,
         rel_tol=config.rel_tol,
@@ -635,25 +494,15 @@ def _simulate_adaptive(
         h0=config.h,
         magnitude_limit=BLOWUP_LIMIT,
     )
-    terminated: Optional[tuple[float, str]] = None
     n_samples = math.ceil(config.t_end / config.sample_every - 1e-9)
     try:
         for k in range(1, n_samples + 1):
             target = t0 + min(k * config.sample_every, config.t_end)
-            t, u = driver.advance(target, on_step=watch)
-            record(t, u)
+            obs.record(*driver.advance(target, on_step=obs.watch))
     except BlowUpError as exc:
-        terminated = (exc.t, f"blow-up: state magnitude reached {BLOWUP_LIMIT:g}")
+        obs.terminated = (exc.t, _BLOWUP_REASON)
     except StepSizeCollapseError as exc:
-        terminated = (exc.t, "step-size collapse: no acceptable step found")
-
-    return Trajectory(
-        spec=spec,
-        samples=samples,
-        onset=onset,
-        terminated_early=terminated,
-        max_torsion=max_torsion,
-    )
+        obs.terminated = (exc.t, "step-size collapse: no acceptable step found")
 
 
 # ---------------------------------------------------------------------------

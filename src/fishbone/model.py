@@ -77,8 +77,8 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ValueError(f"mode count must be >= 1, got {self.m}")
-        if self.delta < 0.0:
-            raise ValueError(f"delta must be nonnegative, got {self.delta}")
+        if not 0.0 <= self.delta < math.inf:
+            raise ValueError(f"delta must be finite and nonnegative, got {self.delta}")
         if self.variant is Variant.ISOLATED:
             object.__setattr__(self, "delta", 0.0)
         elif self.m != 1:

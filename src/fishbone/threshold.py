@@ -113,7 +113,7 @@ def find_threshold(
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
 
     onset_lo = _probe(spec, lo, config, onset_gain)

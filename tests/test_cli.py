@@ -1,6 +1,8 @@
 import subprocess
 import sys
 
+import pytest
+
 CMD = [sys.executable, "-m", "fishbone"]
 
 
@@ -110,6 +112,19 @@ class TestSimulate:
         )
         assert res.returncode == 3
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--t-end", "inf"),
+        ("--sigma", "nan"),
+        ("--delta", "nan"),
+        ("--sample-every", "inf"),
+        ("--onset-gain", "nan"),
+    ])
+    def test_non_finite_flag_is_config_error(self, flag, value):
+        res = run_cli(
+            "simulate", "--variant", "cross", "--t-end", "1", flag, value, "--out", "-"
+        )
+        assert res.returncode == 2, res.stderr
+
     def test_blow_up_exit_code_with_partial_csv(self, tmp_path):
         out = tmp_path / "blow.csv"
         res = run_cli(
@@ -137,6 +152,16 @@ class TestHill:
 
     def test_nonpositive_energy_rejected(self):
         assert run_cli("hill", "--grid", "-1.0").returncode == 2
+
+    def test_non_finite_forcing_delta_rejected(self):
+        res = run_cli("hill", "--grid", "1", "--delta", "nan", "--horizon-periods", "10")
+        assert res.returncode == 2, res.stderr
+
+    # a non-finite START or STOP would never end the grid loop
+    @pytest.mark.parametrize("grid", ["nan:1:0.1", "0.1:inf:0.1", "0.5:1:inf", "nan", "inf"])
+    def test_non_finite_grid_rejected(self, grid):
+        res = run_cli("hill", "--grid", grid, "--out", "-")
+        assert res.returncode == 2, res.stderr
 
     def test_first_unstable_energy_above_sufficient_bound(self, tmp_path):
         # scanning upward in energy, instability first appears well past the
@@ -224,10 +249,14 @@ class TestSweep:
         assert run_cli("sweep", "--deltas", "a", "--sigmas", "1").returncode == 2
 
 
-class TestPlotStub:
-    def test_emits_script(self):
-        res = run_cli("plot-stub")
-        assert res.returncode == 0
-        assert "matplotlib" in res.stdout
-        assert "E_total" in res.stdout
-        assert "max_torsion" in res.stdout
+class TestRunFlags:
+    # zero is a value, not a missing flag: it must reach validation
+    @pytest.mark.parametrize("flag", ["--step", "--onset-gain", "--t-end", "--modes"])
+    @pytest.mark.parametrize("command", [
+        ["threshold", "--bracket", "0.1:0.2"],
+        ["sweep", "--deltas", "0.01", "--sigmas", "1.0"],
+    ], ids=["threshold", "sweep"])
+    def test_zero_is_config_error(self, command, flag):
+        t_end = [] if flag == "--t-end" else ["--t-end", "1"]
+        res = run_cli(*command, *t_end, flag, "0", "--out", "-")
+        assert res.returncode == 2, res.stderr

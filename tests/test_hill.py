@@ -12,7 +12,6 @@ from fishbone.hill import (
     Stability,
     classify,
     forced_check,
-    hill_coefficient,
     mode_from_energy,
     monodromy_matrix,
     period_for_amplitude,
@@ -96,15 +95,6 @@ class TestPeriod:
 
 
 class TestHillCoefficient:
-    def test_degenerate_mode_is_constant_seven(self):
-        zero = mode_from_energy(0.0)
-        assert hill_coefficient(zero, 0.0) == 7.0
-        assert hill_coefficient(zero, 1.7) == 7.0
-
-    def test_turning_point_value(self):
-        mode = mode_from_energy(1.875)  # amplitude 1
-        assert hill_coefficient(mode, 0.0) == pytest.approx(20.5, rel=1e-12)
-
     def test_minimum_over_period_is_seven(self):
         # any nonzero orbit crosses y = 0, where a(t) attains 7
         mode = pure_mode(0.9, 0.5)
@@ -190,6 +180,8 @@ class TestForcedCheck:
         mode = mode_from_energy(0.5)
         with pytest.raises(ValueError):
             forced_check(mode, -0.01, 20)
+        with pytest.raises(ValueError):
+            forced_check(mode, math.nan, 20)
         with pytest.raises(ValueError):
             forced_check(mode, 0.01, 9)
 

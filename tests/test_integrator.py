@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 
@@ -6,12 +7,10 @@ import pytest
 
 from fishbone.hill import period_for_amplitude
 from fishbone.integrator import (
-    BlowUpError,
     IntegratorConfig,
     Scheme,
     make_initial,
     simulate,
-    step,
     write_trajectory_csv,
 )
 from fishbone.model import ModelSpec, SystemState, Variant
@@ -39,6 +38,11 @@ class TestMakeInitial:
         assert st.z[0] == pytest.approx(1.5e-4, rel=1e-15)
         assert st.z[1:] == (0.0, 0.0)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError):
+            make_initial(sigma)
+
 
 class TestConfigValidation:
     def test_step_cannot_exceed_sampling(self):
@@ -53,30 +57,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             cfg(rel_tol=0.0)
 
-
-class TestStep:
-    def test_equilibrium_is_fixed(self):
-        rest = SystemState.single(0.0, 0, 0, 0, 0)
-        out = step(ISO, rest, cfg(t_end=1.0))
-        assert out.flat() == (0.0, 0.0, 0.0, 0.0)
-        assert out.t == pytest.approx(1e-3)
-
-    def test_adaptive_single_step(self):
-        st = SystemState.single(0.0, 1.0, 0.0, 0.0, 0.0)
-        out = step(ISO, st, cfg(scheme=Scheme.ADAPTIVE_EMBEDDED, t_end=1.0))
-        assert 0.0 < out.t <= 1e-3 + 1e-12
-        assert all(math.isfinite(v) for v in out.flat())
-
-    def test_blow_up_raises(self):
-        st = SystemState.single(0.0, 1e9, 0.0, 0.0, 0.0)
-        with pytest.raises(BlowUpError):
-            step(ISO, st, cfg(t_end=1.0))
-
-    def test_multimode_step_matches_one_mode(self):
-        st1 = SystemState.single(0.0, 1.2, 0.3, -0.1, 0.2)
-        out1 = step(ISO, st1, cfg(t_end=1.0))
-        out_m = step(ModelSpec(Variant.ISOLATED, m=1), st1, cfg(t_end=1.0))
-        assert out_m.y[0] == pytest.approx(out1.y[0], abs=1e-12)
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["h", "rel_tol", "abs_tol", "t_end", "sample_every"])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            cfg(**{field: value})
 
 
 class TestSimulateBasics:
@@ -156,6 +141,11 @@ class TestSimulateBasics:
     def test_onset_gain_must_exceed_one(self):
         with pytest.raises(ValueError):
             simulate(ISO, make_initial(1.0), cfg(t_end=1.0), onset_gain=1.0)
+
+    @pytest.mark.parametrize("gain", [math.nan, math.inf])
+    def test_onset_gain_must_be_finite(self, gain):
+        with pytest.raises(ValueError):
+            simulate(ISO, make_initial(1.0), cfg(t_end=1.0), onset_gain=gain)
 
 
 class TestEnergyConservation:
@@ -326,3 +316,79 @@ class TestMultimode:
         ).final_state()
         for a, b in zip(fixed.flat(), adaptive.flat()):
             assert a == pytest.approx(b, abs=1e-8)
+
+
+AD = Scheme.ADAPTIVE_EMBEDDED
+BLOWUP = "blow-up: state magnitude reached 1e+08"
+
+
+class TestPinnedPaths:
+    """Bit-exact fingerprints of runs the benchmark goldens do not reach.
+
+    Each case pins the SHA-256 of the header-less trajectory CSV, the onset
+    event, the early-termination record and max |z1|, as hex floats.
+    """
+
+    CASES = {
+        "adaptive-m1": (
+            ModelSpec(Variant.CROSS_DERIV, delta=0.02), make_initial(1.5),
+            dict(scheme=AD, t_end=30.0),
+            "c48966439b1a51d06687e5d97aebd4774b91176def6d2d348752f90e9c480a7d",
+            ("0x1.769e9fd6068d0p+3", "0x1.904b12bb0a8d9p+6"), None,
+            "0x1.ee6cb91f31f78p-5",
+        ),
+        "adaptive-m2": (
+            ModelSpec(Variant.ISOLATED, m=2), make_initial(1.2, m=2),
+            dict(scheme=AD, t_end=1.0),
+            "c0df72b45c3e4a0e12e6edf216db3c743e0a73865244e55b0cc2a4ac8ee4293f",
+            None, None, "0x1.88eb707fe3df6p-13",
+        ),
+        # 333 steps of 0.003, then a short step of 0.0014 onto t_end
+        "tail-step": (
+            ISO, make_initial(1.47), dict(h=0.003, t_end=1.0004),
+            "eebcf84ec15f56eec42b1b9ca7d76630d8eaf74234a35b616abc135cb3f13f3d",
+            None, None, "0x1.005b96cf3b73dp-12",
+        ),
+        # RK4 at h=1e-3 is unstable at this amplitude: onset, then blow-up
+        # after three samples
+        "blowup-fixed-m1": (
+            ISO, make_initial(1100.0), dict(t_end=1.0),
+            "9371f4a2b3e4411d38202882d0960f30b521e71cdc2d53866b2e76919685f614",
+            ("0x1.a9fbe76c8b43ap-7", "0x1.674ee84849215p+7"),
+            ("0x1.26e978d4fdf3cp-5", BLOWUP), "0x1.0c738021583cfp+8",
+        ),
+        "blowup-fixed-m2": (
+            ModelSpec(Variant.ISOLATED, m=2), make_initial(1100.0, m=2),
+            dict(t_end=1.0),
+            "4caca254d2ef610ea6c443bc4e587094059c9ed202a92f4f84acbc2c738c694f",
+            ("0x1.a9fbe76c8b43ap-7", "0x1.674ee84849245p+7"),
+            ("0x1.26e978d4fdf3cp-5", BLOWUP), "0x1.0c73802158414p+8",
+        ),
+        # the vertical velocity passes the guard within a quarter period
+        "blowup-adaptive": (
+            ISO, make_initial(12000.0), dict(scheme=AD, t_end=1.0),
+            "6444316acd058ee71be1a98f2085654257183003945f2551cfccc4a315237674",
+            None, ("0x1.98c0a912441c2p-15", BLOWUP), "0x1.3333333333333p+0",
+        ),
+        "zero-seed": (
+            ModelSpec(Variant.CROSS_DERIV, delta=0.01),
+            SystemState.single(0.0, 1.5, 0.0, 0.0, 0.0), dict(t_end=5.0),
+            "52bb9071e327c0d149f16dcbfcaa13b85484ac26dd11249ac4a139890cdab81a",
+            None, None, "0x1.733003babd23ap-8",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_bit_identical(self, name):
+        spec, initial, kw, csv_sha, onset, terminated, max_torsion = self.CASES[name]
+        traj = simulate(spec, initial, cfg(**kw))
+        buf = io.StringIO()
+        write_trajectory_csv(traj, buf)
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == csv_sha
+        got_onset = traj.onset and (traj.onset.t_onset.hex(), traj.onset.gain.hex())
+        got_term = traj.terminated_early and (
+            traj.terminated_early[0].hex(), traj.terminated_early[1]
+        )
+        assert (got_onset, got_term, traj.max_torsion.hex()) == (
+            onset, terminated, max_torsion
+        )

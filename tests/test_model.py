@@ -31,6 +31,11 @@ class TestModelSpec:
         with pytest.raises(ValueError):
             ModelSpec(Variant.CROSS_DERIV, delta=-0.01)
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_non_finite_delta_rejected(self, delta):
+        with pytest.raises(ValueError):
+            ModelSpec(Variant.CROSS_DERIV, delta=delta)
+
     def test_mode_count_positive(self):
         with pytest.raises(ValueError):
             ModelSpec(Variant.ISOLATED, m=0)

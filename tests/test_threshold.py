@@ -1,4 +1,5 @@
 import io
+import math
 
 import pytest
 
@@ -36,6 +37,8 @@ class TestFindThreshold:
             find_threshold(ISO, (1.5, 1.4), 1e-3, config)
         with pytest.raises(ValueError):
             find_threshold(ISO, (1.4, 1.5), 0.0, config)
+        with pytest.raises(ValueError):
+            find_threshold(ISO, (1.5, 3.5), math.nan, config)
 
     def test_certified_bracket_at_full_horizon(self):
         config = IntegratorConfig(t_end=200.0)

@@ -16,7 +16,14 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .hill import stability_chart, write_chart_csv
-from .integrator import IntegratorConfig, Scheme, make_initial, simulate, write_trajectory_csv
+from .integrator import (
+    IntegratorConfig,
+    Scheme,
+    check_onset_gain,
+    make_initial,
+    simulate,
+    write_trajectory_csv,
+)
 from .model import ModelSpec, Variant
 from .threshold import (
     InvalidBracketError,
@@ -34,6 +41,9 @@ EXIT_BLOWUP = 4
 EXIT_BRACKET = 5
 
 _VARIANTS = {v.value: v for v in Variant}
+
+#: Most energies a START:STOP:STEP hill grid may hold.
+MAX_GRID_POINTS = 100_000
 
 
 class ConfigError(Exception):
@@ -221,6 +231,7 @@ def _apply_flags(
         cfg.spec()
         cfg.integrator()
         make_initial(cfg.sigma, cfg.modes)
+        check_onset_gain(cfg.onset_gain)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg
@@ -254,14 +265,20 @@ def _parse_grid(text: str) -> list[float]:
             raise ConfigError(f"grid bounds must be finite, got {text!r}")
         if step <= 0.0 or stop < start:
             raise ConfigError(f"empty grid: {text!r}")
+        limit = stop + 1e-12
+        # count the points before building them: a tiny STEP would ask for
+        # more floats than memory holds
+        span = (limit - start) / step
+        if not span < MAX_GRID_POINTS:
+            raise ConfigError(
+                f"grid {text!r} has more than {MAX_GRID_POINTS} points"
+            )
         out = []
-        k = 0
-        while True:
+        for k in range(int(span) + 2):
             v = start + k * step
-            if v > stop + 1e-12:
+            if v > limit:
                 break
             out.append(v)
-            k += 1
         return out
     try:
         return [float(v) for v in text.split(",") if v]

@@ -12,10 +12,14 @@ torsional perturbations around (ybar, 0) obey the Hill equation
 
 and aerodynamic cross-derivative coupling turns this into the forced form
 xi'' + a(t) xi = -delta * ybar'(t).  Stability of the unforced equation is
-decided by the trace of the monodromy matrix over one period; boundedness
-of the forced equation is checked empirically from the growth trend of the
-solution, and the two verdicts are expected to agree away from the
-stability boundary.
+decided by the trace of the monodromy matrix over one period.  Boundedness
+of the forced equation is judged from the growth trend of the solution
+over a horizon of many periods, obtained from one period: the forcing
+shares the period of a(t), so the state at the start of each period
+follows the affine stroboscopic map x_{k+1} = M x_k + b, and each period's
+max |xi| is rebuilt from the one-period table of the fundamental and
+particular solutions.  The two verdicts are expected to agree away from
+the stability boundary.
 
 A classical sufficient condition guarantees stability for amplitudes up to
 sqrt(10/21), i.e. energies up to 235/294 (the "zhukovskii" flag).
@@ -32,7 +36,7 @@ from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
-from .integrator import AdaptiveDriver, BlowUpError
+from .integrator import AdaptiveDriver
 from .model import vertical_mode_energy
 
 __all__ = [
@@ -66,7 +70,7 @@ ZHUKOVSKII_ENERGY = 235.0 / 294.0
 #: |trace| within this distance of 2 is reported Marginal, never guessed.
 TRACE_MARGIN = 1e-9
 
-#: Forced solutions beyond this magnitude end the check early.
+#: A period in which the forced xi or xi' reaches this magnitude is the last.
 FORCED_MAGNITUDE_LIMIT = 1e12
 
 _EVAL_RTOL = 1e-12
@@ -296,13 +300,17 @@ def classify(mode: PureVerticalMode) -> HillStabilityReport:
 
 @dataclass(frozen=True)
 class ForcedHillCheck:
-    """Empirical boundedness verdict for xi'' + a(t) xi = -delta ybar'.
+    """Boundedness verdict for xi'' + a(t) xi = -delta ybar' from rest.
 
+    The solution over the horizon comes from iterating the one-period
+    stroboscopic map; ``sup_norm`` is the largest per-period max |xi|, each
+    taken over the accepted steps of the one-period integration.
     ``growth_rate`` is the least-squares slope of log(per-period max |xi|)
-    against time; the solution is called bounded when the fitted rate would
-    produce less than one decade of growth over the whole requested horizon.
-    ``periods_completed`` is smaller than ``horizon_periods`` only if the
-    magnitude guard ended the integration early.
+    against the period midpoints (k + 1/2) T; the solution is called
+    bounded when the fitted rate would produce less than one decade of
+    growth over the whole requested horizon.  ``periods_completed`` is
+    smaller than ``horizon_periods`` only if xi or xi' reached
+    FORCED_MAGNITUDE_LIMIT; that period is the last one counted.
     """
 
     delta: float
@@ -316,12 +324,19 @@ class ForcedHillCheck:
 def forced_check(
     mode: PureVerticalMode, delta: float, horizon_periods: int
 ) -> ForcedHillCheck:
-    """Integrate the forced Hill equation from rest and judge boundedness.
+    """Judge boundedness of the forced Hill equation from one period.
 
-    Starts from xi(0) = xi'(0) = 0 so the response is entirely due to the
-    forcing.  Bounded solutions beat quasi-periodically with zero trend;
-    unstable ones grow at the dominant Floquet rate, which the fitted slope
-    recovers.
+    The response starts from xi(0) = xi'(0) = 0, so it is entirely due to
+    the forcing.  One integration over a single period carries ybar, the
+    two fundamental solutions x1, x2 and the particular solution p from
+    rest, and tabulates (x1, x1', x2, x2', p, p') at every accepted step.
+    The forcing has the period of a(t), so the state at the start of each
+    period follows the stroboscopic map x_{k+1} = M x_k + b, with M the
+    monodromy matrix and b = (p(T), p'(T)); within period k the solution is
+    xi(kT + s) = x1(s) xi_k + x2(s) xi'_k + p(s), which gives that period's
+    max |xi| from the table.  Bounded solutions beat quasi-periodically
+    with zero trend; unstable ones grow at the dominant Floquet rate, which
+    the fitted slope recovers.
     """
     if not 0.0 <= delta < math.inf:
         raise ValueError("delta must be finite and nonnegative")
@@ -330,39 +345,44 @@ def forced_check(
     t_period = mode.period
 
     def f(t: float, u: Sequence[float]):
-        y, yd, xi, xid = u
+        y, yd, x1, x1d, x2, x2d, p, pd = u
+        a = 7.0 + 13.5 * y * y
         return (
             yd,
             -(3.0 * y + 1.5 * y * y * y),
-            xid,
-            -(7.0 + 13.5 * y * y) * xi - delta * yd,
+            x1d,
+            -a * x1,
+            x2d,
+            -a * x2,
+            pd,
+            -a * p - delta * yd,
         )
 
+    rows: list[tuple[float, ...]] = []
     driver = AdaptiveDriver(
         f,
         0.0,
-        (mode.eta0, mode.eta1, 0.0, 0.0),
+        (mode.eta0, mode.eta1, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0),
         _FORCED_RTOL,
         _FORCED_ATOL,
-        magnitude_limit=FORCED_MAGNITUDE_LIMIT,
     )
-
-    peak = 0.0
-
-    def track(t: float, u: tuple[float, ...]) -> None:
-        nonlocal peak
-        a = abs(u[2])
-        if a > peak:
-            peak = a
+    driver.advance(t_period, on_step=lambda t, u: rows.append(u[2:]))
+    x1, x1d, x2, x2d, p, pd = np.array(rows).T
 
     period_maxima: list[float] = []
-    try:
-        for k in range(horizon_periods):
-            peak = 0.0
-            driver.advance((k + 1) * t_period, on_step=track)
-            period_maxima.append(peak)
-    except BlowUpError:
+    xi, xid = 0.0, 0.0
+    for _ in range(horizon_periods):
+        xs = x1 * xi + x2 * xid + p
+        xds = x1d * xi + x2d * xid + pd
+        peak = float(np.abs(xs).max())
         period_maxima.append(peak)
+        # the period that trips the guard still counts; NaN trips it too
+        if not (
+            peak < FORCED_MAGNITUDE_LIMIT
+            and np.abs(xds).max() < FORCED_MAGNITUDE_LIMIT
+        ):
+            break
+        xi, xid = float(xs[-1]), float(xds[-1])
 
     completed = len(period_maxima)
     sup_norm = max(period_maxima, default=0.0)

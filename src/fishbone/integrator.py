@@ -33,6 +33,7 @@ __all__ = [
     "BlowUpError",
     "StepSizeCollapseError",
     "AdaptiveDriver",
+    "check_onset_gain",
     "make_initial",
     "simulate",
     "write_trajectory_csv",
@@ -425,6 +426,12 @@ class _Observer:
         )
 
 
+def check_onset_gain(onset_gain: float) -> None:
+    """Reject an onset gain that is not finite or does not exceed 1."""
+    if not 1.0 < onset_gain < math.inf:
+        raise ValueError("onset_gain must be finite and exceed 1")
+
+
 def simulate(
     spec: ModelSpec,
     initial: SystemState,
@@ -438,8 +445,7 @@ def simulate(
     is exactly zero.  Blow-up or step-size collapse stops the run early and
     is reported in ``terminated_early``; samples up to that point are kept.
     """
-    if not 1.0 < onset_gain < math.inf:
-        raise ValueError("onset_gain must be finite and exceed 1")
+    check_onset_gain(onset_gain)
     if initial.m != spec.m:
         raise ValueError(f"initial state has m={initial.m}, spec has m={spec.m}")
     t0, u0 = initial.t, initial.flat()

@@ -1,14 +1,23 @@
+import hashlib
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 CMD = [sys.executable, "-m", "fishbone"]
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+# the package runs from the checkout's src/, installed or not
+ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p),
+}
 
 
 def run_cli(*args, **kw):
     return subprocess.run(
-        CMD + list(args), capture_output=True, text=True, timeout=300, **kw
+        CMD + list(args), capture_output=True, text=True, timeout=300, env=ENV, **kw
     )
 
 
@@ -105,6 +114,14 @@ class TestSimulate:
         cfg.write_text("no_such_key=1\n")
         assert run_cli("simulate", "--config", str(cfg)).returncode == 2
 
+    def test_rejected_onset_gain_leaves_no_file(self, tmp_path):
+        out = tmp_path / "x.csv"
+        res = run_cli(
+            "simulate", "--onset-gain", "0.5", "--t-end", "1", "--out", str(out)
+        )
+        assert res.returncode == 2, res.stderr
+        assert not out.exists()
+
     def test_unwritable_output_is_io_error(self):
         res = run_cli(
             "simulate", "--sigma", "1.0", "--t-end", "1",
@@ -162,6 +179,27 @@ class TestHill:
     def test_non_finite_grid_rejected(self, grid):
         res = run_cli("hill", "--grid", grid, "--out", "-")
         assert res.returncode == 2, res.stderr
+
+    # the point count is checked before any point is built
+    @pytest.mark.parametrize("grid", ["0:1e9:1e-9", "1:1:1e-300"])
+    def test_oversized_grid_rejected(self, grid):
+        res = run_cli("hill", "--grid", grid, "--out", "-")
+        assert res.returncode == 2, res.stderr
+        assert "more than 100000 points" in res.stderr
+
+    def test_prop2_grid_pinned(self, tmp_path):
+        # SHA-256 of columns 1-7 (all but growth_rate): pins the monodromy
+        # trace bit for bit and all 20 classifications and forced verdicts
+        out = tmp_path / "prop2.csv"
+        res = run_cli("hill", "--preset", "prop2-grid", "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        cols = "".join(
+            ",".join(line.split(",")[:7]) + "\n"
+            for line in out.read_text().splitlines()
+        )
+        assert hashlib.sha256(cols.encode()).hexdigest() == (
+            "a41551bb20cdc373f0d03cdb631c830f18a97d75c3acf6efaf9f56ea9f413b7b"
+        )
 
     def test_first_unstable_energy_above_sufficient_bound(self, tmp_path):
         # scanning upward in energy, instability first appears well past the

@@ -20,7 +20,7 @@ from fishbone.hill import (
     write_chart_csv,
 )
 from fishbone.model import vertical_mode_energy
-from oracles import duffing_period_by_event_detection
+from oracles import duffing_period_by_event_detection, forced_check_by_long_integration
 
 
 class TestPureMode:
@@ -204,6 +204,19 @@ class TestForcedCheck:
         check = forced_check(mode_from_energy(6.0), 0.01, 200)
         assert check.periods_completed < 200
         assert check.sup_norm > 1e9
+
+
+class TestForcedOracle:
+    @pytest.mark.parametrize("energy", [1.0, 5.0, 9.0])
+    def test_one_period_map_matches_long_integration(self, energy):
+        mode = mode_from_energy(energy)
+        check = forced_check(mode, 0.01, 200)
+        oracle = forced_check_by_long_integration(mode, 0.01, 200)
+        assert oracle.bounded_verdict == (energy < 5.0)
+        assert check.bounded_verdict == oracle.bounded_verdict
+        assert check.periods_completed == oracle.periods_completed
+        if not oracle.bounded_verdict:
+            assert check.growth_rate == pytest.approx(oracle.growth_rate, rel=1e-3)
 
 
 class TestEquivalence:

@@ -13,7 +13,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .hill import stability_chart, write_chart_csv
 from .integrator import (
@@ -40,14 +40,14 @@ EXIT_IO = 3
 EXIT_BLOWUP = 4
 EXIT_BRACKET = 5
 
-_VARIANTS = {v.value: v for v in Variant}
-
 #: Most energies a START:STOP:STEP hill grid may hold.
 MAX_GRID_POINTS = 100_000
+#: Most forcing periods a hill ``--horizon-periods`` may ask for.
+MAX_HORIZON_PERIODS = 100_000
 
 
-class ConfigError(Exception):
-    pass
+class ConfigError(ValueError):
+    """A flag, config file or preset that cannot be used (exit 2)."""
 
 
 @dataclass(frozen=True)
@@ -97,46 +97,25 @@ class ExperimentConfig:
 # strength scan at sigma=1.47, fig4/fig5 amplitude scan at delta=0.01,
 # fig6 the variant with zero-order cross terms.
 _BASE = ExperimentConfig()
+_CROSS, _CROSS0 = Variant.CROSS_DERIV, Variant.CROSS_DERIV_ZERO
 PRESETS: dict[str, ExperimentConfig] = {
-    "fig1-145": replace(_BASE, preset="fig1-145", sigma=1.45),
-    "fig1-147": replace(_BASE, preset="fig1-147", sigma=1.47),
-    "fig1-150": replace(_BASE, preset="fig1-150", sigma=1.5),
-    "fig1-170": replace(_BASE, preset="fig1-170", sigma=1.7),
-    "fig2-d001": replace(
-        _BASE, preset="fig2-d001", variant=Variant.CROSS_DERIV, delta=0.01
-    ),
-    "fig2-d002": replace(
-        _BASE, preset="fig2-d002", variant=Variant.CROSS_DERIV, delta=0.02
-    ),
-    "fig3-d003": replace(
-        _BASE, preset="fig3-d003", variant=Variant.CROSS_DERIV, delta=0.03
-    ),
-    "fig3-d005": replace(
-        _BASE, preset="fig3-d005", variant=Variant.CROSS_DERIV, delta=0.05
-    ),
-    "fig4-150": replace(
-        _BASE, preset="fig4-150", variant=Variant.CROSS_DERIV, delta=0.01,
-        sigma=1.5, t_end=170.0,
-    ),
-    "fig4-160": replace(
-        _BASE, preset="fig4-160", variant=Variant.CROSS_DERIV, delta=0.01,
-        sigma=1.6, t_end=170.0,
-    ),
-    "fig5-180": replace(
-        _BASE, preset="fig5-180", variant=Variant.CROSS_DERIV, delta=0.01,
-        sigma=1.8, t_end=170.0,
-    ),
-    "fig5-300": replace(
-        _BASE, preset="fig5-300", variant=Variant.CROSS_DERIV, delta=0.01,
-        sigma=3.0, t_end=170.0,
-    ),
-    "fig6-147": replace(
-        _BASE, preset="fig6-147", variant=Variant.CROSS_DERIV_ZERO, delta=0.01
-    ),
-    "fig6-150": replace(
-        _BASE, preset="fig6-150", variant=Variant.CROSS_DERIV_ZERO, delta=0.01,
-        sigma=1.5,
-    ),
+    name: replace(_BASE, preset=name, **overrides)
+    for name, overrides in {
+        "fig1-145": dict(sigma=1.45),
+        "fig1-147": dict(sigma=1.47),
+        "fig1-150": dict(sigma=1.5),
+        "fig1-170": dict(sigma=1.7),
+        "fig2-d001": dict(variant=_CROSS, delta=0.01),
+        "fig2-d002": dict(variant=_CROSS, delta=0.02),
+        "fig3-d003": dict(variant=_CROSS, delta=0.03),
+        "fig3-d005": dict(variant=_CROSS, delta=0.05),
+        "fig4-150": dict(variant=_CROSS, delta=0.01, sigma=1.5, t_end=170.0),
+        "fig4-160": dict(variant=_CROSS, delta=0.01, sigma=1.6, t_end=170.0),
+        "fig5-180": dict(variant=_CROSS, delta=0.01, sigma=1.8, t_end=170.0),
+        "fig5-300": dict(variant=_CROSS, delta=0.01, sigma=3.0, t_end=170.0),
+        "fig6-147": dict(variant=_CROSS0, delta=0.01),
+        "fig6-150": dict(variant=_CROSS0, delta=0.01, sigma=1.5),
+    }.items()
 }
 
 # Hill-chart presets: the sufficient-condition scan and the equivalence grid.
@@ -153,6 +132,28 @@ HILL_PRESETS: dict[str, dict] = {
         "forced_delta": 0.01,
         "description": "classification vs forced boundedness, delta=0.01",
     },
+}
+
+# Every run setting a config file or a flag may set, with its converter;
+# "step" is the flag's name for h.  Flags are declared in this order.
+_SETTINGS: dict[str, Callable[[str], object]] = {
+    "variant": Variant,
+    "modes": int,
+    "delta": float,
+    "sigma": float,
+    "t_end": float,
+    "step": float,
+    "h": float,
+    "scheme": Scheme,
+    "sample_every": float,
+    "onset_gain": float,
+    "rel_tol": float,
+    "abs_tol": float,
+}
+_FLAG_OPTIONS = {
+    "variant": {"choices": sorted(v.value for v in Variant)},
+    "scheme": {"choices": [s.value for s in Scheme]},
+    "step": {"help": "fixed step size h"},
 }
 
 # run flags shared by threshold and sweep; simulate takes these and more
@@ -178,63 +179,53 @@ def _parse_kv_file(path: str) -> dict[str, str]:
 
 
 def _apply_kv(cfg: ExperimentConfig, values: dict[str, str]) -> ExperimentConfig:
-    converters = {
-        "variant": lambda s: _VARIANTS[s],
-        "modes": int,
-        "delta": float,
-        "sigma": float,
-        "scheme": lambda s: Scheme(s),
-        "h": float,
-        "step": float,
-        "rel_tol": float,
-        "abs_tol": float,
-        "t_end": float,
-        "sample_every": float,
-        "onset_gain": float,
-    }
     for key, raw in values.items():
-        if key not in converters:
+        if key not in _SETTINGS:
             raise ConfigError(f"unknown config key: {key}")
         try:
-            value = converters[key](raw)
-        except (ValueError, KeyError) as exc:
+            value = _SETTINGS[key](raw)
+        except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {raw!r}") from exc
-        field = "h" if key == "step" else key
-        cfg = replace(cfg, **{field: value})
+        cfg = replace(cfg, **{"h" if key == "step" else key: value})
     return cfg
 
 
-def _resolve_sim_config(args: argparse.Namespace) -> ExperimentConfig:
-    if args.preset is not None:
-        if any(getattr(args, f) is not None for f in _SIM_FLAGS + ("config",)):
-            raise ConfigError(
-                "a preset fully determines the run; overrides are not allowed"
-            )
-        try:
-            return PRESETS[args.preset]
-        except KeyError:
-            raise ConfigError(f"unknown preset: {args.preset}") from None
-    cfg = ExperimentConfig()
-    if args.config is not None:
-        cfg = _apply_kv(cfg, _parse_kv_file(args.config))
-    return _apply_flags(cfg, args, _SIM_FLAGS)
+def _preset(table: dict, args: argparse.Namespace, flags: Sequence[str]):
+    """The entry of ``table`` named by ``--preset``, or None when none is named.
+
+    A preset fully determines its run, so none of ``flags`` may be set too.
+    """
+    if args.preset is None:
+        return None
+    if any(getattr(args, f) is not None for f in flags):
+        raise ConfigError(
+            "a preset fully determines the run; overrides are not allowed"
+        )
+    try:
+        return table[args.preset]
+    except KeyError:
+        raise ConfigError(f"unknown preset: {args.preset}") from None
 
 
 def _apply_flags(
     cfg: ExperimentConfig, args: argparse.Namespace, flags: Sequence[str]
 ) -> ExperimentConfig:
     """Override ``cfg`` with the given flags that were set, then validate it."""
-    values = {f: getattr(args, f) for f in flags if getattr(args, f) is not None}
-    if values:
-        cfg = _apply_kv(cfg, values)
-    try:
-        cfg.spec()
-        cfg.integrator()
-        make_initial(cfg.sigma, cfg.modes)
-        check_onset_gain(cfg.onset_gain)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    set_flags = {f: getattr(args, f) for f in flags if getattr(args, f) is not None}
+    cfg = _apply_kv(cfg, set_flags)
+    cfg.spec()
+    cfg.integrator()
+    make_initial(cfg.sigma, cfg.modes)
+    check_onset_gain(cfg.onset_gain)
     return cfg
+
+
+def _add_flags(parser: argparse.ArgumentParser, names: Sequence[str]) -> None:
+    for name in _SETTINGS:
+        if name in names:
+            parser.add_argument(
+                "--" + name.replace("_", "-"), dest=name, **_FLAG_OPTIONS.get(name, {})
+            )
 
 
 @contextmanager
@@ -280,10 +271,7 @@ def _parse_grid(text: str) -> list[float]:
                 break
             out.append(v)
         return out
-    try:
-        return [float(v) for v in text.split(",") if v]
-    except ValueError:
-        raise ConfigError(f"non-numeric grid value in {text!r}") from None
+    return _parse_floats(text)
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -294,7 +282,12 @@ def _parse_floats(text: str) -> list[float]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _resolve_sim_config(args)
+    cfg = _preset(PRESETS, args, _SIM_FLAGS + ("config",))
+    if cfg is None:
+        cfg = ExperimentConfig()
+        if args.config is not None:
+            cfg = _apply_kv(cfg, _parse_kv_file(args.config))
+        cfg = _apply_flags(cfg, args, _SIM_FLAGS)
     spec = cfg.spec()
     # open the output before the (possibly long) run so a bad path fails fast
     with _open_out(args.out) as fh:
@@ -317,25 +310,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_hill(args: argparse.Namespace) -> int:
-    forced_delta = args.delta
-    horizon = args.horizon_periods if args.horizon_periods is not None else 200
-    if args.preset is not None:
-        if args.grid is not None or args.delta is not None \
-                or args.horizon_periods is not None:
-            raise ConfigError(
-                "a preset fully determines the run; overrides are not allowed"
-            )
-        horizon = 200
-        try:
-            p = HILL_PRESETS[args.preset]
-        except KeyError:
-            raise ConfigError(f"unknown hill preset: {args.preset}") from None
+    p = _preset(HILL_PRESETS, args, ("grid", "delta", "horizon_periods"))
+    if p is not None:
         energies = _parse_grid(p["grid"]) + list(p["extra"])
         forced_delta = p["forced_delta"]
+    elif args.grid is None:
+        raise ConfigError("hill requires --grid or --preset")
     else:
-        if args.grid is None:
-            raise ConfigError("hill requires --grid or --preset")
         energies = _parse_grid(args.grid)
+        forced_delta = args.delta
+    horizon = 200 if args.horizon_periods is None else args.horizon_periods
+    if horizon > MAX_HORIZON_PERIODS:
+        raise ConfigError(f"--horizon-periods must not exceed {MAX_HORIZON_PERIODS}")
     if not energies:
         raise ConfigError("energy grid is empty")
     if not all(0.0 < e < math.inf for e in energies):
@@ -407,15 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run one model and write a trajectory CSV")
     sim.add_argument("--preset", help="named figure preset (see 'presets')")
     sim.add_argument("--config", help="key=value config file")
-    sim.add_argument("--variant", choices=sorted(_VARIANTS))
-    sim.add_argument("--modes", type=int)
-    sim.add_argument("--delta", type=float)
-    sim.add_argument("--sigma", type=float)
-    sim.add_argument("--t-end", dest="t_end", type=float)
-    sim.add_argument("--step", type=float, help="fixed step size h")
-    sim.add_argument("--scheme", choices=[s.value for s in Scheme])
-    sim.add_argument("--sample-every", dest="sample_every", type=float)
-    sim.add_argument("--onset-gain", dest="onset_gain", type=float)
+    _add_flags(sim, _SIM_FLAGS)
     sim.add_argument("--out", help="output CSV path ('-' for stdout)")
     sim.set_defaults(func=cmd_simulate)
 
@@ -431,23 +409,14 @@ def build_parser() -> argparse.ArgumentParser:
     thr = sub.add_parser("threshold", help="bisect the instability threshold")
     thr.add_argument("--bracket", required=True, help="LO:HI initial amplitudes")
     thr.add_argument("--tol", type=float, default=1e-3)
-    thr.add_argument("--variant", choices=sorted(_VARIANTS))
-    thr.add_argument("--modes", type=int)
-    thr.add_argument("--delta", type=float)
-    thr.add_argument("--t-end", dest="t_end", type=float)
-    thr.add_argument("--step", type=float)
-    thr.add_argument("--onset-gain", dest="onset_gain", type=float)
+    _add_flags(thr, _RUN_FLAGS + ("delta",))
     thr.add_argument("--out")
     thr.set_defaults(func=cmd_threshold)
 
     sw = sub.add_parser("sweep", help="grid of (delta, sigma) runs")
     sw.add_argument("--deltas", required=True, help="comma list")
     sw.add_argument("--sigmas", required=True, help="comma list")
-    sw.add_argument("--variant", choices=sorted(_VARIANTS))
-    sw.add_argument("--modes", type=int)
-    sw.add_argument("--t-end", dest="t_end", type=float)
-    sw.add_argument("--step", type=float)
-    sw.add_argument("--onset-gain", dest="onset_gain", type=float)
+    _add_flags(sw, _RUN_FLAGS)
     sw.add_argument("--jobs", type=int, default=1)
     sw.add_argument("--out")
     sw.set_defaults(func=cmd_sweep)
@@ -463,14 +432,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except InvalidBracketError as exc:
         print(f"invalid bracket: {exc}", file=sys.stderr)
         return EXIT_BRACKET
     except ValueError as exc:
-        # domain validation from the library (bad step, bracket, modes, ...)
+        # ConfigError, and domain validation from the library (bad step,
+        # bracket, modes, ...)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -316,11 +316,8 @@ class AdaptiveDriver:
                         for i in range(n)
                     )
                     ks.append(tuple(self.f(self.t + _DP_C[s] * h, us)))
-                # stage 7 state equals the 5th-order solution (FSAL)
-                unew = tuple(
-                    self.u[i] + h * sum(_DP_A[6][j] * ks[j][i] for j in range(6))
-                    for i in range(n)
-                )
+                # the last stage state is the 5th-order solution (FSAL)
+                unew = us
                 err = 0.0
                 for i in range(n):
                     e = h * sum(_DP_E[j] * ks[j][i] for j in range(7))

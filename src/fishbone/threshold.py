@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, TextIO
 
-from .integrator import IntegratorConfig, OnsetEvent, make_initial, simulate
+from .integrator import IntegratorConfig, OnsetEvent, Scheme, make_initial, simulate
 from .model import ModelSpec, Variant, energy
 
 __all__ = [
@@ -78,8 +80,11 @@ def config_fingerprint(config: IntegratorConfig, onset_gain: float) -> dict[str,
 def _probe(
     spec: ModelSpec, sigma: float, config: IntegratorConfig, onset_gain: float
 ) -> Optional[OnsetEvent]:
-    traj = simulate(spec, make_initial(sigma, spec.m), config, onset_gain)
-    return traj.onset
+    # onset is watched on every fixed step whatever the sampling, so a probe
+    # records only its endpoints; adaptive steps land on the sample times
+    if config.scheme is Scheme.FIXED_RK4:
+        config = replace(config, sample_every=max(config.t_end, config.sample_every))
+    return simulate(spec, make_initial(sigma, spec.m), config, onset_gain).onset
 
 
 def _contradicts_monotone_boundary(
@@ -113,8 +118,11 @@ def find_threshold(
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    # below two ulps the midpoint of adjacent floats is an endpoint, and the
+    # bisection would never end
+    min_tol = 2.0 * math.ulp(max(abs(lo), abs(hi)))
+    if not min_tol <= tol < math.inf:
+        raise ValueError(f"tol must be finite and at least {min_tol:.3g}")
 
     onset_lo = _probe(spec, lo, config, onset_gain)
     if onset_lo is not None:
@@ -144,7 +152,8 @@ def find_threshold(
             lo = mid
 
     sigma_star = 0.5 * (lo + hi)
-    e_star = energy(spec, make_initial(sigma_star, spec.m)).total
+    # no energy function is defined for m > 1
+    e_star = energy(spec, make_initial(sigma_star)).total if spec.m == 1 else math.nan
     return ThresholdResult(
         sigma_lo=lo,
         sigma_hi=hi,
@@ -185,16 +194,25 @@ def sweep(
 ) -> list[SweepRow]:
     """One run per (delta, sigma) pair, rows in input (delta-major) order.
 
-    Early termination of a run is recorded in its row and never aborts the
-    rest of the sweep.  Probes are independent, so jobs > 1 fans them out to
-    worker processes without changing the results.
+    Every delta and sigma is checked before the first run.  Early
+    termination of a run is recorded in its row and never aborts the rest of
+    the sweep.  Probes are independent, so jobs > 1 fans them out to worker
+    processes, no more than there are runs or CPUs, without changing the
+    results.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    for d in deltas:
+        ModelSpec(variant, m=m, delta=float(d))
+    for s in sigmas:
+        make_initial(float(s), m)
     tasks = [
         (variant, m, float(d), float(s), config, onset_gain)
         for d, s in itertools.product(deltas, sigmas)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_sweep_task, tasks))
     return [_sweep_task(t) for t in tasks]
 

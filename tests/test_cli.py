@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import os
 import subprocess
@@ -5,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from fishbone.cli import build_parser
 
 CMD = [sys.executable, "-m", "fishbone"]
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -142,6 +145,17 @@ class TestSimulate:
         )
         assert res.returncode == 2, res.stderr
 
+    # flags are converted by the same table as config files
+    @pytest.mark.parametrize("flag,value", [
+        ("--modes", "2.5"),
+        ("--sigma", "abc"),
+        ("--step", ""),
+    ])
+    def test_bad_flag_value_is_config_error(self, flag, value):
+        res = run_cli("simulate", "--t-end", "1", flag, value, "--out", "-")
+        assert res.returncode == 2, res.stderr
+        assert "error:" in res.stderr
+
     def test_blow_up_exit_code_with_partial_csv(self, tmp_path):
         out = tmp_path / "blow.csv"
         res = run_cli(
@@ -236,6 +250,15 @@ class TestHill:
         assert stable_row[4] == "stable" and stable_row[6] == "true"
         assert unstable_row[4] == "unstable" and unstable_row[6] == "false"
 
+    # forced_check keeps one float per period
+    def test_horizon_above_cap_rejected(self):
+        res = run_cli(
+            "hill", "--grid", "1", "--delta", "0.01", "--horizon-periods", "100001",
+            "--out", "-",
+        )
+        assert res.returncode == 2, res.stderr
+        assert "100000" in res.stderr
+
     def test_preset_forbids_horizon_override(self):
         res = run_cli("hill", "--preset", "prop1-check", "--horizon-periods", "50")
         assert res.returncode == 2
@@ -286,6 +309,13 @@ class TestSweep:
     def test_bad_lists(self):
         assert run_cli("sweep", "--deltas", "a", "--sigmas", "1").returncode == 2
 
+    def test_zero_jobs_is_config_error(self):
+        res = run_cli(
+            "sweep", "--deltas", "0.01", "--sigmas", "1.0", "--t-end", "1",
+            "--jobs", "0", "--out", "-",
+        )
+        assert res.returncode == 2, res.stderr
+
 
 class TestRunFlags:
     # zero is a value, not a missing flag: it must reach validation
@@ -298,3 +328,70 @@ class TestRunFlags:
         t_end = [] if flag == "--t-end" else ["--t-end", "1"]
         res = run_cli(*command, *t_end, flag, "0", "--out", "-")
         assert res.returncode == 2, res.stderr
+
+
+class TestSurface:
+    # (option, default, choices) of every subcommand, captured before the
+    # run flags were declared from one table: no flag added or dropped
+    SURFACE = {
+        "hill": [
+            ("--delta", None, None),
+            ("--grid", None, None),
+            ("--horizon-periods", None, None),
+            ("--out", None, None),
+            ("--preset", None, ("prop1-check", "prop2-grid")),
+        ],
+        "presets": [],
+        "simulate": [
+            ("--config", None, None),
+            ("--delta", None, None),
+            ("--modes", None, None),
+            ("--onset-gain", None, None),
+            ("--out", None, None),
+            ("--preset", None, None),
+            ("--sample-every", None, None),
+            ("--scheme", None, ("fixed_rk4", "adaptive_embedded")),
+            ("--sigma", None, None),
+            ("--step", None, None),
+            ("--t-end", None, None),
+            ("--variant", None, ("cross", "crosszero", "isolated")),
+        ],
+        "sweep": [
+            ("--deltas", None, None),
+            ("--jobs", 1, None),
+            ("--modes", None, None),
+            ("--onset-gain", None, None),
+            ("--out", None, None),
+            ("--sigmas", None, None),
+            ("--step", None, None),
+            ("--t-end", None, None),
+            ("--variant", None, ("cross", "crosszero", "isolated")),
+        ],
+        "threshold": [
+            ("--bracket", None, None),
+            ("--delta", None, None),
+            ("--modes", None, None),
+            ("--onset-gain", None, None),
+            ("--out", None, None),
+            ("--step", None, None),
+            ("--t-end", None, None),
+            ("--tol", 0.001, None),
+            ("--variant", None, ("cross", "crosszero", "isolated")),
+        ],
+    }
+
+    def test_options_defaults_and_choices_pinned(self):
+        parser = build_parser()
+        sub = next(
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        surface = {
+            name: sorted(
+                (a.option_strings[-1], a.default,
+                 None if a.choices is None else tuple(a.choices))
+                for a in p._actions
+                if not isinstance(a, argparse._HelpAction)
+            )
+            for name, p in sub.choices.items()
+        }
+        assert surface == self.SURFACE

@@ -1,8 +1,10 @@
 import io
 import math
+import os
 
 import pytest
 
+import fishbone.threshold
 from fishbone.integrator import IntegratorConfig, make_initial, simulate
 from fishbone.model import ModelSpec, Variant, energy
 from fishbone.threshold import (
@@ -39,6 +41,37 @@ class TestFindThreshold:
             find_threshold(ISO, (1.4, 1.5), 0.0, config)
         with pytest.raises(ValueError):
             find_threshold(ISO, (1.5, 3.5), math.nan, config)
+        # an infinite tol returned the unrefined bracket; one below two ulps
+        # of the endpoints never ended the bisection
+        with pytest.raises(ValueError):
+            find_threshold(ISO, (1.5, 3.5), math.inf, config)
+        with pytest.raises(ValueError):
+            find_threshold(ISO, (1.5, 3.5), 1e-300, config)
+
+    def test_multimode_energy_star_is_nan(self):
+        # tol covers the bracket, so only the endpoints run: sigma=1.5 stays
+        # quiet and 3.5 fires; no energy function is defined for m > 1
+        spec = ModelSpec(Variant.ISOLATED, m=2)
+        result = find_threshold(spec, (1.5, 3.5), 2.0, IntegratorConfig(t_end=10.0))
+        assert (result.sigma_lo, result.sigma_hi) == (1.5, 3.5)
+        assert math.isnan(result.energy_star)
+
+    def test_probes_record_only_endpoints(self, monkeypatch):
+        sample_counts = []
+        real = fishbone.threshold.simulate
+
+        def counting(*args, **kw):
+            traj = real(*args, **kw)
+            sample_counts.append(len(traj.samples))
+            return traj
+
+        monkeypatch.setattr(fishbone.threshold, "simulate", counting)
+        config = IntegratorConfig(t_end=10.0)
+        result = find_threshold(ISO, (1.5, 3.5), 0.5, config)
+        assert len(sample_counts) > 2 and max(sample_counts) <= 2
+        # the onset and the fingerprint are those of the caller's config
+        assert result.onset_at_hi == real(ISO, make_initial(result.sigma_hi), config).onset
+        assert result.config_fingerprint["sample_every"] == "0.01"
 
     def test_certified_bracket_at_full_horizon(self):
         config = IntegratorConfig(t_end=200.0)
@@ -144,6 +177,58 @@ class TestSweep:
         serial = sweep(Variant.CROSS_DERIV, [0.01, 0.02], [1.4, 1.6], config, jobs=1)
         parallel = sweep(Variant.CROSS_DERIV, [0.01, 0.02], [1.4, 1.6], config, jobs=2)
         assert serial == parallel
+
+    @pytest.mark.parametrize("deltas,sigmas", [
+        ([0.01, -1.0], [1.0]),
+        ([0.01], [1.0, math.nan]),
+    ], ids=["delta", "sigma"])
+    def test_inputs_checked_before_first_run(self, monkeypatch, deltas, sigmas):
+        calls = []
+        real = fishbone.threshold.simulate
+
+        def counting(*args, **kw):
+            calls.append(args)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(fishbone.threshold, "simulate", counting)
+        with pytest.raises(ValueError):
+            sweep(Variant.CROSS_DERIV, deltas, sigmas, IntegratorConfig(t_end=0.1))
+        assert calls == []
+
+    def test_jobs_below_one_rejected(self):
+        with pytest.raises(ValueError, match="jobs"):
+            sweep(Variant.CROSS_DERIV, [0.01], [1.0], IntegratorConfig(t_end=0.1),
+                  jobs=0)
+
+    def test_worker_count_capped(self, monkeypatch):
+        # a process pool may start all its workers at the first submit, so
+        # the count must not exceed the runs or the CPUs
+        pools = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(fishbone.threshold, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        config = IntegratorConfig(t_end=0.01)
+        rows = sweep(Variant.CROSS_DERIV, [0.01, 0.02], [1.0, 1.1, 1.2], config,
+                     jobs=5000)
+        assert len(rows) == 6
+        sweep(Variant.CROSS_DERIV, [0.01], [1.0, 1.1], config, jobs=5000)
+        assert pools == [4, 2]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        sweep(Variant.CROSS_DERIV, [0.01], [1.0, 1.1], config, jobs=8)
+        assert pools == [4, 2]
 
     def test_csv_with_empty_onset_field(self):
         config = IntegratorConfig(t_end=5.0)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from .hill import stability_chart, write_chart_csv
+from .hill import MIN_HORIZON_PERIODS, stability_chart, write_chart_csv
 from .integrator import (
     IntegratorConfig,
     Scheme,
@@ -320,8 +320,12 @@ def cmd_hill(args: argparse.Namespace) -> int:
         energies = _parse_grid(args.grid)
         forced_delta = args.delta
     horizon = 200 if args.horizon_periods is None else args.horizon_periods
-    if horizon > MAX_HORIZON_PERIODS:
-        raise ConfigError(f"--horizon-periods must not exceed {MAX_HORIZON_PERIODS}")
+    # checked with or without forcing, before the first energy is classified
+    if not MIN_HORIZON_PERIODS <= horizon <= MAX_HORIZON_PERIODS:
+        raise ConfigError(
+            f"--horizon-periods must be between {MIN_HORIZON_PERIODS} and "
+            f"{MAX_HORIZON_PERIODS}"
+        )
     if not energies:
         raise ConfigError("energy grid is empty")
     if not all(0.0 < e < math.inf for e in energies):

@@ -73,6 +73,9 @@ TRACE_MARGIN = 1e-9
 #: A period in which the forced xi or xi' reaches this magnitude is the last.
 FORCED_MAGNITUDE_LIMIT = 1e12
 
+#: Fewest forcing periods a forced check may cover.
+MIN_HORIZON_PERIODS = 10
+
 _EVAL_RTOL = 1e-12
 _EVAL_ATOL = 1e-14
 _MONODROMY_RTOL = 1e-11
@@ -340,8 +343,8 @@ def forced_check(
     """
     if not 0.0 <= delta < math.inf:
         raise ValueError("delta must be finite and nonnegative")
-    if horizon_periods < 10:
-        raise ValueError("horizon_periods must be at least 10")
+    if horizon_periods < MIN_HORIZON_PERIODS:
+        raise ValueError(f"horizon_periods must be at least {MIN_HORIZON_PERIODS}")
     t_period = mode.period
 
     def f(t: float, u: Sequence[float]):

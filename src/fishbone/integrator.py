@@ -152,51 +152,53 @@ def make_initial(sigma: float, m: int = 1) -> SystemState:
     return SystemState(t=0.0, y=y, z=z, ydot=zeros, zdot=zeros)
 
 
-def _state_ok_1m(u: tuple[float, float, float, float]) -> bool:
-    # NaN fails every comparison, so this also catches non-finite values.
-    y, z, yd, zd = u
-    return (
-        abs(y) < BLOWUP_LIMIT
-        and abs(z) < BLOWUP_LIMIT
-        and abs(yd) < BLOWUP_LIMIT
-        and abs(zd) < BLOWUP_LIMIT
-    )
+def _rk4_1m(spec: ModelSpec) -> Callable[[tuple, float], Optional[tuple]]:
+    """Classical RK4 step of the 1-mode system on the flat 4-tuple.
 
-
-def _state_ok_m(u: np.ndarray) -> bool:
-    return bool(np.all(np.abs(u) < BLOWUP_LIMIT))
-
-
-def _rk4_1m(spec: ModelSpec) -> Callable[[tuple, float], tuple]:
-    """Classical RK4 step of the 1-mode system on the flat 4-tuple."""
+    The step returns None when a component of the new state is not below
+    BLOWUP_LIMIT in magnitude (NaN included).  The accelerations are those
+    of ``one_mode_accelerations``, inlined operation for operation, so the
+    result is bit-identical to calling it.
+    """
     c1, c2, c3, c4 = _cross_coefficients(spec)
 
     def step(u: tuple[float, float, float, float], h: float):
         y, z, yd, zd = u
         h2 = 0.5 * h
         h6 = h / 6.0
-        ay1, az1 = one_mode_accelerations(y, z, yd, zd, c1, c2, c3, c4)
+        ay1 = -(3.0 * y + 1.5 * y * y * y + 4.5 * y * z * z + c1 * zd + c2 * z)
+        az1 = -(7.0 * z + 4.5 * z * z * z + 13.5 * z * y * y + c3 * yd + c4 * y)
         y2 = y + h2 * yd
         z2 = z + h2 * zd
         yd2 = yd + h2 * ay1
         zd2 = zd + h2 * az1
-        ay2, az2 = one_mode_accelerations(y2, z2, yd2, zd2, c1, c2, c3, c4)
+        ay2 = -(3.0 * y2 + 1.5 * y2 * y2 * y2 + 4.5 * y2 * z2 * z2 + c1 * zd2 + c2 * z2)
+        az2 = -(7.0 * z2 + 4.5 * z2 * z2 * z2 + 13.5 * z2 * y2 * y2 + c3 * yd2 + c4 * y2)
         y3 = y + h2 * yd2
         z3 = z + h2 * zd2
         yd3 = yd + h2 * ay2
         zd3 = zd + h2 * az2
-        ay3, az3 = one_mode_accelerations(y3, z3, yd3, zd3, c1, c2, c3, c4)
+        ay3 = -(3.0 * y3 + 1.5 * y3 * y3 * y3 + 4.5 * y3 * z3 * z3 + c1 * zd3 + c2 * z3)
+        az3 = -(7.0 * z3 + 4.5 * z3 * z3 * z3 + 13.5 * z3 * y3 * y3 + c3 * yd3 + c4 * y3)
         y4 = y + h * yd3
         z4 = z + h * zd3
         yd4 = yd + h * ay3
         zd4 = zd + h * az3
-        ay4, az4 = one_mode_accelerations(y4, z4, yd4, zd4, c1, c2, c3, c4)
-        return (
-            y + h6 * (yd + 2.0 * (yd2 + yd3) + yd4),
-            z + h6 * (zd + 2.0 * (zd2 + zd3) + zd4),
-            yd + h6 * (ay1 + 2.0 * (ay2 + ay3) + ay4),
-            zd + h6 * (az1 + 2.0 * (az2 + az3) + az4),
-        )
+        ay4 = -(3.0 * y4 + 1.5 * y4 * y4 * y4 + 4.5 * y4 * z4 * z4 + c1 * zd4 + c2 * z4)
+        az4 = -(7.0 * z4 + 4.5 * z4 * z4 * z4 + 13.5 * z4 * y4 * y4 + c3 * yd4 + c4 * y4)
+        yn = y + h6 * (yd + 2.0 * (yd2 + yd3) + yd4)
+        zn = z + h6 * (zd + 2.0 * (zd2 + zd3) + zd4)
+        ydn = yd + h6 * (ay1 + 2.0 * (ay2 + ay3) + ay4)
+        zdn = zd + h6 * (az1 + 2.0 * (az2 + az3) + az4)
+        # NaN fails every comparison, so this also catches non-finite values
+        if (
+            abs(yn) < BLOWUP_LIMIT
+            and abs(zn) < BLOWUP_LIMIT
+            and abs(ydn) < BLOWUP_LIMIT
+            and abs(zdn) < BLOWUP_LIMIT
+        ):
+            return (yn, zn, ydn, zdn)
+        return None
 
     return step
 
@@ -214,16 +216,20 @@ def _flat_rhs_m(spec: ModelSpec) -> Callable[[np.ndarray], np.ndarray]:
     return f
 
 
-def _rk4_m(spec: ModelSpec) -> Callable[[np.ndarray, float], np.ndarray]:
-    """Classical RK4 step of the m-mode system on the flat state array."""
+def _rk4_m(spec: ModelSpec) -> Callable[[np.ndarray, float], Optional[np.ndarray]]:
+    """Classical RK4 step of the m-mode system on the flat state array.
+
+    Like the 1-mode step, it returns None on blow-up.
+    """
     f = _flat_rhs_m(spec)
 
-    def step(u: np.ndarray, h: float) -> np.ndarray:
+    def step(u: np.ndarray, h: float) -> Optional[np.ndarray]:
         k1 = f(u)
         k2 = f(u + 0.5 * h * k1)
         k3 = f(u + 0.5 * h * k2)
         k4 = f(u + h * k3)
-        return u + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        u = u + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        return u if np.all(np.abs(u) < BLOWUP_LIMIT) else None
 
     return step
 
@@ -381,21 +387,32 @@ def _split_horizon(t_end: float, h: float) -> tuple[int, float]:
 
 _BLOWUP_REASON = f"blow-up: state magnitude reached {BLOWUP_LIMIT:g}"
 
+_ONSET_REASON = "stopped at onset"
+
+
+class _OnsetReached(Exception):
+    """Ends a run that stops at its onset step; the observer has recorded it."""
+
 
 class _Observer:
     """Onset, running max |z1|, early termination and samples of one run.
 
     Every driver hands it the flat state (y..., z..., ydot..., zdot...), so
-    z1 is ``u[m]``: ``watch`` sees every accepted step, ``record`` every
-    sample.
+    z1 is ``u[m]``: ``watch`` sees every accepted step that can set a new
+    running max (the adaptive driver hands it all of them), ``record`` every
+    sample.  With ``stop_at_onset`` the onset step is recorded as the last
+    sample and ``watch`` raises _OnsetReached.
     """
 
-    def __init__(self, spec: ModelSpec, t0: float, u0, onset_gain: float):
+    def __init__(
+        self, spec: ModelSpec, t0: float, u0, onset_gain: float, stop_at_onset: bool
+    ):
         self.spec = spec
         self.m = spec.m
         self.z_seed = abs(u0[self.m])
         self.threshold = onset_gain * self.z_seed if self.z_seed > 0.0 else math.inf
         self.max_torsion = self.z_seed
+        self.stop_at_onset = stop_at_onset
         self.onset: Optional[OnsetEvent] = None
         self.terminated: Optional[tuple[float, str]] = None
         self.samples: list[tuple[SystemState, Optional[EnergyBreakdown]]] = []
@@ -407,6 +424,10 @@ class _Observer:
             self.max_torsion = az
         if self.onset is None and az >= self.threshold:
             self.onset = OnsetEvent(t_onset=t, gain=az / self.z_seed)
+            if self.stop_at_onset:
+                self.record(t, u)
+                self.terminated = (t, _ONSET_REASON)
+                raise _OnsetReached
 
     def record(self, t: float, u) -> None:
         m = self.m
@@ -434,6 +455,8 @@ def simulate(
     initial: SystemState,
     config: IntegratorConfig,
     onset_gain: float = 100.0,
+    *,
+    stop_at_onset: bool = False,
 ) -> Trajectory:
     """Integrate to t_end, recording samples, energy, onset, and blow-up.
 
@@ -441,43 +464,56 @@ def simulate(
     onset_gain times |z1(0)|; detection is disabled when the torsional seed
     is exactly zero.  Blow-up or step-size collapse stops the run early and
     is reported in ``terminated_early``; samples up to that point are kept.
+    With ``stop_at_onset`` the run also ends at the onset step, which
+    becomes the last sample, and ``terminated_early`` is
+    ``(t_onset, "stopped at onset")``.
     """
     check_onset_gain(onset_gain)
     if initial.m != spec.m:
         raise ValueError(f"initial state has m={initial.m}, spec has m={spec.m}")
     t0, u0 = initial.t, initial.flat()
-    if config.scheme is Scheme.ADAPTIVE_EMBEDDED:
-        obs = _Observer(spec, t0, u0, onset_gain)
-        _run_adaptive(obs, t0, u0, config)
-    else:
-        if spec.m == 1:
-            step, ok = _rk4_1m(spec), _state_ok_1m
+    fixed = config.scheme is Scheme.FIXED_RK4
+    if fixed and spec.m > 1:
+        u0 = np.asarray(u0)
+    obs = _Observer(spec, t0, u0, onset_gain, stop_at_onset)
+    try:
+        if not fixed:
+            _run_adaptive(obs, t0, u0, config)
         else:
-            step, ok, u0 = _rk4_m(spec), _state_ok_m, np.asarray(u0)
-        obs = _Observer(spec, t0, u0, onset_gain)
-        _run_fixed(obs, step, ok, t0, u0, config)
+            step = _rk4_1m(spec) if spec.m == 1 else _rk4_m(spec)
+            _run_fixed(obs, step, t0, u0, config)
+    except _OnsetReached:
+        pass
     return obs.trajectory()
 
 
-def _run_fixed(obs: _Observer, step, ok, t0: float, u, config: IntegratorConfig) -> None:
-    """Fixed-step loop: n full steps of h, then a short step onto t_end."""
+def _run_fixed(obs: _Observer, step, t0: float, u, config: IntegratorConfig) -> None:
+    """Fixed-step loop: n full steps of h, then a short step onto t_end.
+
+    Onset needs |z1| >= gain * |z1(0)| >= |z1(0)| after every earlier step
+    stayed below that level, so it can first fire only on a step that
+    reaches the running max; ``watch`` sees those steps and the tail step.
+    """
     h = config.h
     n_sub = max(1, round(config.sample_every / h))
     n_steps, h_tail = _split_horizon(config.t_end, h)
-    watch, record = obs.watch, obs.record
+    m, watch, record = obs.m, obs.watch, obs.record
+    peak = obs.max_torsion
     for i in range(1, n_steps + 1):
         u = step(u, h)
-        t = t0 + i * h
-        if not ok(u):
-            obs.terminated = (t, _BLOWUP_REASON)
+        if u is None:
+            obs.terminated = (t0 + i * h, _BLOWUP_REASON)
             return
-        watch(t, u)
+        az = abs(u[m])
+        if az >= peak:
+            peak = az
+            watch(t0 + i * h, u)
         if i % n_sub == 0:
-            record(t, u)
+            record(t0 + i * h, u)
     if h_tail > 0.0:
         u = step(u, h_tail)
         t = t0 + config.t_end
-        if not ok(u):
+        if u is None:
             obs.terminated = (t, _BLOWUP_REASON)
             return
         watch(t, u)

@@ -80,11 +80,14 @@ def config_fingerprint(config: IntegratorConfig, onset_gain: float) -> dict[str,
 def _probe(
     spec: ModelSpec, sigma: float, config: IntegratorConfig, onset_gain: float
 ) -> Optional[OnsetEvent]:
-    # onset is watched on every fixed step whatever the sampling, so a probe
-    # records only its endpoints; adaptive steps land on the sample times
+    # a probe reads only the onset, so it stops at the onset step: nothing
+    # after it can change the verdict.  Onset is detected on every fixed step
+    # whatever the sampling, so there it records only its endpoints;
+    # adaptive steps land on the sample times, so those keep theirs
     if config.scheme is Scheme.FIXED_RK4:
         config = replace(config, sample_every=max(config.t_end, config.sample_every))
-    return simulate(spec, make_initial(sigma, spec.m), config, onset_gain).onset
+    initial = make_initial(sigma, spec.m)
+    return simulate(spec, initial, config, onset_gain, stop_at_onset=True).onset
 
 
 def _contradicts_monotone_boundary(
@@ -194,14 +197,16 @@ def sweep(
 ) -> list[SweepRow]:
     """One run per (delta, sigma) pair, rows in input (delta-major) order.
 
-    Every delta and sigma is checked before the first run.  Early
-    termination of a run is recorded in its row and never aborts the rest of
-    the sweep.  Probes are independent, so jobs > 1 fans them out to worker
-    processes, no more than there are runs or CPUs, without changing the
-    results.
+    Every delta and sigma is checked before the first run, and neither list
+    may be empty.  Early termination of a run is recorded in its row and
+    never aborts the rest of the sweep.  Probes are independent, so jobs > 1
+    fans them out to worker processes, no more than there are runs or CPUs,
+    without changing the results.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if not deltas or not sigmas:
+        raise ValueError("deltas and sigmas must not be empty")
     for d in deltas:
         ModelSpec(variant, m=m, delta=float(d))
     for s in sigmas:

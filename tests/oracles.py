@@ -6,6 +6,8 @@ m-mode oracle evaluates the Galerkin projection integrals by brute-force
 trapezoid quadrature on a dense grid instead of the exact sine-grid rule.
 The forced-Hill oracle integrates the forced equation over the whole
 horizon, period after period, instead of iterating the one-period map.
+The RK4 reference step takes its accelerations from the public
+``rhs_one_mode`` once per stage, where the integrator inlines them.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 
 from fishbone.hill import FORCED_MAGNITUDE_LIMIT, ForcedHillCheck
 from fishbone.integrator import AdaptiveDriver, BlowUpError
+from fishbone.model import ModelSpec, SystemState, rhs_one_mode
 
 
 def _duffing(t, u):
@@ -71,6 +74,37 @@ def _refine_zero(t0, u0, t1, rel_tol):
         else:
             lo, f_lo = mid, f_mid
     return 0.5 * (lo + hi)
+
+
+def rk4_1m_reference(spec: ModelSpec, u, h: float) -> tuple[float, ...]:
+    """One classical RK4 step of the 1-mode system on (y, z, ydot, zdot).
+
+    The stage arithmetic is the integrator's, in the same order, so the
+    result must agree bit for bit with its inlined kernel.
+    """
+
+    def acc(y, z, yd, zd):
+        return rhs_one_mode(spec, SystemState.single(0.0, y, z, yd, zd))
+
+    y, z, yd, zd = u
+    h2 = 0.5 * h
+    h6 = h / 6.0
+    ay1, az1 = acc(y, z, yd, zd)
+    y2, z2 = y + h2 * yd, z + h2 * zd
+    yd2, zd2 = yd + h2 * ay1, zd + h2 * az1
+    ay2, az2 = acc(y2, z2, yd2, zd2)
+    y3, z3 = y + h2 * yd2, z + h2 * zd2
+    yd3, zd3 = yd + h2 * ay2, zd + h2 * az2
+    ay3, az3 = acc(y3, z3, yd3, zd3)
+    y4, z4 = y + h * yd3, z + h * zd3
+    yd4, zd4 = yd + h * ay3, zd + h * az3
+    ay4, az4 = acc(y4, z4, yd4, zd4)
+    return (
+        y + h6 * (yd + 2.0 * (yd2 + yd3) + yd4),
+        z + h6 * (zd + 2.0 * (zd2 + zd3) + zd4),
+        yd + h6 * (ay1 + 2.0 * (ay2 + ay3) + ay4),
+        zd + h6 * (az1 + 2.0 * (az2 + az3) + az4),
+    )
 
 
 def m_mode_rhs_trapezoid(y, z, n_nodes: int = 10000):

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from fishbone.cli import build_parser
+import fishbone.hill
+from fishbone.cli import build_parser, main
 
 CMD = [sys.executable, "-m", "fishbone"]
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -259,6 +260,24 @@ class TestHill:
         assert res.returncode == 2, res.stderr
         assert "100000" in res.stderr
 
+    def test_horizon_below_minimum_rejected_without_forcing(self):
+        res = run_cli("hill", "--grid", "1", "--horizon-periods", "-3", "--out", "-")
+        assert res.returncode == 2, res.stderr
+
+    def test_horizon_below_minimum_rejected_before_first_energy(self, monkeypatch):
+        calls = []
+        real = fishbone.hill.classify
+
+        def counting(*args, **kw):
+            calls.append(args)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(fishbone.hill, "classify", counting)
+        code = main(["hill", "--grid", "1,2", "--delta", "0.01",
+                     "--horizon-periods", "5", "--out", "-"])
+        assert code == 2
+        assert calls == []
+
     def test_preset_forbids_horizon_override(self):
         res = run_cli("hill", "--preset", "prop1-check", "--horizon-periods", "50")
         assert res.returncode == 2
@@ -308,6 +327,11 @@ class TestSweep:
 
     def test_bad_lists(self):
         assert run_cli("sweep", "--deltas", "a", "--sigmas", "1").returncode == 2
+
+    def test_empty_list_rejected(self):
+        res = run_cli("sweep", "--deltas", "", "--sigmas", "1", "--out", "-")
+        assert res.returncode == 2, res.stderr
+        assert "rows=" not in res.stdout + res.stderr
 
     def test_zero_jobs_is_config_error(self):
         res = run_cli(

@@ -5,15 +5,19 @@ import math
 import numpy as np
 import pytest
 
+from oracles import rk4_1m_reference
+
 from fishbone.hill import period_for_amplitude
 from fishbone.integrator import (
+    BLOWUP_LIMIT,
+    AdaptiveDriver,
     IntegratorConfig,
     Scheme,
     make_initial,
     simulate,
     write_trajectory_csv,
 )
-from fishbone.model import ModelSpec, SystemState, Variant
+from fishbone.model import ModelSpec, SystemState, Variant, rhs_one_mode
 
 ISO = ModelSpec(Variant.ISOLATED)
 
@@ -392,3 +396,112 @@ class TestPinnedPaths:
         assert (got_onset, got_term, traj.max_torsion.hex()) == (
             onset, terminated, max_torsion
         )
+
+
+def adaptive_step_states(spec, initial, config):
+    """{t: flat state} of every accepted step of a 1-mode adaptive run.
+
+    The driver is set up and advanced onto the sample times as ``simulate``
+    does it, through the public API, so the steps are those of the run.
+    """
+
+    def f(t, u):
+        return (u[2], u[3], *rhs_one_mode(spec, SystemState.single(t, *u)))
+
+    driver = AdaptiveDriver(
+        f, initial.t, initial.flat(), config.rel_tol, config.abs_tol, h0=config.h,
+        magnitude_limit=BLOWUP_LIMIT,
+    )
+    states = {}
+    n_samples = math.ceil(config.t_end / config.sample_every - 1e-9)
+    for k in range(1, n_samples + 1):
+        target = min(k * config.sample_every, config.t_end)
+        driver.advance(target, on_step=lambda t, u: states.__setitem__(t, u))
+    return states
+
+
+class TestStopAtOnset:
+    # every case fires at gain 100 before its t_end
+    FIRING = {
+        "fixed-isolated": (ISO, make_initial(2.0), dict(t_end=15.0)),
+        "fixed-cross": (
+            ModelSpec(Variant.CROSS_DERIV, delta=0.02), make_initial(1.5),
+            dict(t_end=15.0),
+        ),
+        "fixed-crosszero": (
+            ModelSpec(Variant.CROSS_DERIV_ZERO, delta=0.02), make_initial(1.5),
+            dict(t_end=15.0),
+        ),
+        "fixed-m2": (
+            ModelSpec(Variant.ISOLATED, m=2), make_initial(10.0, m=2), dict(t_end=2.5),
+        ),
+        "adaptive-m1": (
+            ModelSpec(Variant.CROSS_DERIV, delta=0.02), make_initial(1.5),
+            dict(scheme=AD, t_end=15.0),
+        ),
+        # the onset step is the one that lands on the sample time t=11
+        "adaptive-on-sample": (ISO, make_initial(2.0), dict(scheme=AD, t_end=15.0)),
+    }
+
+    @pytest.mark.parametrize("name", list(FIRING))
+    def test_run_ends_at_the_onset_step(self, name):
+        spec, initial, kw = self.FIRING[name]
+        config = cfg(**kw)
+        full = simulate(spec, initial, config)
+        stopped = simulate(spec, initial, config, stop_at_onset=True)
+        onset = full.onset
+        assert onset is not None
+        assert (stopped.onset.t_onset.hex(), stopped.onset.gain.hex()) == (
+            onset.t_onset.hex(), onset.gain.hex()
+        )
+        assert stopped.terminated_early == (onset.t_onset, "stopped at onset")
+        assert stopped.times()[-1] == onset.t_onset
+        # the samples before the onset are the full run's, and the onset
+        # state is the running max
+        n = len(stopped.samples) - 1
+        assert stopped.samples[:n] == full.samples[:n]
+        assert full.times()[n] >= onset.t_onset
+        final = stopped.final_state()
+        assert stopped.max_torsion == abs(final.z[0])
+        # the last sample is the full run's state at the onset step
+        if config.scheme is AD:
+            at_onset = adaptive_step_states(spec, initial, config)[onset.t_onset]
+        else:
+            dense = simulate(spec, initial, cfg(**kw, sample_every=config.h))
+            at_onset = next(
+                s.flat() for s, _ in dense.samples if s.t == onset.t_onset
+            )
+        assert [v.hex() for v in final.flat()] == [float(v).hex() for v in at_onset]
+
+    @pytest.mark.parametrize("spec,initial,kw", [
+        (ISO, make_initial(1.0), dict(t_end=5.0)),
+        (ModelSpec(Variant.ISOLATED, m=2), make_initial(1.0, m=2), dict(t_end=0.5)),
+        (ISO, make_initial(1.0), dict(scheme=AD, t_end=5.0)),
+        # blow-up before any onset
+        (ISO, make_initial(12000.0), dict(scheme=AD, t_end=1.0)),
+    ], ids=["fixed-m1", "fixed-m2", "adaptive-m1", "adaptive-blowup"])
+    def test_quiet_run_unchanged(self, spec, initial, kw):
+        full = simulate(spec, initial, cfg(**kw))
+        stopped = simulate(spec, initial, cfg(**kw), stop_at_onset=True)
+        assert full.onset is None
+        assert stopped == full
+
+
+class TestKernelOracle:
+    # the inlined accelerations of the fixed RK4 step against one RK4 step
+    # per call of the public 1-mode right-hand side: 2000 steps of 1e-3
+    @pytest.mark.parametrize("spec", [
+        ISO,
+        ModelSpec(Variant.CROSS_DERIV, delta=0.01),
+        ModelSpec(Variant.CROSS_DERIV_ZERO, delta=0.02),
+    ], ids=["isolated", "cross", "crosszero"])
+    def test_final_state_bit_identical(self, spec):
+        initial = SystemState.single(0.0, 1.5, 1.1, 0.7, -0.6)
+        config = cfg(t_end=2.0, sample_every=2.0)
+        traj = simulate(spec, initial, config)
+        u = initial.flat()
+        for _ in range(2000):
+            u = rk4_1m_reference(spec, u, config.h)
+        final = traj.final_state()
+        assert final.t == 2.0
+        assert [v.hex() for v in final.flat()] == [v.hex() for v in u]

@@ -57,18 +57,24 @@ class TestFindThreshold:
         assert math.isnan(result.energy_star)
 
     def test_probes_record_only_endpoints(self, monkeypatch):
-        sample_counts = []
+        probes = []
         real = fishbone.threshold.simulate
 
         def counting(*args, **kw):
             traj = real(*args, **kw)
-            sample_counts.append(len(traj.samples))
+            probes.append(traj)
             return traj
 
         monkeypatch.setattr(fishbone.threshold, "simulate", counting)
         config = IntegratorConfig(t_end=10.0)
         result = find_threshold(ISO, (1.5, 3.5), 0.5, config)
-        assert len(sample_counts) > 2 and max(sample_counts) <= 2
+        assert len(probes) > 2 and max(len(p.samples) for p in probes) <= 2
+        # a probe that fires stops at its onset step, which is its last sample
+        fired = [p for p in probes if p.onset is not None]
+        assert fired
+        for p in fired:
+            assert p.terminated_early == (p.onset.t_onset, "stopped at onset")
+            assert p.times()[-1] == p.onset.t_onset < config.t_end
         # the onset and the fingerprint are those of the caller's config
         assert result.onset_at_hi == real(ISO, make_initial(result.sigma_hi), config).onset
         assert result.config_fingerprint["sample_every"] == "0.01"
@@ -181,7 +187,9 @@ class TestSweep:
     @pytest.mark.parametrize("deltas,sigmas", [
         ([0.01, -1.0], [1.0]),
         ([0.01], [1.0, math.nan]),
-    ], ids=["delta", "sigma"])
+        ([], [1.0]),
+        ([0.01], []),
+    ], ids=["delta", "sigma", "no-deltas", "no-sigmas"])
     def test_inputs_checked_before_first_run(self, monkeypatch, deltas, sigmas):
         calls = []
         real = fishbone.threshold.simulate

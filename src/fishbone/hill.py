@@ -128,9 +128,8 @@ class PureVerticalMode:
     """Periodic solution ybar of y'' + 3y + (3/2)y^3 = 0.
 
     ``amplitude`` is the turning point (where ybar' = 0), ``energy`` the
-    conserved value, ``period`` the orbit time.  ``evaluate`` integrates the
-    oscillator from the stored initial data, so its cost grows with t; use
-    ``sample_period`` for dense output over one period.
+    conserved value, ``period`` the orbit time.  ``sample_period`` gives
+    dense output over one period.
 
     The degenerate energy-zero mode (ybar identically 0) is allowed as the
     constant-coefficient reference case; its period is the harmonic limit.
@@ -141,20 +140,6 @@ class PureVerticalMode:
     amplitude: float
     energy: float
     period: float
-
-    def evaluate(self, t: float) -> tuple[float, float]:
-        """(ybar(t), ybar'(t)) for t >= 0."""
-        if t < 0.0:
-            raise ValueError("t must be nonnegative")
-        if self.energy == 0.0:
-            return (0.0, 0.0)
-        if t == 0.0:
-            return (self.eta0, self.eta1)
-        driver = AdaptiveDriver(
-            _duffing_rhs, 0.0, (self.eta0, self.eta1), _EVAL_RTOL, _EVAL_ATOL
-        )
-        _, u = driver.advance(t)
-        return (u[0], u[1])
 
     def sample_period(self, n: int) -> list[tuple[float, float, float]]:
         """(t, ybar, ybar') at n+1 equispaced times covering one period."""
@@ -237,11 +222,8 @@ class HillStabilityReport:
 
 def monodromy_matrix(
     mode: PureVerticalMode,
-    n_periods: int = 1,
-    rel_tol: float = _MONODROMY_RTOL,
-    abs_tol: float = _MONODROMY_ATOL,
 ) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Fundamental solution matrix of xi'' + a(t) xi = 0 after n periods.
+    """Fundamental solution matrix of xi'' + a(t) xi = 0 after one period.
 
     The two fundamental solutions (xi(0), xi'(0)) = (1, 0) and (0, 1) are
     integrated together with ybar itself as one coupled system, so no
@@ -257,10 +239,10 @@ def monodromy_matrix(
         f,
         0.0,
         (mode.eta0, mode.eta1, 1.0, 0.0, 0.0, 1.0),
-        rel_tol,
-        abs_tol,
+        _MONODROMY_RTOL,
+        _MONODROMY_ATOL,
     )
-    _, u = driver.advance(n_periods * mode.period)
+    _, u = driver.advance(mode.period)
     _, _, x1, x1d, x2, x2d = u
     return ((x1, x2), (x1d, x2d))
 

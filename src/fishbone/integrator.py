@@ -105,9 +105,6 @@ class Trajectory:
     terminated_early: Optional[tuple[float, str]] = None
     max_torsion: float = 0.0
 
-    def times(self) -> list[float]:
-        return [s.t for s, _ in self.samples]
-
     def final_state(self) -> SystemState:
         return self.samples[-1][0]
 
@@ -368,12 +365,9 @@ def _tuple_rhs(spec: ModelSpec):
             return (yd, zd, ay, az)
 
         return f1
+    # AdaptiveDriver turns every right-hand side into a tuple
     fm = _flat_rhs_m(spec)
-
-    def f(t: float, u: Sequence[float]):
-        return tuple(fm(np.asarray(u)))
-
-    return f
+    return lambda t, u: fm(u)
 
 
 def _split_horizon(t_end: float, h: float) -> tuple[int, float]:
@@ -395,53 +389,42 @@ class _OnsetReached(Exception):
 
 
 class _Observer:
-    """Onset, running max |z1|, early termination and samples of one run.
+    """Fills the Trajectory of one run: onset, running max |z1|, samples.
 
     Every driver hands it the flat state (y..., z..., ydot..., zdot...), so
     z1 is ``u[m]``: ``watch`` sees every accepted step that can set a new
     running max (the adaptive driver hands it all of them), ``record`` every
-    sample.  With ``stop_at_onset`` the onset step is recorded as the last
-    sample and ``watch`` raises _OnsetReached.
+    sample.  The drivers write an early termination into ``traj`` too.
+    With ``stop_at_onset`` the onset step is recorded as the last sample
+    and ``watch`` raises _OnsetReached.
     """
 
     def __init__(
         self, spec: ModelSpec, t0: float, u0, onset_gain: float, stop_at_onset: bool
     ):
-        self.spec = spec
         self.m = spec.m
         self.z_seed = abs(u0[self.m])
         self.threshold = onset_gain * self.z_seed if self.z_seed > 0.0 else math.inf
-        self.max_torsion = self.z_seed
         self.stop_at_onset = stop_at_onset
-        self.onset: Optional[OnsetEvent] = None
-        self.terminated: Optional[tuple[float, str]] = None
-        self.samples: list[tuple[SystemState, Optional[EnergyBreakdown]]] = []
+        self.traj = Trajectory(spec, [], max_torsion=self.z_seed)
         self.record(t0, u0)
 
     def watch(self, t: float, u) -> None:
+        traj = self.traj
         az = abs(u[self.m])
-        if az > self.max_torsion:
-            self.max_torsion = az
-        if self.onset is None and az >= self.threshold:
-            self.onset = OnsetEvent(t_onset=t, gain=az / self.z_seed)
+        if az > traj.max_torsion:
+            traj.max_torsion = az
+        if traj.onset is None and az >= self.threshold:
+            traj.onset = OnsetEvent(t_onset=t, gain=az / self.z_seed)
             if self.stop_at_onset:
                 self.record(t, u)
-                self.terminated = (t, _ONSET_REASON)
+                traj.terminated_early = (t, _ONSET_REASON)
                 raise _OnsetReached
 
     def record(self, t: float, u) -> None:
         m = self.m
         st = SystemState(t, u[:m], u[m : 2 * m], u[2 * m : 3 * m], u[3 * m :])
-        self.samples.append((st, energy(self.spec, st) if m == 1 else None))
-
-    def trajectory(self) -> Trajectory:
-        return Trajectory(
-            spec=self.spec,
-            samples=self.samples,
-            onset=self.onset,
-            terminated_early=self.terminated,
-            max_torsion=self.max_torsion,
-        )
+        self.traj.samples.append((st, energy(self.traj.spec, st) if m == 1 else None))
 
 
 def check_onset_gain(onset_gain: float) -> None:
@@ -484,7 +467,7 @@ def simulate(
             _run_fixed(obs, step, t0, u0, config)
     except _OnsetReached:
         pass
-    return obs.trajectory()
+    return obs.traj
 
 
 def _run_fixed(obs: _Observer, step, t0: float, u, config: IntegratorConfig) -> None:
@@ -497,12 +480,12 @@ def _run_fixed(obs: _Observer, step, t0: float, u, config: IntegratorConfig) -> 
     h = config.h
     n_sub = max(1, round(config.sample_every / h))
     n_steps, h_tail = _split_horizon(config.t_end, h)
-    m, watch, record = obs.m, obs.watch, obs.record
-    peak = obs.max_torsion
+    m, watch, record, traj = obs.m, obs.watch, obs.record, obs.traj
+    peak = traj.max_torsion
     for i in range(1, n_steps + 1):
         u = step(u, h)
         if u is None:
-            obs.terminated = (t0 + i * h, _BLOWUP_REASON)
+            traj.terminated_early = (t0 + i * h, _BLOWUP_REASON)
             return
         az = abs(u[m])
         if az >= peak:
@@ -514,18 +497,18 @@ def _run_fixed(obs: _Observer, step, t0: float, u, config: IntegratorConfig) -> 
         u = step(u, h_tail)
         t = t0 + config.t_end
         if u is None:
-            obs.terminated = (t, _BLOWUP_REASON)
+            traj.terminated_early = (t, _BLOWUP_REASON)
             return
         watch(t, u)
         record(t, u)
-    elif obs.samples[-1][0].t < t0 + n_steps * h:
+    elif traj.samples[-1][0].t < t0 + n_steps * h:
         record(t0 + n_steps * h, u)
 
 
 def _run_adaptive(obs: _Observer, t0: float, u0, config: IntegratorConfig) -> None:
     """Dormand-Prince onto each sample time; the driver's guard stops blow-up."""
     driver = AdaptiveDriver(
-        _tuple_rhs(obs.spec),
+        _tuple_rhs(obs.traj.spec),
         t0,
         u0,
         rel_tol=config.rel_tol,
@@ -539,9 +522,9 @@ def _run_adaptive(obs: _Observer, t0: float, u0, config: IntegratorConfig) -> No
             target = t0 + min(k * config.sample_every, config.t_end)
             obs.record(*driver.advance(target, on_step=obs.watch))
     except BlowUpError as exc:
-        obs.terminated = (exc.t, _BLOWUP_REASON)
+        obs.traj.terminated_early = (exc.t, _BLOWUP_REASON)
     except StepSizeCollapseError as exc:
-        obs.terminated = (exc.t, "step-size collapse: no acceptable step found")
+        obs.traj.terminated_early = (exc.t, "step-size collapse: no acceptable step found")
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence, TextIO
 
 from .integrator import IntegratorConfig, OnsetEvent, Scheme, make_initial, simulate
-from .model import ModelSpec, Variant, energy
+from .model import ModelSpec, SystemState, Variant, energy
 
 __all__ = [
     "InvalidBracketError",
@@ -119,6 +119,9 @@ def find_threshold(
     by their own runs.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
+    # checked before tol: the ulp of an infinite endpoint is infinite
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"bracket endpoints must be finite, got {lo:g}:{hi:g}")
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
     # below two ulps the midpoint of adjacent floats is an endpoint, and the
@@ -168,11 +171,10 @@ def find_threshold(
 
 
 def _sweep_task(
-    args: tuple[Variant, int, float, float, IntegratorConfig, float]
+    args: tuple[float, float, ModelSpec, SystemState, IntegratorConfig, float]
 ) -> SweepRow:
-    variant, m, delta, sigma, config, onset_gain = args
-    spec = ModelSpec(variant, m=m, delta=delta)
-    traj = simulate(spec, make_initial(sigma, m), config, onset_gain)
+    delta, sigma, spec, initial, config, onset_gain = args
+    traj = simulate(spec, initial, config, onset_gain)
     e0 = traj.initial_energy()
     ef = traj.final_energy()
     return SweepRow(
@@ -207,13 +209,11 @@ def sweep(
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if not deltas or not sigmas:
         raise ValueError("deltas and sigmas must not be empty")
-    for d in deltas:
-        ModelSpec(variant, m=m, delta=float(d))
-    for s in sigmas:
-        make_initial(float(s), m)
+    # building every run checks every delta and sigma; a row keeps the
+    # caller's delta, which ModelSpec zeroes for the isolated variant
     tasks = [
-        (variant, m, float(d), float(s), config, onset_gain)
-        for d, s in itertools.product(deltas, sigmas)
+        (d, s, ModelSpec(variant, m=m, delta=d), make_initial(s, m), config, onset_gain)
+        for d, s in itertools.product(map(float, deltas), map(float, sigmas))
     ]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:

@@ -7,7 +7,11 @@ trapezoid quadrature on a dense grid instead of the exact sine-grid rule.
 The forced-Hill oracle integrates the forced equation over the whole
 horizon, period after period, instead of iterating the one-period map.
 The RK4 reference step takes its accelerations from the public
-``rhs_one_mode`` once per stage, where the integrator inlines them.
+``rhs_one_mode`` once per stage, where the integrator inlines them.  The
+pure-mode state at time t comes from one tight integration of the
+oscillator from its initial data, and the Hill fundamental matrix over any
+time from one integration per fundamental solution, not from the coupled
+system of ``monodromy_matrix``.
 """
 
 from __future__ import annotations
@@ -24,6 +28,32 @@ from fishbone.model import ModelSpec, SystemState, rhs_one_mode
 def _duffing(t, u):
     y, yd = u
     return (yd, -(3.0 * y + 1.5 * y * y * y))
+
+
+def duffing_state(y0: float, yd0: float, t: float) -> tuple[float, float]:
+    """(y(t), y'(t)) of y'' + 3y + (3/2)y^3 = 0 from (y0, yd0) at t=0."""
+    driver = AdaptiveDriver(_duffing, 0.0, (y0, yd0), 1e-12, 1e-14)
+    _, u = driver.advance(t)
+    return u
+
+
+def hill_fundamental_matrix(mode, t: float) -> np.ndarray:
+    """Fundamental matrix of xi'' + (7 + 27/2 ybar^2) xi = 0 at time t.
+
+    Each column is one fundamental solution, (1, 0) or (0, 1) at t=0,
+    integrated with its own copy of ybar at the monodromy tolerances.
+    """
+
+    def f(t, u):
+        y, yd, x, xd = u
+        return (yd, -(3.0 * y + 1.5 * y * y * y), xd, -(7.0 + 13.5 * y * y) * x)
+
+    columns = []
+    for x0, xd0 in ((1.0, 0.0), (0.0, 1.0)):
+        driver = AdaptiveDriver(f, 0.0, (mode.eta0, mode.eta1, x0, xd0), 1e-11, 1e-13)
+        _, u = driver.advance(t)
+        columns.append(u[2:])
+    return np.array(columns).T
 
 
 def duffing_period_by_event_detection(amplitude: float, rel_tol: float = 1e-13) -> float:

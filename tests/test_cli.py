@@ -1,5 +1,7 @@
 import argparse
 import hashlib
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -9,6 +11,7 @@ import pytest
 
 import fishbone.hill
 from fishbone.cli import build_parser, main
+from fishbone.model import MAX_MODES
 
 CMD = [sys.executable, "-m", "fishbone"]
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -157,6 +160,16 @@ class TestSimulate:
         assert res.returncode == 2, res.stderr
         assert "error:" in res.stderr
 
+    def test_mode_count_above_cap_leaves_no_file(self, tmp_path):
+        out = tmp_path / "x.csv"
+        res = run_cli(
+            "simulate", "--modes", str(MAX_MODES + 1), "--t-end", "0.001",
+            "--out", str(out),
+        )
+        assert res.returncode == 2, res.stderr
+        assert "mode count" in res.stderr
+        assert not out.exists()
+
     def test_blow_up_exit_code_with_partial_csv(self, tmp_path):
         out = tmp_path / "blow.csv"
         res = run_cli(
@@ -304,6 +317,12 @@ class TestThreshold:
     def test_malformed_bracket(self):
         assert run_cli("threshold", "--bracket", "1.4").returncode == 2
 
+    @pytest.mark.parametrize("bracket", ["1.4:inf", "-inf:1.5"])
+    def test_non_finite_bracket_named(self, bracket):
+        res = run_cli("threshold", f"--bracket={bracket}", "--t-end", "1")
+        assert res.returncode == 2, res.stderr
+        assert "error: bracket endpoints must be finite" in res.stderr
+
 
 class TestSweep:
     def test_rows_csv(self, tmp_path):
@@ -419,3 +438,159 @@ class TestSurface:
             for name, p in sub.choices.items()
         }
         assert surface == self.SURFACE
+
+
+def _parameters(fn) -> str:
+    sig = inspect.signature(fn)
+    params = [p.replace(annotation=p.empty) for p in sig.parameters.values()]
+    return str(sig.replace(parameters=params, return_annotation=sig.empty))
+
+
+class TestLibrarySurface:
+    """Every public name of the library and the parameters of each entry.
+
+    ``ALL`` pins each module's ``__all__``; ``SIGNATURES`` the parameters and
+    defaults (not the annotations) of every public function, public method
+    and constructor a module exports, so that an entry point or a parameter
+    no program code calls cannot come back unnoticed.
+    """
+
+    ALL = {
+        "fishbone": [
+            "BlowUpError", "EnergyBreakdown", "ForcedHillCheck",
+            "HillStabilityReport", "IntegratorConfig", "InvalidBracketError",
+            "ModelSpec", "OnsetEvent", "PureVerticalMode", "Scheme", "Stability",
+            "SweepRow", "SystemState", "ThresholdResult", "Trajectory", "Variant",
+            "classify", "energy", "find_threshold", "forced_check", "make_initial",
+            "mode_from_energy", "pure_mode", "rhs_m_mode", "rhs_one_mode",
+            "simulate", "sweep", "vertical_mode_energy",
+        ],
+        "fishbone.model": [
+            "EnergyBreakdown", "MAX_MODES", "ModelSpec", "SystemState", "Variant",
+            "energy", "one_mode_accelerations", "rhs_m_mode", "rhs_one_mode",
+            "vertical_mode_energy",
+        ],
+        "fishbone.integrator": [
+            "AdaptiveDriver", "BLOWUP_LIMIT", "BlowUpError", "IntegratorConfig",
+            "OnsetEvent", "Scheme", "StepSizeCollapseError", "Trajectory",
+            "check_onset_gain", "make_initial", "simulate", "write_trajectory_csv",
+        ],
+        "fishbone.hill": [
+            "ForcedHillCheck", "HARMONIC_PERIOD", "HillStabilityReport",
+            "PureVerticalMode", "Stability", "ZHUKOVSKII_AMPLITUDE",
+            "ZHUKOVSKII_ENERGY", "amplitude_for_energy", "classify", "forced_check",
+            "mode_from_energy", "monodromy_matrix", "period_for_amplitude",
+            "pure_mode", "stability_chart", "write_chart_csv",
+        ],
+        "fishbone.threshold": [
+            "InvalidBracketError", "SweepRow", "ThresholdResult",
+            "config_fingerprint", "find_threshold", "format_threshold_report",
+            "sweep", "write_sweep_csv",
+        ],
+    }
+    SIGNATURES = {
+        "fishbone.model": {
+            "EnergyBreakdown.__init__": (
+                "(self, kinetic_y, kinetic_z, quadratic, coupling, quartic, "
+                "aero_cross, total)"
+            ),
+            "ModelSpec.__init__": "(self, variant, m=1, delta=0.0)",
+            "SystemState.__init__": "(self, t, y, z, ydot, zdot)",
+            "SystemState.flat": "(self)",
+            "SystemState.m": "property",
+            "SystemState.single": "(t, y1, z1, ydot1, zdot1)",
+            "energy": "(spec, state)",
+            "one_mode_accelerations": (
+                "(y, z, ydot, zdot, c_v_zdot, c_v_z, c_t_ydot, c_t_y)"
+            ),
+            "rhs_m_mode": "(spec, state)",
+            "rhs_one_mode": "(spec, state)",
+            "vertical_mode_energy": "(eta0, eta1)",
+        },
+        "fishbone.integrator": {
+            "AdaptiveDriver.__init__": (
+                "(self, f, t0, u0, rel_tol=1e-10, abs_tol=1e-12, h0=0.001, "
+                "magnitude_limit=None)"
+            ),
+            "AdaptiveDriver.advance": "(self, t_target, on_step=None)",
+            "BlowUpError.__init__": "(self, t)",
+            "IntegratorConfig.__init__": (
+                "(self, scheme=<Scheme.FIXED_RK4: 'fixed_rk4'>, h=0.001, "
+                "rel_tol=1e-10, abs_tol=1e-12, t_end=200.0, sample_every=0.01)"
+            ),
+            "OnsetEvent.__init__": "(self, t_onset, gain)",
+            "StepSizeCollapseError.__init__": "(self, t)",
+            "Trajectory.__init__": (
+                "(self, spec, samples, onset=None, terminated_early=None, "
+                "max_torsion=0.0)"
+            ),
+            "Trajectory.final_energy": "(self)",
+            "Trajectory.final_state": "(self)",
+            "Trajectory.initial_energy": "(self)",
+            "check_onset_gain": "(onset_gain)",
+            "make_initial": "(sigma, m=1)",
+            "simulate": (
+                "(spec, initial, config, onset_gain=100.0, *, "
+                "stop_at_onset=False)"
+            ),
+            "write_trajectory_csv": "(trajectory, out, header_fields=None)",
+        },
+        "fishbone.hill": {
+            "ForcedHillCheck.__init__": (
+                "(self, delta, horizon_periods, sup_norm, growth_rate, "
+                "bounded_verdict, periods_completed)"
+            ),
+            "HillStabilityReport.__init__": (
+                "(self, trace, det, multipliers, exponents, classification, "
+                "zhukovskii_sufficient)"
+            ),
+            "PureVerticalMode.__init__": "(self, eta0, eta1, amplitude, energy, period)",
+            "PureVerticalMode.sample_period": "(self, n)",
+            "amplitude_for_energy": "(e)",
+            "classify": "(mode)",
+            "forced_check": "(mode, delta, horizon_periods)",
+            "mode_from_energy": "(e)",
+            "monodromy_matrix": "(mode)",
+            "period_for_amplitude": "(a)",
+            "pure_mode": "(eta0, eta1)",
+            "stability_chart": "(energies, forced_delta=None, horizon_periods=200)",
+            "write_chart_csv": "(rows, out)",
+        },
+        "fishbone.threshold": {
+            "SweepRow.__init__": (
+                "(self, delta, sigma, t_onset, max_torsion, energy_initial, "
+                "energy_final, terminated_early=None)"
+            ),
+            "ThresholdResult.__init__": (
+                "(self, sigma_lo, sigma_hi, sigma_star, energy_star, "
+                "onset_at_hi, config_fingerprint)"
+            ),
+            "config_fingerprint": "(config, onset_gain)",
+            "find_threshold": "(spec, bracket, tol, config, onset_gain=100.0)",
+            "format_threshold_report": "(result)",
+            "sweep": "(variant, deltas, sigmas, config, onset_gain=100.0, m=1, jobs=1)",
+            "write_sweep_csv": "(rows, out)",
+        },
+    }
+
+    def test_all_pinned(self):
+        got = {name: sorted(importlib.import_module(name).__all__) for name in self.ALL}
+        assert got == self.ALL
+
+    @pytest.mark.parametrize("name", list(SIGNATURES))
+    def test_signatures_pinned(self, name):
+        module = importlib.import_module(name)
+        got = {}
+        for export in module.__all__:
+            obj = getattr(module, export)
+            if inspect.isfunction(obj):
+                got[export] = _parameters(obj)
+            elif inspect.isclass(obj):
+                for attr, raw in vars(obj).items():
+                    if attr.startswith("_") and attr != "__init__":
+                        continue
+                    if isinstance(raw, property):
+                        got[f"{export}.{attr}"] = "property"
+                    elif callable(getattr(obj, attr)):
+                        got[f"{export}.{attr}"] = _parameters(getattr(obj, attr))
+        assert got == self.SIGNATURES[name]

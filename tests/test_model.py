@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fishbone.model import (
+    MAX_MODES,
     ModelSpec,
     SystemState,
     Variant,
@@ -39,6 +40,11 @@ class TestModelSpec:
     def test_mode_count_positive(self):
         with pytest.raises(ValueError):
             ModelSpec(Variant.ISOLATED, m=0)
+
+    def test_mode_count_capped(self):
+        assert ModelSpec(Variant.ISOLATED, m=MAX_MODES).m == MAX_MODES
+        with pytest.raises(ValueError, match="mode count"):
+            ModelSpec(Variant.ISOLATED, m=MAX_MODES + 1)
 
 
 class TestSystemState:

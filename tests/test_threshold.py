@@ -47,6 +47,11 @@ class TestFindThreshold:
             find_threshold(ISO, (1.5, 3.5), math.inf, config)
         with pytest.raises(ValueError):
             find_threshold(ISO, (1.5, 3.5), 1e-300, config)
+        # an infinite endpoint has an infinite ulp, which the tol rule
+        # reported as a bad tol
+        for bracket in ((1.4, math.inf), (-math.inf, 1.5)):
+            with pytest.raises(ValueError, match="bracket"):
+                find_threshold(ISO, bracket, 1e-3, config)
 
     def test_multimode_energy_star_is_nan(self):
         # tol covers the bracket, so only the endpoints run: sigma=1.5 stays
@@ -74,7 +79,7 @@ class TestFindThreshold:
         assert fired
         for p in fired:
             assert p.terminated_early == (p.onset.t_onset, "stopped at onset")
-            assert p.times()[-1] == p.onset.t_onset < config.t_end
+            assert p.samples[-1][0].t == p.onset.t_onset < config.t_end
         # the onset and the fingerprint are those of the caller's config
         assert result.onset_at_hi == real(ISO, make_initial(result.sigma_hi), config).onset
         assert result.config_fingerprint["sample_every"] == "0.01"
@@ -202,6 +207,11 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(Variant.CROSS_DERIV, deltas, sigmas, IntegratorConfig(t_end=0.1))
         assert calls == []
+
+    def test_rows_keep_caller_delta(self):
+        # the isolated spec zeroes delta; the row reports what was asked
+        rows = sweep(Variant.ISOLATED, [0.02], [1.0], IntegratorConfig(t_end=0.1))
+        assert (rows[0].delta, rows[0].sigma) == (0.02, 1.0)
 
     def test_jobs_below_one_rejected(self):
         with pytest.raises(ValueError, match="jobs"):

@@ -328,8 +328,6 @@ def cmd_hill(args: argparse.Namespace) -> int:
         )
     if not energies:
         raise ConfigError("energy grid is empty")
-    if not all(0.0 < e < math.inf for e in energies):
-        raise ConfigError("energies must be positive and finite")
     rows = stability_chart(energies, forced_delta=forced_delta,
                            horizon_periods=horizon)
     with _open_out(args.out) as fh:

@@ -91,8 +91,8 @@ def _duffing_rhs(t: float, u: Sequence[float]):
 
 def amplitude_for_energy(e: float) -> float:
     """Turning-point amplitude A with (3/2) A^2 + (3/8) A^4 = e."""
-    if e < 0.0:
-        raise ValueError("energy must be nonnegative")
+    if not 0.0 <= e < math.inf:
+        raise ValueError(f"energy must be finite and nonnegative, got {e}")
     if e == 0.0:
         return 0.0
     return math.sqrt((math.sqrt(2.25 + 1.5 * e) - 1.5) / 0.75)
@@ -114,8 +114,8 @@ def period_for_amplitude(a: float) -> float:
     singularity; 64-point Gauss-Legendre then gives near machine accuracy.
     The a -> 0 limit is the harmonic period 2 pi / sqrt(3).
     """
-    if a < 0.0:
-        raise ValueError("amplitude must be nonnegative")
+    if not 0.0 <= a < math.inf:
+        raise ValueError(f"amplitude must be finite and nonnegative, got {a}")
     nodes, weights = _gauss_legendre_64()
     phi = 0.25 * math.pi * (nodes + 1.0)
     s = np.sin(phi)
@@ -164,6 +164,8 @@ def pure_mode(eta0: float, eta1: float) -> PureVerticalMode:
     :func:`mode_from_energy` with energy 0 for the constant-coefficient
     reference mode.
     """
+    if not (math.isfinite(eta0) and math.isfinite(eta1)):
+        raise ValueError(f"initial data must be finite, got ({eta0}, {eta1})")
     if eta0 == 0.0 and eta1 == 0.0:
         raise ValueError("the rest state (0, 0) has no period")
     e = vertical_mode_energy(eta0, eta1)
@@ -183,8 +185,6 @@ def mode_from_energy(e: float) -> PureVerticalMode:
     e = 0 yields the degenerate rest mode, accepted by :func:`classify` as
     the constant-coefficient Hill equation with a = 7.
     """
-    if e < 0.0:
-        raise ValueError("energy must be nonnegative")
     a = amplitude_for_energy(e)
     return PureVerticalMode(
         eta0=a,
@@ -306,6 +306,13 @@ class ForcedHillCheck:
     periods_completed: int
 
 
+def _check_forcing(delta: float, horizon_periods: int) -> None:
+    if not 0.0 <= delta < math.inf:
+        raise ValueError("delta must be finite and nonnegative")
+    if horizon_periods < MIN_HORIZON_PERIODS:
+        raise ValueError(f"horizon_periods must be at least {MIN_HORIZON_PERIODS}")
+
+
 def forced_check(
     mode: PureVerticalMode, delta: float, horizon_periods: int
 ) -> ForcedHillCheck:
@@ -323,10 +330,7 @@ def forced_check(
     with zero trend; unstable ones grow at the dominant Floquet rate, which
     the fitted slope recovers.
     """
-    if not 0.0 <= delta < math.inf:
-        raise ValueError("delta must be finite and nonnegative")
-    if horizon_periods < MIN_HORIZON_PERIODS:
-        raise ValueError(f"horizon_periods must be at least {MIN_HORIZON_PERIODS}")
+    _check_forcing(delta, horizon_periods)
     t_period = mode.period
 
     def f(t: float, u: Sequence[float]):
@@ -415,11 +419,16 @@ def stability_chart(
     forced_delta: Optional[float] = None,
     horizon_periods: int = 200,
 ) -> list[ChartRow]:
-    """Classify each energy; optionally add the forced boundedness verdict."""
+    """Classify each energy; optionally add the forced boundedness verdict.
+
+    Every energy and the forcing are checked before the first is classified.
+    """
+    if not all(0.0 < e < math.inf for e in energies):
+        raise ValueError("chart energies must be positive and finite")
+    if forced_delta is not None:
+        _check_forcing(forced_delta, horizon_periods)
     rows = []
     for e in energies:
-        if e <= 0.0:
-            raise ValueError("chart energies must be positive")
         mode = mode_from_energy(e)
         report = classify(mode)
         forced = (

@@ -3,7 +3,9 @@
 Two schemes are provided: a fixed-step classical RK4 (the workhorse for the
 long experiment runs) and an adaptive embedded Dormand-Prince 5(4) pair used
 for oracle duty and for the Hill-equation integrations.  Both are written in
-plain Python floats so that results are bit-deterministic across runs.
+plain Python floats so that results are bit-deterministic across runs: every
+driver carries the state as one flat tuple of floats (y..., z..., ydot...,
+zdot...), whatever the mode count.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ import enum
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, TextIO
-
-import numpy as np
 
 from .model import (
     EnergyBreakdown,
@@ -200,33 +200,44 @@ def _rk4_1m(spec: ModelSpec) -> Callable[[tuple, float], Optional[tuple]]:
     return step
 
 
-def _flat_rhs_m(spec: ModelSpec) -> Callable[[np.ndarray], np.ndarray]:
+def _flat_rhs_m(spec: ModelSpec) -> Callable[[tuple], tuple]:
     m = spec.m
 
-    def f(u: np.ndarray) -> np.ndarray:
+    def f(u: tuple[float, ...]) -> tuple[float, ...]:
         state = SystemState(
             t=0.0, y=u[:m], z=u[m : 2 * m], ydot=u[2 * m : 3 * m], zdot=u[3 * m :]
         )
         ydd, zdd = rhs_m_mode(spec, state)
-        return np.concatenate([u[2 * m : 3 * m], u[3 * m :], ydd, zdd])
+        return u[2 * m :] + tuple(ydd.tolist()) + tuple(zdd.tolist())
 
     return f
 
 
-def _rk4_m(spec: ModelSpec) -> Callable[[np.ndarray, float], Optional[np.ndarray]]:
-    """Classical RK4 step of the m-mode system on the flat state array.
+def _rk4_m(spec: ModelSpec) -> Callable[[tuple, float], Optional[tuple]]:
+    """Classical RK4 step of the m-mode system on the flat state tuple.
 
-    Like the 1-mode step, it returns None on blow-up.
+    Each component is u + (h/6) (k1 + 2 (k2 + k3) + k4) after the stage
+    states u + (h/2) k and u + h k3, in exactly that operation order: the
+    order fixes the output bits that the pinned runs check.  Like the 1-mode
+    step, it returns None on blow-up.
     """
     f = _flat_rhs_m(spec)
 
-    def step(u: np.ndarray, h: float) -> Optional[np.ndarray]:
+    def step(u: tuple[float, ...], h: float) -> Optional[tuple[float, ...]]:
+        h2 = 0.5 * h
         k1 = f(u)
-        k2 = f(u + 0.5 * h * k1)
-        k3 = f(u + 0.5 * h * k2)
-        k4 = f(u + h * k3)
-        u = u + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        return u if np.all(np.abs(u) < BLOWUP_LIMIT) else None
+        k2 = f(tuple([a + h2 * k for a, k in zip(u, k1)]))
+        k3 = f(tuple([a + h2 * k for a, k in zip(u, k2)]))
+        k4 = f(tuple([a + h * k for a, k in zip(u, k3)]))
+        h6 = h / 6.0
+        u = tuple(
+            [
+                a + h6 * (b1 + 2.0 * (b2 + b3) + b4)
+                for a, b1, b2, b3, b4 in zip(u, k1, k2, k3, k4)
+            ]
+        )
+        # NaN fails every comparison, so this also catches non-finite values
+        return u if all(abs(v) < BLOWUP_LIMIT for v in u) else None
 
     return step
 
@@ -365,7 +376,6 @@ def _tuple_rhs(spec: ModelSpec):
             return (yd, zd, ay, az)
 
         return f1
-    # AdaptiveDriver turns every right-hand side into a tuple
     fm = _flat_rhs_m(spec)
     return lambda t, u: fm(u)
 
@@ -391,12 +401,12 @@ class _OnsetReached(Exception):
 class _Observer:
     """Fills the Trajectory of one run: onset, running max |z1|, samples.
 
-    Every driver hands it the flat state (y..., z..., ydot..., zdot...), so
-    z1 is ``u[m]``: ``watch`` sees every accepted step that can set a new
-    running max (the adaptive driver hands it all of them), ``record`` every
-    sample.  The drivers write an early termination into ``traj`` too.
-    With ``stop_at_onset`` the onset step is recorded as the last sample
-    and ``watch`` raises _OnsetReached.
+    Every driver hands it the flat state (y..., z..., ydot..., zdot...) as
+    a tuple of floats, so z1 is ``u[m]``: ``watch`` sees every accepted step
+    that can set a new running max (the adaptive driver hands it all of
+    them), ``record`` every sample.  The drivers write an early termination
+    into ``traj`` too.  With ``stop_at_onset`` the onset step is recorded as
+    the last sample and ``watch`` raises _OnsetReached.
     """
 
     def __init__(
@@ -409,7 +419,7 @@ class _Observer:
         self.traj = Trajectory(spec, [], max_torsion=self.z_seed)
         self.record(t0, u0)
 
-    def watch(self, t: float, u) -> None:
+    def watch(self, t: float, u: tuple[float, ...]) -> None:
         traj = self.traj
         az = abs(u[self.m])
         if az > traj.max_torsion:
@@ -421,7 +431,7 @@ class _Observer:
                 traj.terminated_early = (t, _ONSET_REASON)
                 raise _OnsetReached
 
-    def record(self, t: float, u) -> None:
+    def record(self, t: float, u: tuple[float, ...]) -> None:
         m = self.m
         st = SystemState(t, u[:m], u[m : 2 * m], u[2 * m : 3 * m], u[3 * m :])
         self.traj.samples.append((st, energy(self.traj.spec, st) if m == 1 else None))
@@ -455,12 +465,9 @@ def simulate(
     if initial.m != spec.m:
         raise ValueError(f"initial state has m={initial.m}, spec has m={spec.m}")
     t0, u0 = initial.t, initial.flat()
-    fixed = config.scheme is Scheme.FIXED_RK4
-    if fixed and spec.m > 1:
-        u0 = np.asarray(u0)
     obs = _Observer(spec, t0, u0, onset_gain, stop_at_onset)
     try:
-        if not fixed:
+        if config.scheme is Scheme.ADAPTIVE_EMBEDDED:
             _run_adaptive(obs, t0, u0, config)
         else:
             step = _rk4_1m(spec) if spec.m == 1 else _rk4_m(spec)

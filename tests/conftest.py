@@ -1,5 +1,6 @@
 import pytest
 
+import fishbone.hill
 from fishbone.integrator import IntegratorConfig, make_initial, simulate
 from fishbone.model import ModelSpec
 
@@ -21,3 +22,17 @@ def run_standard():
         return cache[key]
 
     return run
+
+
+@pytest.fixture
+def classify_calls(monkeypatch):
+    """Modes passed to ``fishbone.hill.classify`` while the test runs."""
+    calls = []
+    real = fishbone.hill.classify
+
+    def counting(mode):
+        calls.append(mode)
+        return real(mode)
+
+    monkeypatch.setattr(fishbone.hill, "classify", counting)
+    return calls

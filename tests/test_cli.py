@@ -9,7 +9,6 @@ from pathlib import Path
 
 import pytest
 
-import fishbone.hill
 from fishbone.cli import build_parser, main
 from fishbone.model import MAX_MODES
 
@@ -197,6 +196,7 @@ class TestHill:
 
     def test_nonpositive_energy_rejected(self):
         assert run_cli("hill", "--grid", "-1.0").returncode == 2
+        assert run_cli("hill", "--grid", "1,-1").returncode == 2
 
     def test_non_finite_forcing_delta_rejected(self):
         res = run_cli("hill", "--grid", "1", "--delta", "nan", "--horizon-periods", "10")
@@ -277,19 +277,17 @@ class TestHill:
         res = run_cli("hill", "--grid", "1", "--horizon-periods", "-3", "--out", "-")
         assert res.returncode == 2, res.stderr
 
-    def test_horizon_below_minimum_rejected_before_first_energy(self, monkeypatch):
-        calls = []
-        real = fishbone.hill.classify
-
-        def counting(*args, **kw):
-            calls.append(args)
-            return real(*args, **kw)
-
-        monkeypatch.setattr(fishbone.hill, "classify", counting)
+    def test_horizon_below_minimum_rejected_before_first_energy(self, classify_calls):
         code = main(["hill", "--grid", "1,2", "--delta", "0.01",
                      "--horizon-periods", "5", "--out", "-"])
         assert code == 2
-        assert calls == []
+        assert classify_calls == []
+
+    @pytest.mark.parametrize("delta", ["-0.01", "nan"])
+    def test_bad_delta_rejected_before_first_energy(self, classify_calls, delta):
+        code = main(["hill", "--grid", "1,2,3", "--delta", delta, "--out", "-"])
+        assert code == 2
+        assert classify_calls == []
 
     def test_preset_forbids_horizon_override(self):
         res = run_cli("hill", "--preset", "prop1-check", "--horizon-periods", "50")

@@ -10,6 +10,7 @@ from fishbone.hill import (
     ZHUKOVSKII_AMPLITUDE,
     ZHUKOVSKII_ENERGY,
     Stability,
+    amplitude_for_energy,
     classify,
     forced_check,
     mode_from_energy,
@@ -32,6 +33,19 @@ class TestPureMode:
     def test_rejects_rest_data(self):
         with pytest.raises(ValueError):
             pure_mode(0.0, 0.0)
+        # non-finite data would give a mode that classify calls marginal
+        for eta0, eta1 in ((math.nan, 0.0), (math.inf, 0.0), (0.5, -math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                pure_mode(eta0, eta1)
+
+    @pytest.mark.parametrize("v", [-1.0, math.nan, math.inf])
+    def test_rejects_bad_energy_or_amplitude(self, v):
+        with pytest.raises(ValueError, match="energy"):
+            amplitude_for_energy(v)
+        with pytest.raises(ValueError, match="energy"):
+            mode_from_energy(v)
+        with pytest.raises(ValueError, match="amplitude"):
+            period_for_amplitude(v)
 
     def test_energy_and_amplitude_consistency(self):
         rng = np.random.default_rng(5)
@@ -247,9 +261,19 @@ class TestEquivalence:
 
 
 class TestChart:
-    def test_rejects_nonpositive_energy(self):
-        with pytest.raises(ValueError):
-            stability_chart([0.0])
+    def test_rejects_nonpositive_energy(self, classify_calls):
+        for energies in ([0.0], [math.nan], [math.inf], [1.0, -1.0], [1.0, math.nan]):
+            with pytest.raises(ValueError, match="energies"):
+                stability_chart(energies)
+        # every energy is checked before the first is classified
+        assert classify_calls == []
+
+    def test_rejects_bad_forcing_before_first_energy(self, classify_calls):
+        for delta, horizon, match in ((-0.01, 200, "delta"), (math.nan, 200, "delta"),
+                                      (0.01, 5, "horizon")):
+            with pytest.raises(ValueError, match=match):
+                stability_chart([1.0, 2.0], forced_delta=delta, horizon_periods=horizon)
+        assert classify_calls == []
 
     def test_csv_format(self):
         rows = stability_chart([0.799, 5.0])

@@ -15,6 +15,7 @@ from fishbone.integrator import (
     Scheme,
     make_initial,
     simulate,
+    _Observer,
     write_trajectory_csv,
 )
 from fishbone.model import ModelSpec, SystemState, Variant, rhs_one_mode
@@ -324,6 +325,25 @@ AD = Scheme.ADAPTIVE_EMBEDDED
 BLOWUP = "blow-up: state magnitude reached 1e+08"
 
 
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("m", [1, 3])
+def test_observer_sees_float_tuples(monkeypatch, scheme, m):
+    """Every driver hands the observer the state as a tuple of Python floats."""
+    seen = []
+    for name in ("watch", "record"):
+        real = getattr(_Observer, name)
+
+        def spy(self, t, u, real=real):
+            seen.append(u)
+            real(self, t, u)
+
+        monkeypatch.setattr(_Observer, name, spy)
+    simulate(ModelSpec(Variant.ISOLATED, m=m), make_initial(1.47, m=m),
+             cfg(scheme=scheme, t_end=0.05))
+    assert len(seen) > 5
+    assert all(type(u) is tuple and {type(v) for v in u} == {float} for u in seen)
+
+
 class TestPinnedPaths:
     """Bit-exact fingerprints of runs the benchmark goldens do not reach.
 
@@ -344,6 +364,19 @@ class TestPinnedPaths:
             dict(scheme=AD, t_end=1.0),
             "c0df72b45c3e4a0e12e6edf216db3c743e0a73865244e55b0cc2a4ac8ee4293f",
             None, None, "0x1.88eb707fe3df6p-13",
+        ),
+        "adaptive-m3": (
+            ModelSpec(Variant.ISOLATED, m=3), make_initial(1.47, m=3),
+            dict(scheme=AD, t_end=0.2),
+            "b28fd29d51072612686957e650f01c0f705ef15486a49f2ea08e5ace3c2866ec",
+            None, None, "0x1.344806290eed0p-13",
+        ),
+        # the mmode benchmark workload's item
+        "fixed-m4": (
+            ModelSpec(Variant.ISOLATED, m=4), make_initial(1.47, m=4),
+            dict(t_end=2.0),
+            "bc6e29e16cefefec1cb4e450afdebc5449884e1272998b5cb5ca9fa3dad7261b",
+            None, None, "0x1.e2fb750848c6dp-13",
         ),
         # 333 steps of 0.003, then a short step of 0.0014 onto t_end
         "tail-step": (

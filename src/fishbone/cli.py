@@ -12,26 +12,27 @@ import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, TextIO
 
-from .hill import MIN_HORIZON_PERIODS, stability_chart, write_chart_csv
+from .hill import ChartRow, stability_chart
 from .integrator import (
     IntegratorConfig,
     Scheme,
+    Trajectory,
     check_onset_gain,
     make_initial,
     simulate,
-    write_trajectory_csv,
 )
 from .model import ModelSpec, Variant
 from .threshold import (
     InvalidBracketError,
+    SweepRow,
+    ThresholdResult,
     config_fingerprint,
     find_threshold,
-    format_threshold_report,
     sweep,
-    write_sweep_csv,
 )
 
 EXIT_OK = 0
@@ -42,8 +43,6 @@ EXIT_BRACKET = 5
 
 #: Most energies a START:STOP:STEP hill grid may hold.
 MAX_GRID_POINTS = 100_000
-#: Most forcing periods a hill ``--horizon-periods`` may ask for.
-MAX_HORIZON_PERIODS = 100_000
 
 
 class ConfigError(ValueError):
@@ -85,8 +84,8 @@ class ExperimentConfig:
             "preset": self.preset or "",
             "variant": self.variant.value,
             "modes": str(self.modes),
-            "delta": format(self.delta, ".17g"),
-            "sigma": format(self.sigma, ".17g"),
+            "delta": _fmt(self.delta),
+            "sigma": _fmt(self.sigma),
         }
         fields.update(config_fingerprint(self.integrator(), self.onset_gain))
         return fields
@@ -281,6 +280,111 @@ def _parse_floats(text: str) -> list[float]:
         raise ConfigError(f"expected comma-separated numbers, got {text!r}") from None
 
 
+# ---------------------------------------------------------------------------
+# Output formats: every file the commands write
+
+
+def _fmt(x: float) -> str:
+    """17 significant digits: every float reads back bit for bit."""
+    return format(x, ".17g")
+
+
+def _flag(value: bool) -> str:
+    return "true" if value else "false"
+
+
+def _write_csv(
+    out: TextIO, header: Sequence[str], rows: Iterable[Sequence[str]]
+) -> None:
+    out.write(",".join(header) + "\n")
+    for cols in rows:
+        out.write(",".join(cols) + "\n")
+
+
+#: Trajectory energy columns, with the EnergyBreakdown field each one holds.
+_ENERGY_COLUMNS = {
+    "E_total": "total",
+    "E_kin_y": "kinetic_y",
+    "E_kin_z": "kinetic_z",
+    "E_quad": "quadratic",
+    "E_coupling": "coupling",
+    "E_quartic": "quartic",
+    "E_aero": "aero_cross",
+}
+_energy_values = attrgetter(*_ENERGY_COLUMNS.values())
+
+
+def write_trajectory_csv(
+    trajectory: Trajectory,
+    out: TextIO,
+    header_fields: Optional[dict[str, str]] = None,
+) -> None:
+    """Trajectory CSV, led by one '# key=value' line per ``header_fields`` item.
+
+    The header lines fingerprint the run's config into its output.  Energy
+    columns are left empty for m > 1.
+    """
+    for key, value in (header_fields or {}).items():
+        out.write(f"# {key}={value}\n")
+    modes = range(1, trajectory.spec.m + 1)
+    header = ["t", *(f"y{j}" for j in modes), *(f"z{j}" for j in modes),
+              *_ENERGY_COLUMNS]
+    no_energy = [""] * len(_ENERGY_COLUMNS)
+
+    def row(state, e) -> list[str]:
+        cols = [_fmt(v) for v in (state.t, *state.y, *state.z)]
+        return cols + (no_energy if e is None else [_fmt(v) for v in _energy_values(e)])
+
+    _write_csv(out, header, (row(state, e) for state, e in trajectory.samples))
+
+
+def write_chart_csv(rows: Sequence[ChartRow], out: TextIO) -> None:
+    """Stability chart CSV; forced columns appear when any row has them."""
+    with_forced = any(r.forced is not None for r in rows)
+    header = ["E", "amplitude", "period", "trace", "classification", "zhukovskii"]
+    if with_forced:
+        header += ["forced_bounded", "growth_rate"]
+
+    def row(r: ChartRow) -> list[str]:
+        cols = [_fmt(r.energy), _fmt(r.amplitude), _fmt(r.period), _fmt(r.trace),
+                r.classification.value, _flag(r.zhukovskii)]
+        if r.forced is not None:
+            cols += [_flag(r.forced.bounded_verdict), _fmt(r.forced.growth_rate)]
+        elif with_forced:
+            cols += ["", ""]
+        return cols
+
+    _write_csv(out, header, map(row, rows))
+
+
+def write_sweep_csv(rows: Sequence[SweepRow], out: TextIO) -> None:
+    """Sweep CSV; the t_onset field is empty when no onset was detected."""
+
+    def row(r: SweepRow) -> list[str]:
+        t_onset = "" if r.t_onset is None else _fmt(r.t_onset)
+        return [_fmt(r.delta), _fmt(r.sigma), t_onset, _fmt(r.max_torsion),
+                _fmt(r.energy_initial), _fmt(r.energy_final)]
+
+    _write_csv(out, ["delta", "sigma", "t_onset", "max_torsion", "E0", "Ef"],
+               map(row, rows))
+
+
+def format_threshold_report(result: ThresholdResult) -> str:
+    """One key=value line per bracket value, then the config fingerprint."""
+    fields = {
+        "sigma_lo": _fmt(result.sigma_lo),
+        "sigma_hi": _fmt(result.sigma_hi),
+        "sigma_star": _fmt(result.sigma_star),
+        "energy_star": _fmt(result.energy_star),
+        "onset_at_hi.t": _fmt(result.onset_at_hi.t_onset),
+        "onset_at_hi.gain": _fmt(result.onset_at_hi.gain),
+    }
+    fields.update(
+        (f"config.{key}", value) for key, value in result.config_fingerprint.items()
+    )
+    return "".join(f"{key}={value}\n" for key, value in fields.items())
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _preset(PRESETS, args, _SIM_FLAGS + ("config",))
     if cfg is None:
@@ -320,12 +424,6 @@ def cmd_hill(args: argparse.Namespace) -> int:
         energies = _parse_grid(args.grid)
         forced_delta = args.delta
     horizon = 200 if args.horizon_periods is None else args.horizon_periods
-    # checked with or without forcing, before the first energy is classified
-    if not MIN_HORIZON_PERIODS <= horizon <= MAX_HORIZON_PERIODS:
-        raise ConfigError(
-            f"--horizon-periods must be between {MIN_HORIZON_PERIODS} and "
-            f"{MAX_HORIZON_PERIODS}"
-        )
     if not energies:
         raise ConfigError("energy grid is empty")
     rows = stability_chart(energies, forced_delta=forced_delta,

@@ -32,7 +32,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence, TextIO
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -55,7 +55,6 @@ __all__ = [
     "monodromy_matrix",
     "forced_check",
     "stability_chart",
-    "write_chart_csv",
 ]
 
 #: Period of the pure mode in the small-amplitude (harmonic) limit.
@@ -75,6 +74,8 @@ FORCED_MAGNITUDE_LIMIT = 1e12
 
 #: Fewest forcing periods a forced check may cover.
 MIN_HORIZON_PERIODS = 10
+#: Most forcing periods a forced check may cover: it keeps one float per period.
+MAX_HORIZON_PERIODS = 100_000
 
 _EVAL_RTOL = 1e-12
 _EVAL_ATOL = 1e-14
@@ -306,11 +307,17 @@ class ForcedHillCheck:
     periods_completed: int
 
 
-def _check_forcing(delta: float, horizon_periods: int) -> None:
+def _check_delta(delta: float) -> None:
     if not 0.0 <= delta < math.inf:
         raise ValueError("delta must be finite and nonnegative")
-    if horizon_periods < MIN_HORIZON_PERIODS:
-        raise ValueError(f"horizon_periods must be at least {MIN_HORIZON_PERIODS}")
+
+
+def _check_horizon(horizon_periods: int) -> None:
+    if not MIN_HORIZON_PERIODS <= horizon_periods <= MAX_HORIZON_PERIODS:
+        raise ValueError(
+            f"horizon_periods must be between {MIN_HORIZON_PERIODS} and "
+            f"{MAX_HORIZON_PERIODS}"
+        )
 
 
 def forced_check(
@@ -330,7 +337,8 @@ def forced_check(
     with zero trend; unstable ones grow at the dominant Floquet rate, which
     the fitted slope recovers.
     """
-    _check_forcing(delta, horizon_periods)
+    _check_delta(delta)
+    _check_horizon(horizon_periods)
     t_period = mode.period
 
     def f(t: float, u: Sequence[float]):
@@ -421,12 +429,14 @@ def stability_chart(
 ) -> list[ChartRow]:
     """Classify each energy; optionally add the forced boundedness verdict.
 
-    Every energy and the forcing are checked before the first is classified.
+    Every energy, the horizon and the forcing are checked before the first
+    is classified; the horizon is checked with or without forcing.
     """
     if not all(0.0 < e < math.inf for e in energies):
         raise ValueError("chart energies must be positive and finite")
+    _check_horizon(horizon_periods)
     if forced_delta is not None:
-        _check_forcing(forced_delta, horizon_periods)
+        _check_delta(forced_delta)
     rows = []
     for e in energies:
         mode = mode_from_energy(e)
@@ -448,32 +458,3 @@ def stability_chart(
             )
         )
     return rows
-
-
-def write_chart_csv(rows: Sequence[ChartRow], out: TextIO) -> None:
-    """Stability chart CSV; forced columns appear when any row has them."""
-    with_forced = any(r.forced is not None for r in rows)
-    header = "E,amplitude,period,trace,classification,zhukovskii"
-    if with_forced:
-        header += ",forced_bounded,growth_rate"
-    out.write(header + "\n")
-    for r in rows:
-        cols = [
-            format(r.energy, ".17g"),
-            format(r.amplitude, ".17g"),
-            format(r.period, ".17g"),
-            format(r.trace, ".17g"),
-            r.classification.value,
-            "true" if r.zhukovskii else "false",
-        ]
-        if with_forced:
-            if r.forced is None:
-                cols.extend(["", ""])
-            else:
-                cols.extend(
-                    [
-                        "true" if r.forced.bounded_verdict else "false",
-                        format(r.forced.growth_rate, ".17g"),
-                    ]
-                )
-        out.write(",".join(cols) + "\n")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, TextIO
+from typing import Callable, Optional, Sequence
 
 from .model import (
     EnergyBreakdown,
@@ -36,7 +36,6 @@ __all__ = [
     "check_onset_gain",
     "make_initial",
     "simulate",
-    "write_trajectory_csv",
     "BLOWUP_LIMIT",
 ]
 
@@ -78,6 +77,11 @@ class IntegratorConfig:
             raise ValueError("sample_every must be positive")
         if self.h > self.sample_every:
             raise ValueError("h must not exceed sample_every")
+        # the drivers count steps and samples as ints; an infinite ratio
+        # has no int value
+        for name in ("t_end", "sample_every"):
+            if not math.isfinite(getattr(self, name) / self.h):
+                raise ValueError(f"{name} / h must be finite")
         if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
             raise ValueError("tolerances must be positive")
 
@@ -523,7 +527,8 @@ def _run_adaptive(obs: _Observer, t0: float, u0, config: IntegratorConfig) -> No
         h0=config.h,
         magnitude_limit=BLOWUP_LIMIT,
     )
-    n_samples = math.ceil(config.t_end / config.sample_every - 1e-9)
+    # a sample interval longer than the horizon still ends on t_end
+    n_samples = max(1, math.ceil(config.t_end / config.sample_every - 1e-9))
     try:
         for k in range(1, n_samples + 1):
             target = t0 + min(k * config.sample_every, config.t_end)
@@ -532,53 +537,3 @@ def _run_adaptive(obs: _Observer, t0: float, u0, config: IntegratorConfig) -> No
         obs.traj.terminated_early = (exc.t, _BLOWUP_REASON)
     except StepSizeCollapseError as exc:
         obs.traj.terminated_early = (exc.t, "step-size collapse: no acceptable step found")
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
-def write_trajectory_csv(
-    trajectory: Trajectory,
-    out: TextIO,
-    header_fields: Optional[dict[str, str]] = None,
-) -> None:
-    """Write the sampled trajectory as CSV with 17 significant digits.
-
-    Optional ``header_fields`` are emitted first as '# key=value' comment
-    lines, which is how experiment configs are fingerprinted into outputs.
-    Energy columns are left empty for m > 1.
-    """
-    m = trajectory.spec.m
-    if header_fields:
-        for key, value in header_fields.items():
-            out.write(f"# {key}={value}\n")
-    ys = ",".join(f"y{j}" for j in range(1, m + 1))
-    zs = ",".join(f"z{j}" for j in range(1, m + 1))
-    out.write(
-        f"t,{ys},{zs},E_total,E_kin_y,E_kin_z,E_quad,E_coupling,E_quartic,E_aero\n"
-    )
-    for state, e in trajectory.samples:
-        cols = [_fmt(state.t)]
-        cols.extend(_fmt(v) for v in state.y)
-        cols.extend(_fmt(v) for v in state.z)
-        if e is None:
-            cols.extend([""] * 7)
-        else:
-            cols.extend(
-                _fmt(v)
-                for v in (
-                    e.total,
-                    e.kinetic_y,
-                    e.kinetic_z,
-                    e.quadratic,
-                    e.coupling,
-                    e.quartic,
-                    e.aero_cross,
-                )
-            )
-        out.write(",".join(cols) + "\n")

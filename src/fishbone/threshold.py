@@ -11,12 +11,11 @@ certifying result exactly.
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, TextIO
+from typing import Optional, Sequence
 
 from .integrator import IntegratorConfig, OnsetEvent, Scheme, make_initial, simulate
 from .model import ModelSpec, SystemState, Variant, energy
@@ -28,11 +27,7 @@ __all__ = [
     "config_fingerprint",
     "find_threshold",
     "sweep",
-    "format_threshold_report",
-    "write_sweep_csv",
 ]
-
-logger = logging.getLogger(__name__)
 
 
 class InvalidBracketError(ValueError):
@@ -90,19 +85,6 @@ def _probe(
     return simulate(spec, initial, config, onset_gain, stop_at_onset=True).onset
 
 
-def _contradicts_monotone_boundary(
-    history: Sequence[tuple[float, bool]], sigma: float, fired: bool
-) -> bool:
-    """True when a probe breaks the single-boundary (monotone) picture.
-
-    An onset below an earlier quiet probe, or a quiet probe above an earlier
-    onset, means the stability boundary is not a single point in sigma.
-    """
-    if fired:
-        return any(not h_fired and s > sigma for s, h_fired in history)
-    return any(h_fired and s < sigma for s, h_fired in history)
-
-
 def find_threshold(
     spec: ModelSpec,
     bracket: tuple[float, float],
@@ -113,10 +95,12 @@ def find_threshold(
     """Bisect the onset/no-onset boundary in initial amplitude sigma.
 
     Both endpoints are validated first (no onset at the low end, onset at
-    the high end) and InvalidBracketError is raised otherwise.  A probe that
-    contradicts monotonicity of the already-seen pattern is logged and the
-    bisection continues; the returned bracket endpoints are still certified
-    by their own runs.
+    the high end) and InvalidBracketError is raised otherwise.  Each probe
+    lies in the current [lo, hi] and becomes its new lo (quiet) or hi
+    (onset), so every quiet probe so far is <= lo and every onset >= hi: no
+    probe can fire below a quiet one or stay quiet above an onset, and the
+    bisection cannot see a non-monotone boundary.  The returned endpoints
+    are certified by their own runs.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     # checked before tol: the ulp of an infinite endpoint is infinite
@@ -139,20 +123,10 @@ def find_threshold(
     if onset_hi is None:
         raise InvalidBracketError(f"no onset detected at sigma_hi={hi:g}")
 
-    history: list[tuple[float, bool]] = [(lo, False), (hi, True)]
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         onset_mid = _probe(spec, mid, config, onset_gain)
-        fired = onset_mid is not None
-        if _contradicts_monotone_boundary(history, mid, fired):
-            logger.warning(
-                "non-monotone stability boundary: probe sigma=%.9g %s contradicts "
-                "an earlier probe; continuing, returned bracket stays certified",
-                mid,
-                "fired" if fired else "stayed quiet",
-            )
-        history.append((mid, fired))
-        if fired:
+        if onset_mid is not None:
             hi, onset_hi = mid, onset_mid
         else:
             lo = mid
@@ -220,38 +194,3 @@ def sweep(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_sweep_task, tasks))
     return [_sweep_task(t) for t in tasks]
-
-
-def format_threshold_report(result: ThresholdResult) -> str:
-    lines = [
-        f"sigma_lo={result.sigma_lo:.17g}",
-        f"sigma_hi={result.sigma_hi:.17g}",
-        f"sigma_star={result.sigma_star:.17g}",
-        f"energy_star={result.energy_star:.17g}",
-        f"onset_at_hi.t={result.onset_at_hi.t_onset:.17g}",
-        f"onset_at_hi.gain={result.onset_at_hi.gain:.17g}",
-    ]
-    lines.extend(
-        f"config.{key}={value}" for key, value in result.config_fingerprint.items()
-    )
-    return "\n".join(lines) + "\n"
-
-
-def write_sweep_csv(rows: Sequence[SweepRow], out: TextIO) -> None:
-    """Sweep CSV; the t_onset field is empty when no onset was detected."""
-    out.write("delta,sigma,t_onset,max_torsion,E0,Ef\n")
-    for r in rows:
-        t_onset = "" if r.t_onset is None else format(r.t_onset, ".17g")
-        out.write(
-            ",".join(
-                [
-                    format(r.delta, ".17g"),
-                    format(r.sigma, ".17g"),
-                    t_onset,
-                    format(r.max_torsion, ".17g"),
-                    format(r.energy_initial, ".17g"),
-                    format(r.energy_final, ".17g"),
-                ]
-            )
-            + "\n"
-        )

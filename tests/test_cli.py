@@ -159,6 +159,19 @@ class TestSimulate:
         assert res.returncode == 2, res.stderr
         assert "error:" in res.stderr
 
+    # t_end / h or sample_every / h overflows to inf: no step count exists
+    @pytest.mark.parametrize("flags", [
+        ["--t-end", "1e308"],
+        ["--step", "1e-320"],
+        ["--sample-every", "1e308", "--t-end", "1"],
+    ])
+    def test_overflowing_step_count_leaves_no_file(self, tmp_path, flags):
+        out = tmp_path / "x.csv"
+        res = run_cli("simulate", *flags, "--out", str(out))
+        assert res.returncode == 2, res.stderr
+        assert "must be finite" in res.stderr
+        assert not out.exists()
+
     def test_mode_count_above_cap_leaves_no_file(self, tmp_path):
         out = tmp_path / "x.csv"
         res = run_cli(
@@ -358,6 +371,46 @@ class TestSweep:
         assert res.returncode == 2, res.stderr
 
 
+class TestOutputPins:
+    # SHA-256 of every byte a writer emits: the '# key=value' headers, the
+    # threshold report, a sweep with an empty t_onset, empty m > 1 energy
+    # columns, and charts with and without the forced columns
+    CASES = {
+        "simulate-crosszero": (
+            ["simulate", "--variant", "crosszero", "--delta", "0.01", "--t-end", "2"],
+            "412a4819ce7f3b99b0b5d5db7c6e317db60e27928d47ad11678b989606919ee5",
+        ),
+        "simulate-m2": (
+            ["simulate", "--modes", "2", "--t-end", "0.5"],
+            "ca4a77e1a73e8bc530605833d9ac927c71189a4fcacf6f1c99c7e111bffcb0e6",
+        ),
+        "threshold-report": (
+            ["threshold", "--bracket", "1.40:1.55", "--tol", "0.02", "--t-end", "50"],
+            "af8d0f97f7e329a943a6d7d8b0f621e17e52a66f4d3245052c32ba10f7404012",
+        ),
+        "sweep-2x2": (
+            ["sweep", "--deltas", "0.01,0.05", "--sigmas", "1.0,1.6", "--t-end", "20"],
+            "5b640e66d486023141e90899db6ddcba4771c1382f32cd763cd8b3f67431fb1d",
+        ),
+        "hill-forced": (
+            ["hill", "--grid", "0.5,6", "--delta", "0.01", "--horizon-periods", "20"],
+            "be8e03e6041bf958bed287355e381e63a7dd76e3614ff4f6ced9e3d16bc5b3b2",
+        ),
+        "hill-plain": (
+            ["hill", "--grid", "1,2"],
+            "200c552b3c02ca13671be95116642183df93ef70f66f36f827a7eff375053904",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_bytes_pinned(self, tmp_path, name):
+        args, sha = self.CASES[name]
+        out = tmp_path / "out"
+        res = run_cli(*args, "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
+
+
 class TestRunFlags:
     # zero is a value, not a missing flag: it must reach validation
     @pytest.mark.parametrize("flag", ["--step", "--onset-gain", "--t-end", "--modes"])
@@ -369,6 +422,15 @@ class TestRunFlags:
         t_end = [] if flag == "--t-end" else ["--t-end", "1"]
         res = run_cli(*command, *t_end, flag, "0", "--out", "-")
         assert res.returncode == 2, res.stderr
+
+    @pytest.mark.parametrize("command", [
+        ["threshold", "--bracket", "1.4:1.6"],
+        ["sweep", "--deltas", "0.01", "--sigmas", "1.0"],
+    ], ids=["threshold", "sweep"])
+    def test_overflowing_step_count_is_config_error(self, command):
+        res = run_cli(*command, "--t-end", "1e308", "--out", "-")
+        assert res.returncode == 2, res.stderr
+        assert "t_end / h must be finite" in res.stderr
 
 
 class TestSurface:
@@ -471,19 +533,18 @@ class TestLibrarySurface:
         "fishbone.integrator": [
             "AdaptiveDriver", "BLOWUP_LIMIT", "BlowUpError", "IntegratorConfig",
             "OnsetEvent", "Scheme", "StepSizeCollapseError", "Trajectory",
-            "check_onset_gain", "make_initial", "simulate", "write_trajectory_csv",
+            "check_onset_gain", "make_initial", "simulate",
         ],
         "fishbone.hill": [
             "ForcedHillCheck", "HARMONIC_PERIOD", "HillStabilityReport",
             "PureVerticalMode", "Stability", "ZHUKOVSKII_AMPLITUDE",
             "ZHUKOVSKII_ENERGY", "amplitude_for_energy", "classify", "forced_check",
             "mode_from_energy", "monodromy_matrix", "period_for_amplitude",
-            "pure_mode", "stability_chart", "write_chart_csv",
+            "pure_mode", "stability_chart",
         ],
         "fishbone.threshold": [
             "InvalidBracketError", "SweepRow", "ThresholdResult",
-            "config_fingerprint", "find_threshold", "format_threshold_report",
-            "sweep", "write_sweep_csv",
+            "config_fingerprint", "find_threshold", "sweep",
         ],
     }
     SIGNATURES = {
@@ -531,7 +592,6 @@ class TestLibrarySurface:
                 "(spec, initial, config, onset_gain=100.0, *, "
                 "stop_at_onset=False)"
             ),
-            "write_trajectory_csv": "(trajectory, out, header_fields=None)",
         },
         "fishbone.hill": {
             "ForcedHillCheck.__init__": (
@@ -552,7 +612,6 @@ class TestLibrarySurface:
             "period_for_amplitude": "(a)",
             "pure_mode": "(eta0, eta1)",
             "stability_chart": "(energies, forced_delta=None, horizon_periods=200)",
-            "write_chart_csv": "(rows, out)",
         },
         "fishbone.threshold": {
             "SweepRow.__init__": (
@@ -565,9 +624,7 @@ class TestLibrarySurface:
             ),
             "config_fingerprint": "(config, onset_gain)",
             "find_threshold": "(spec, bracket, tol, config, onset_gain=100.0)",
-            "format_threshold_report": "(result)",
             "sweep": "(variant, deltas, sigmas, config, onset_gain=100.0, m=1, jobs=1)",
-            "write_sweep_csv": "(rows, out)",
         },
     }
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fishbone.cli import write_chart_csv
 from fishbone.hill import (
     HARMONIC_PERIOD,
     ZHUKOVSKII_AMPLITUDE,
@@ -18,7 +19,6 @@ from fishbone.hill import (
     period_for_amplitude,
     pure_mode,
     stability_chart,
-    write_chart_csv,
 )
 from fishbone.model import vertical_mode_energy
 from oracles import (
@@ -203,6 +203,8 @@ class TestForcedCheck:
             forced_check(mode, math.nan, 20)
         with pytest.raises(ValueError):
             forced_check(mode, 0.01, 9)
+        with pytest.raises(ValueError):
+            forced_check(mode, 0.01, 100_001)
 
     def test_stable_mode_is_bounded(self):
         check = forced_check(mode_from_energy(0.5), 0.01, 200)
@@ -270,7 +272,7 @@ class TestChart:
 
     def test_rejects_bad_forcing_before_first_energy(self, classify_calls):
         for delta, horizon, match in ((-0.01, 200, "delta"), (math.nan, 200, "delta"),
-                                      (0.01, 5, "horizon")):
+                                      (0.01, 5, "horizon"), (None, 5, "horizon")):
             with pytest.raises(ValueError, match=match):
                 stability_chart([1.0, 2.0], forced_delta=delta, horizon_periods=horizon)
         assert classify_calls == []

@@ -7,6 +7,7 @@ import pytest
 
 from oracles import duffing_state, rk4_1m_reference
 
+from fishbone.cli import write_trajectory_csv
 from fishbone.hill import period_for_amplitude
 from fishbone.integrator import (
     BLOWUP_LIMIT,
@@ -16,7 +17,6 @@ from fishbone.integrator import (
     make_initial,
     simulate,
     _Observer,
-    write_trajectory_csv,
 )
 from fishbone.model import ModelSpec, SystemState, Variant, rhs_one_mode
 
@@ -68,6 +68,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             cfg(**{field: value})
 
+    # the step and sample counts are ints: an infinite one has no value
+    @pytest.mark.parametrize("kw", [
+        dict(t_end=1e308),
+        dict(h=1e-320),
+        dict(sample_every=1e308, t_end=1.0),
+    ])
+    def test_overflowing_step_count_rejected(self, kw):
+        with pytest.raises(ValueError, match="/ h must be finite"):
+            cfg(**kw)
+
 
 class TestSimulateBasics:
     def test_rest_stays_at_rest(self):
@@ -82,6 +92,14 @@ class TestSimulateBasics:
         assert times[-1] == pytest.approx(1.0, abs=1e-12)
         assert len(times) == 101
         assert all(b > a for a, b in zip(times, times[1:]))
+
+    def test_adaptive_sample_interval_beyond_horizon(self):
+        traj = simulate(
+            ISO, make_initial(1.47),
+            cfg(scheme=Scheme.ADAPTIVE_EMBEDDED, t_end=1e-4, sample_every=1e6),
+        )
+        assert [s.t for s, _ in traj.samples] == [0.0, 1e-4]
+        assert traj.terminated_early is None
 
     def test_period_return(self):
         # after one orbit of the pure vertical mode the state must return

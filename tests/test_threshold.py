@@ -5,16 +5,10 @@ import os
 import pytest
 
 import fishbone.threshold
+from fishbone.cli import format_threshold_report, write_sweep_csv
 from fishbone.integrator import IntegratorConfig, make_initial, simulate
 from fishbone.model import ModelSpec, Variant, energy
-from fishbone.threshold import (
-    InvalidBracketError,
-    _contradicts_monotone_boundary,
-    find_threshold,
-    format_threshold_report,
-    sweep,
-    write_sweep_csv,
-)
+from fishbone.threshold import InvalidBracketError, find_threshold, sweep
 
 ISO = ModelSpec(Variant.ISOLATED)
 
@@ -113,21 +107,6 @@ class TestFindThreshold:
         assert float(lines["sigma_star"]) == result.sigma_star
         assert float(lines["energy_star"]) == result.energy_star
         assert lines["config.scheme"] == "fixed_rk4"
-
-
-class TestMonotoneBoundaryCheck:
-    def test_consistent_probes_pass(self):
-        history = [(1.40, False), (1.60, True), (1.50, True)]
-        assert not _contradicts_monotone_boundary(history, 1.45, False)
-        assert not _contradicts_monotone_boundary(history, 1.55, True)
-
-    def test_onset_below_quiet_probe_flagged(self):
-        history = [(1.40, False), (1.60, True), (1.50, False)]
-        assert _contradicts_monotone_boundary(history, 1.45, True)
-
-    def test_quiet_probe_above_onset_flagged(self):
-        history = [(1.40, False), (1.45, True), (1.60, True)]
-        assert _contradicts_monotone_boundary(history, 1.50, False)
 
 
 class TestSweep:

@@ -6,6 +6,12 @@ for oracle duty and for the Hill-equation integrations.  Both are written in
 plain Python floats so that results are bit-deterministic across runs: every
 driver carries the state as one flat tuple of floats (y..., z..., ydot...,
 zdot...), whatever the mode count.
+
+The fixed-step kernel runs all the steps up to the next sample time in one
+Python frame, on local floats: the blow-up guard, the running max of |z1|
+and the onset level are checked there, and the loop around it only fires
+the onset and records samples.  The isolated 1-mode model has a kernel of
+its own, without the aerodynamic terms whose coefficients are zero there.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from .model import (
     EnergyBreakdown,
     ModelSpec,
     SystemState,
+    Variant,
     _cross_coefficients,
     energy,
     one_mode_accelerations,
@@ -37,10 +44,20 @@ __all__ = [
     "make_initial",
     "simulate",
     "BLOWUP_LIMIT",
+    "MAX_SAMPLES",
+    "MAX_STEPS",
 ]
 
 #: Magnitude guard: a state component at or beyond this is a blow-up.
 BLOWUP_LIMIT = 1e8
+
+#: Largest step count t_end / h of one run: at 2-3 us per 1-mode RK4 step,
+#: most of an hour.
+MAX_STEPS = 10**9
+
+#: Largest sample count t_end / sample_every of one run.  Samples are kept
+#: in memory, about 770 bytes each for m = 1.
+MAX_SAMPLES = 10**7
 
 #: Hard floor on adaptive step size, relative to the current time scale.
 _MIN_STEP_FACTOR = 1e-14
@@ -82,6 +99,12 @@ class IntegratorConfig:
         for name in ("t_end", "sample_every"):
             if not math.isfinite(getattr(self, name) / self.h):
                 raise ValueError(f"{name} / h must be finite")
+        if self.t_end / self.h > MAX_STEPS:
+            raise ValueError(f"t_end / h must be at most {MAX_STEPS} steps")
+        if self.t_end / self.sample_every > MAX_SAMPLES:
+            raise ValueError(
+                f"t_end / sample_every must be at most {MAX_SAMPLES} samples"
+            )
         if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
             raise ValueError("tolerances must be positive")
 
@@ -153,55 +176,128 @@ def make_initial(sigma: float, m: int = 1) -> SystemState:
     return SystemState(t=0.0, y=y, z=z, ydot=zeros, zdot=zeros)
 
 
-def _rk4_1m(spec: ModelSpec) -> Callable[[tuple, float], Optional[tuple]]:
-    """Classical RK4 step of the 1-mode system on the flat 4-tuple.
+#: ``advance(u, h, n, peak, level) -> (u, k, peak, fired)``: the fixed-step
+#: kernel.  It runs up to n RK4 steps of h from the flat state u in one
+#: frame, carrying ``peak``, the running max of |z1|, and returns after k
+#: steps: at n, after the first step whose |z1| reaches ``level`` (fired),
+#: or with u None after the step that took a component to BLOWUP_LIMIT in
+#: magnitude or to NaN.  Every earlier step stayed below level, and level =
+#: gain |z1(0)| >= |z1(0)|, so a step can first reach it only where it also
+#: reaches the running max: the kernels test level only there.  ``>=``
+#: rather than ``>`` keeps this exact even where level rounds to the max.
+_Advance = Callable[[tuple, float, int, float, float], tuple]
 
-    The step returns None when a component of the new state is not below
-    BLOWUP_LIMIT in magnitude (NaN included).  The accelerations are those
-    of ``one_mode_accelerations``, inlined operation for operation, so the
-    result is bit-identical to calling it.
+
+def _advance_isolated(u, h, n, peak, level):
+    """RK4 kernel of the 1-mode isolated system: no aerodynamic terms.
+
+    The accelerations are written as ``-3.0 * y - 1.5 * y * y * y - ...``
+    where ``one_mode_accelerations`` negates the sum ``3.0 * y + ...`` that
+    also carries four terms with coefficient 0.0.  Rounding is symmetric
+    and adding a zero product changes no nonzero sum, so the two agree bit
+    for bit except in the sign of a zero sum, which needs a stage y (or z)
+    of -0.0.  That happens only on the invariant subspaces seeded with
+    (y, ydot) = (-0.0, -0.0) or (z, zdot) = (-0.0, -0.0), where the states
+    of the two forms differ in signed zeros and are equal under ``==``.
+    ``make_initial(+-0.0)`` starts off those subspaces.
     """
-    c1, c2, c3, c4 = _cross_coefficients(spec)
-
-    def step(u: tuple[float, float, float, float], h: float):
-        y, z, yd, zd = u
-        h2 = 0.5 * h
-        h6 = h / 6.0
-        ay1 = -(3.0 * y + 1.5 * y * y * y + 4.5 * y * z * z + c1 * zd + c2 * z)
-        az1 = -(7.0 * z + 4.5 * z * z * z + 13.5 * z * y * y + c3 * yd + c4 * y)
+    y, z, yd, zd = u
+    h2 = 0.5 * h
+    h6 = h / 6.0
+    lim = BLOWUP_LIMIT
+    nlim = -lim
+    for k in range(1, n + 1):
+        ay1 = -3.0 * y - 1.5 * y * y * y - 4.5 * y * z * z
+        az1 = -7.0 * z - 4.5 * z * z * z - 13.5 * z * y * y
         y2 = y + h2 * yd
         z2 = z + h2 * zd
         yd2 = yd + h2 * ay1
         zd2 = zd + h2 * az1
-        ay2 = -(3.0 * y2 + 1.5 * y2 * y2 * y2 + 4.5 * y2 * z2 * z2 + c1 * zd2 + c2 * z2)
-        az2 = -(7.0 * z2 + 4.5 * z2 * z2 * z2 + 13.5 * z2 * y2 * y2 + c3 * yd2 + c4 * y2)
+        ay2 = -3.0 * y2 - 1.5 * y2 * y2 * y2 - 4.5 * y2 * z2 * z2
+        az2 = -7.0 * z2 - 4.5 * z2 * z2 * z2 - 13.5 * z2 * y2 * y2
         y3 = y + h2 * yd2
         z3 = z + h2 * zd2
         yd3 = yd + h2 * ay2
         zd3 = zd + h2 * az2
-        ay3 = -(3.0 * y3 + 1.5 * y3 * y3 * y3 + 4.5 * y3 * z3 * z3 + c1 * zd3 + c2 * z3)
-        az3 = -(7.0 * z3 + 4.5 * z3 * z3 * z3 + 13.5 * z3 * y3 * y3 + c3 * yd3 + c4 * y3)
+        ay3 = -3.0 * y3 - 1.5 * y3 * y3 * y3 - 4.5 * y3 * z3 * z3
+        az3 = -7.0 * z3 - 4.5 * z3 * z3 * z3 - 13.5 * z3 * y3 * y3
         y4 = y + h * yd3
         z4 = z + h * zd3
         yd4 = yd + h * ay3
         zd4 = zd + h * az3
-        ay4 = -(3.0 * y4 + 1.5 * y4 * y4 * y4 + 4.5 * y4 * z4 * z4 + c1 * zd4 + c2 * z4)
-        az4 = -(7.0 * z4 + 4.5 * z4 * z4 * z4 + 13.5 * z4 * y4 * y4 + c3 * yd4 + c4 * y4)
-        yn = y + h6 * (yd + 2.0 * (yd2 + yd3) + yd4)
-        zn = z + h6 * (zd + 2.0 * (zd2 + zd3) + zd4)
-        ydn = yd + h6 * (ay1 + 2.0 * (ay2 + ay3) + ay4)
-        zdn = zd + h6 * (az1 + 2.0 * (az2 + az3) + az4)
+        ay4 = -3.0 * y4 - 1.5 * y4 * y4 * y4 - 4.5 * y4 * z4 * z4
+        az4 = -7.0 * z4 - 4.5 * z4 * z4 * z4 - 13.5 * z4 * y4 * y4
+        y = y + h6 * (yd + 2.0 * (yd2 + yd3) + yd4)
+        z = z + h6 * (zd + 2.0 * (zd2 + zd3) + zd4)
+        yd = yd + h6 * (ay1 + 2.0 * (ay2 + ay3) + ay4)
+        zd = zd + h6 * (az1 + 2.0 * (az2 + az3) + az4)
         # NaN fails every comparison, so this also catches non-finite values
-        if (
-            abs(yn) < BLOWUP_LIMIT
-            and abs(zn) < BLOWUP_LIMIT
-            and abs(ydn) < BLOWUP_LIMIT
-            and abs(zdn) < BLOWUP_LIMIT
+        if not (
+            nlim < y < lim and nlim < z < lim and nlim < yd < lim and nlim < zd < lim
         ):
-            return (yn, zn, ydn, zdn)
-        return None
+            return None, k, peak, False
+        az = abs(z)
+        if az >= peak:
+            peak = az
+            if az >= level:
+                return (y, z, yd, zd), k, peak, True
+    return (y, z, yd, zd), n, peak, False
 
-    return step
+
+def _rk4_1m(spec: ModelSpec) -> _Advance:
+    """Fixed-step RK4 kernel of the 1-mode system on the flat 4-tuple.
+
+    The isolated model gets ``_advance_isolated``.  The aerodynamic
+    variants inline ``one_mode_accelerations`` operation for operation, so
+    their steps are bit-identical to calling it.
+    """
+    if spec.variant is Variant.ISOLATED:
+        return _advance_isolated
+    c1, c2, c3, c4 = _cross_coefficients(spec)
+
+    def advance(u, h, n, peak, level):
+        y, z, yd, zd = u
+        h2 = 0.5 * h
+        h6 = h / 6.0
+        lim = BLOWUP_LIMIT
+        nlim = -lim
+        for k in range(1, n + 1):
+            ay1 = -(3.0 * y + 1.5 * y * y * y + 4.5 * y * z * z + c1 * zd + c2 * z)
+            az1 = -(7.0 * z + 4.5 * z * z * z + 13.5 * z * y * y + c3 * yd + c4 * y)
+            y2 = y + h2 * yd
+            z2 = z + h2 * zd
+            yd2 = yd + h2 * ay1
+            zd2 = zd + h2 * az1
+            ay2 = -(3.0 * y2 + 1.5 * y2 * y2 * y2 + 4.5 * y2 * z2 * z2 + c1 * zd2 + c2 * z2)
+            az2 = -(7.0 * z2 + 4.5 * z2 * z2 * z2 + 13.5 * z2 * y2 * y2 + c3 * yd2 + c4 * y2)
+            y3 = y + h2 * yd2
+            z3 = z + h2 * zd2
+            yd3 = yd + h2 * ay2
+            zd3 = zd + h2 * az2
+            ay3 = -(3.0 * y3 + 1.5 * y3 * y3 * y3 + 4.5 * y3 * z3 * z3 + c1 * zd3 + c2 * z3)
+            az3 = -(7.0 * z3 + 4.5 * z3 * z3 * z3 + 13.5 * z3 * y3 * y3 + c3 * yd3 + c4 * y3)
+            y4 = y + h * yd3
+            z4 = z + h * zd3
+            yd4 = yd + h * ay3
+            zd4 = zd + h * az3
+            ay4 = -(3.0 * y4 + 1.5 * y4 * y4 * y4 + 4.5 * y4 * z4 * z4 + c1 * zd4 + c2 * z4)
+            az4 = -(7.0 * z4 + 4.5 * z4 * z4 * z4 + 13.5 * z4 * y4 * y4 + c3 * yd4 + c4 * y4)
+            y = y + h6 * (yd + 2.0 * (yd2 + yd3) + yd4)
+            z = z + h6 * (zd + 2.0 * (zd2 + zd3) + zd4)
+            yd = yd + h6 * (ay1 + 2.0 * (ay2 + ay3) + ay4)
+            zd = zd + h6 * (az1 + 2.0 * (az2 + az3) + az4)
+            if not (
+                nlim < y < lim and nlim < z < lim and nlim < yd < lim and nlim < zd < lim
+            ):
+                return None, k, peak, False
+            az = abs(z)
+            if az >= peak:
+                peak = az
+                if az >= level:
+                    return (y, z, yd, zd), k, peak, True
+        return (y, z, yd, zd), n, peak, False
+
+    return advance
 
 
 def _flat_rhs_m(spec: ModelSpec) -> Callable[[tuple], tuple]:
@@ -217,14 +313,15 @@ def _flat_rhs_m(spec: ModelSpec) -> Callable[[tuple], tuple]:
     return f
 
 
-def _rk4_m(spec: ModelSpec) -> Callable[[tuple, float], Optional[tuple]]:
-    """Classical RK4 step of the m-mode system on the flat state tuple.
+def _rk4_m(spec: ModelSpec) -> _Advance:
+    """Fixed-step RK4 kernel of the m-mode system on the flat state tuple.
 
     Each component is u + (h/6) (k1 + 2 (k2 + k3) + k4) after the stage
     states u + (h/2) k and u + h k3, in exactly that operation order: the
-    order fixes the output bits that the pinned runs check.  Like the 1-mode
-    step, it returns None on blow-up.
+    order fixes the output bits that the pinned runs check.  The returned
+    ``advance`` has the contract of the 1-mode kernels, with z1 at ``u[m]``.
     """
+    m = spec.m
     f = _flat_rhs_m(spec)
 
     def step(u: tuple[float, ...], h: float) -> Optional[tuple[float, ...]]:
@@ -243,7 +340,19 @@ def _rk4_m(spec: ModelSpec) -> Callable[[tuple, float], Optional[tuple]]:
         # NaN fails every comparison, so this also catches non-finite values
         return u if all(abs(v) < BLOWUP_LIMIT for v in u) else None
 
-    return step
+    def advance(u, h, n, peak, level):
+        for k in range(1, n + 1):
+            u = step(u, h)
+            if u is None:
+                return None, k, peak, False
+            az = abs(u[m])
+            if az >= peak:
+                peak = az
+                if az >= level:
+                    return u, k, peak, True
+        return u, n, peak, False
+
+    return advance
 
 
 # ---------------------------------------------------------------------------
@@ -406,11 +515,14 @@ class _Observer:
     """Fills the Trajectory of one run: onset, running max |z1|, samples.
 
     Every driver hands it the flat state (y..., z..., ydot..., zdot...) as
-    a tuple of floats, so z1 is ``u[m]``: ``watch`` sees every accepted step
-    that can set a new running max (the adaptive driver hands it all of
-    them), ``record`` every sample.  The drivers write an early termination
-    into ``traj`` too.  With ``stop_at_onset`` the onset step is recorded as
-    the last sample and ``watch`` raises _OnsetReached.
+    a tuple of floats, so z1 is ``u[m]``.  ``level`` is the |z1| at which
+    the onset fires, and inf once it has fired or when the seed is zero.
+    The fixed-step loop tracks the running max and the level in its kernel
+    and calls ``fire`` at the onset step; ``watch`` does both for every
+    accepted step of the adaptive driver.  ``record`` takes every sample.
+    The drivers write an early termination into ``traj`` too.  With
+    ``stop_at_onset`` the onset step is recorded as the last sample and
+    ``fire`` raises _OnsetReached.
     """
 
     def __init__(
@@ -418,22 +530,26 @@ class _Observer:
     ):
         self.m = spec.m
         self.z_seed = abs(u0[self.m])
-        self.threshold = onset_gain * self.z_seed if self.z_seed > 0.0 else math.inf
+        self.level = onset_gain * self.z_seed if self.z_seed > 0.0 else math.inf
         self.stop_at_onset = stop_at_onset
         self.traj = Trajectory(spec, [], max_torsion=self.z_seed)
         self.record(t0, u0)
 
     def watch(self, t: float, u: tuple[float, ...]) -> None:
-        traj = self.traj
         az = abs(u[self.m])
-        if az > traj.max_torsion:
-            traj.max_torsion = az
-        if traj.onset is None and az >= self.threshold:
-            traj.onset = OnsetEvent(t_onset=t, gain=az / self.z_seed)
-            if self.stop_at_onset:
-                self.record(t, u)
-                traj.terminated_early = (t, _ONSET_REASON)
-                raise _OnsetReached
+        if az > self.traj.max_torsion:
+            self.traj.max_torsion = az
+        if az >= self.level:
+            self.fire(t, u)
+
+    def fire(self, t: float, u: tuple[float, ...]) -> None:
+        traj = self.traj
+        self.level = math.inf
+        traj.onset = OnsetEvent(t_onset=t, gain=abs(u[self.m]) / self.z_seed)
+        if self.stop_at_onset:
+            self.record(t, u)
+            traj.terminated_early = (t, _ONSET_REASON)
+            raise _OnsetReached
 
     def record(self, t: float, u: tuple[float, ...]) -> None:
         m = self.m
@@ -474,46 +590,52 @@ def simulate(
         if config.scheme is Scheme.ADAPTIVE_EMBEDDED:
             _run_adaptive(obs, t0, u0, config)
         else:
-            step = _rk4_1m(spec) if spec.m == 1 else _rk4_m(spec)
-            _run_fixed(obs, step, t0, u0, config)
+            advance = _rk4_1m(spec) if spec.m == 1 else _rk4_m(spec)
+            _run_fixed(obs, advance, t0, u0, config)
     except _OnsetReached:
         pass
     return obs.traj
 
 
-def _run_fixed(obs: _Observer, step, t0: float, u, config: IntegratorConfig) -> None:
+def _run_fixed(
+    obs: _Observer, advance: _Advance, t0: float, u, config: IntegratorConfig
+) -> None:
     """Fixed-step loop: n full steps of h, then a short step onto t_end.
 
-    Onset needs |z1| >= gain * |z1(0)| >= |z1(0)| after every earlier step
-    stayed below that level, so it can first fire only on a step that
-    reaches the running max; ``watch`` sees those steps and the tail step.
+    Each call of the kernel ``advance`` runs the steps up to the next
+    sample time, or to the onset step, which the observer then fires; the
+    short step onto t_end is one more call of one step.
     """
     h = config.h
     n_sub = max(1, round(config.sample_every / h))
     n_steps, h_tail = _split_horizon(config.t_end, h)
-    m, watch, record, traj = obs.m, obs.watch, obs.record, obs.traj
+    traj = obs.traj
     peak = traj.max_torsion
-    for i in range(1, n_steps + 1):
-        u = step(u, h)
+    i = 0
+    while i < n_steps:
+        n = min(n_sub - i % n_sub, n_steps - i)
+        u, k, peak, fired = advance(u, h, n, peak, obs.level)
+        i += k
+        traj.max_torsion = peak
         if u is None:
             traj.terminated_early = (t0 + i * h, _BLOWUP_REASON)
             return
-        az = abs(u[m])
-        if az >= peak:
-            peak = az
-            watch(t0 + i * h, u)
+        if fired:
+            obs.fire(t0 + i * h, u)
         if i % n_sub == 0:
-            record(t0 + i * h, u)
+            obs.record(t0 + i * h, u)
     if h_tail > 0.0:
-        u = step(u, h_tail)
+        u, _, peak, fired = advance(u, h_tail, 1, peak, obs.level)
+        traj.max_torsion = peak
         t = t0 + config.t_end
         if u is None:
             traj.terminated_early = (t, _BLOWUP_REASON)
             return
-        watch(t, u)
-        record(t, u)
-    elif traj.samples[-1][0].t < t0 + n_steps * h:
-        record(t0 + n_steps * h, u)
+        if fired:
+            obs.fire(t, u)
+        obs.record(t, u)
+    elif n_steps % n_sub:
+        obs.record(t0 + n_steps * h, u)
 
 
 def _run_adaptive(obs: _Observer, t0: float, u0, config: IntegratorConfig) -> None:

@@ -172,6 +172,19 @@ class TestSimulate:
         assert "must be finite" in res.stderr
         assert not out.exists()
 
+    # a finite count above the cap would run for days or exhaust memory
+    @pytest.mark.parametrize("flags,what", [
+        (["--t-end", "1e300"], "steps"),
+        (["--t-end", "2e6", "--sample-every", "1"], "steps"),
+        (["--t-end", "2e5"], "samples"),
+    ])
+    def test_step_or_sample_count_above_cap_leaves_no_file(self, tmp_path, flags, what):
+        out = tmp_path / "x.csv"
+        res = run_cli("simulate", *flags, "--out", str(out))
+        assert res.returncode == 2, res.stderr
+        assert "at most" in res.stderr and what in res.stderr
+        assert not out.exists()
+
     def test_mode_count_above_cap_leaves_no_file(self, tmp_path):
         out = tmp_path / "x.csv"
         res = run_cli(
@@ -432,6 +445,16 @@ class TestRunFlags:
         assert res.returncode == 2, res.stderr
         assert "t_end / h must be finite" in res.stderr
 
+    @pytest.mark.parametrize("t_end", ["1e300", "2e5"])
+    @pytest.mark.parametrize("command", [
+        ["threshold", "--bracket", "1.4:1.6"],
+        ["sweep", "--deltas", "0.01", "--sigmas", "1.0"],
+    ], ids=["threshold", "sweep"])
+    def test_step_or_sample_count_above_cap_is_config_error(self, command, t_end):
+        res = run_cli(*command, "--t-end", t_end, "--out", "-")
+        assert res.returncode == 2, res.stderr
+        assert "at most" in res.stderr
+
 
 class TestSurface:
     # (option, default, choices) of every subcommand, captured before the
@@ -532,8 +555,9 @@ class TestLibrarySurface:
         ],
         "fishbone.integrator": [
             "AdaptiveDriver", "BLOWUP_LIMIT", "BlowUpError", "IntegratorConfig",
-            "OnsetEvent", "Scheme", "StepSizeCollapseError", "Trajectory",
-            "check_onset_gain", "make_initial", "simulate",
+            "MAX_SAMPLES", "MAX_STEPS", "OnsetEvent", "Scheme",
+            "StepSizeCollapseError", "Trajectory", "check_onset_gain",
+            "make_initial", "simulate",
         ],
         "fishbone.hill": [
             "ForcedHillCheck", "HARMONIC_PERIOD", "HillStabilityReport",

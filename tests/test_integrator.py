@@ -1,6 +1,8 @@
 import hashlib
 import io
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from fishbone.cli import write_trajectory_csv
 from fishbone.hill import period_for_amplitude
 from fishbone.integrator import (
     BLOWUP_LIMIT,
+    MAX_SAMPLES,
+    MAX_STEPS,
     AdaptiveDriver,
     IntegratorConfig,
     Scheme,
@@ -77,6 +81,20 @@ class TestConfigValidation:
     def test_overflowing_step_count_rejected(self, kw):
         with pytest.raises(ValueError, match="/ h must be finite"):
             cfg(**kw)
+
+    # a finite count may still be too large to run or to keep
+    @pytest.mark.parametrize("kw,what", [
+        (dict(t_end=1e300), "steps"),
+        (dict(h=1.0, sample_every=1e9 + 1, t_end=1e9 + 1), "steps"),
+        (dict(h=1.0, sample_every=1.0, t_end=1e7 + 1), "samples"),
+    ])
+    def test_step_or_sample_count_above_cap_rejected(self, kw, what):
+        with pytest.raises(ValueError, match=f"at most .* {what}"):
+            cfg(**kw)
+
+    def test_counts_at_cap_accepted(self):
+        cfg(h=1.0, sample_every=float(MAX_STEPS), t_end=float(MAX_STEPS))
+        cfg(h=1.0, sample_every=1.0, t_end=float(MAX_SAMPLES))
 
 
 class TestSimulateBasics:
@@ -346,20 +364,31 @@ BLOWUP = "blow-up: state magnitude reached 1e+08"
 @pytest.mark.parametrize("scheme", list(Scheme))
 @pytest.mark.parametrize("m", [1, 3])
 def test_observer_sees_float_tuples(monkeypatch, scheme, m):
-    """Every driver hands the observer the state as a tuple of Python floats."""
-    seen = []
-    for name in ("watch", "record"):
+    """Every driver hands the observer the state as a tuple of Python floats.
+
+    The fixed-step loop passes states only to ``fire`` and ``record``; the
+    adaptive driver also passes every accepted step to ``watch``.
+    """
+    seen = {}
+    for name in ("watch", "fire", "record"):
         real = getattr(_Observer, name)
 
-        def spy(self, t, u, real=real):
-            seen.append(u)
+        def spy(self, t, u, real=real, name=name):
+            seen.setdefault(name, []).append(u)
             real(self, t, u)
 
         monkeypatch.setattr(_Observer, name, spy)
-    simulate(ModelSpec(Variant.ISOLATED, m=m), make_initial(1.47, m=m),
-             cfg(scheme=scheme, t_end=0.05))
-    assert len(seen) > 5
-    assert all(type(u) is tuple and {type(v) for v in u} == {float} for u in seen)
+    # z1 starts moving at once, so gain 2 fires within the run
+    initial = make_initial(1.47, m=m)
+    initial = replace(initial, zdot=(0.01,) + initial.zdot[1:])
+    traj = simulate(ModelSpec(Variant.ISOLATED, m=m), initial,
+                    cfg(scheme=scheme, t_end=0.05), onset_gain=2.0)
+    assert traj.onset is not None
+    expected = {"fire", "record"} | ({"watch"} if scheme is AD else set())
+    assert set(seen) == expected
+    assert len(seen["record"]) == 6 and len(seen["fire"]) == 1
+    states = [u for us in seen.values() for u in us]
+    assert all(type(u) is tuple and {type(v) for v in u} == {float} for u in states)
 
 
 class TestPinnedPaths:
@@ -422,6 +451,20 @@ class TestPinnedPaths:
             ISO, make_initial(12000.0), dict(scheme=AD, t_end=1.0),
             "6444316acd058ee71be1a98f2085654257183003945f2551cfccc4a315237674",
             None, ("0x1.98c0a912441c2p-15", BLOWUP), "0x1.3333333333333p+0",
+        ),
+        # fixed-step runs with an onset (at a sample step for isolated)
+        "fixed-onset-isolated": (
+            ISO, make_initial(2.0), dict(t_end=15.0),
+            "74a9cc755ebdf518cef58d33738534f82cc6db7b69968d6688c0f9caa40ddaec",
+            ("0x1.6000000000000p+3", "0x1.909cedc18c639p+6"), None,
+            "0x1.07258bf03cc69p-3",
+        ),
+        "fixed-onset-cross": (
+            ModelSpec(Variant.CROSS_DERIV, delta=0.02), make_initial(1.5),
+            dict(t_end=15.0),
+            "f44bf174133bd5c0c45e6ffa0684623c3dc4b67979582f9d1fed03802a0fd28c",
+            ("0x1.76978d4fdf3b6p+3", "0x1.9019d286c9eb3p+6"), None,
+            "0x1.28db34af866dbp-6",
         ),
         "zero-seed": (
             ModelSpec(Variant.CROSS_DERIV, delta=0.01),
@@ -536,6 +579,78 @@ class TestStopAtOnset:
         assert stopped == full
 
 
+def sample_times(traj):
+    return [s.t for s, _ in traj.samples]
+
+
+class TestChunkBoundaries:
+    """Where onset, sampling, the tail step and blow-up meet in the fixed loop."""
+
+    # isolated sigma=2: the onset step 11000 is a sample step (every 10th);
+    # cross: the onset step 11706 is one with sample_every=0.002
+    ON_SAMPLE = {
+        "isolated": (ISO, make_initial(2.0), dict(t_end=15.0)),
+        "cross": (
+            ModelSpec(Variant.CROSS_DERIV, delta=0.02), make_initial(1.5),
+            dict(t_end=15.0, sample_every=0.002),
+        ),
+    }
+
+    @pytest.mark.parametrize("stop", [False, True], ids=["full", "stop"])
+    @pytest.mark.parametrize("name", list(ON_SAMPLE))
+    def test_onset_on_a_sample_step_recorded_once(self, name, stop):
+        spec, initial, kw = self.ON_SAMPLE[name]
+        config = cfg(**kw)
+        traj = simulate(spec, initial, config, stop_at_onset=stop)
+        t_onset = traj.onset.t_onset
+        i = round(t_onset / config.h)
+        n_sub = round(config.sample_every / config.h)
+        assert i % n_sub == 0
+        times = sample_times(traj)
+        assert times.count(t_onset) == 1
+        assert all(b > a for a, b in zip(times, times[1:]))
+        assert len(times) == (i if stop else 15000) // n_sub + 1
+        if stop:
+            assert times[-1] == t_onset
+
+    def test_sampling_every_step(self):
+        # chunks of one step: every tenth sample is the default run's sample
+        spec, initial = ModelSpec(Variant.CROSS_DERIV, delta=0.02), make_initial(1.5)
+        sparse = simulate(spec, initial, cfg(t_end=15.0))
+        dense = simulate(spec, initial, cfg(t_end=15.0, sample_every=1e-3))
+        assert len(dense.samples) == 15001
+        assert dense.samples[::10] == sparse.samples
+        assert (dense.onset, dense.max_torsion) == (sparse.onset, sparse.max_torsion)
+
+    @pytest.mark.parametrize("stop", [False, True], ids=["full", "stop"])
+    def test_onset_on_the_tail_step(self, stop):
+        # 10999 steps of 1e-3 stay below gain 100; the short step of 9e-4
+        # onto t_end reaches it
+        config = cfg(t_end=10.9999)
+        traj = simulate(ISO, make_initial(2.0), config, stop_at_onset=stop)
+        assert traj.onset.t_onset == 10.9999
+        assert traj.max_torsion == abs(traj.final_state().z[0])
+        assert sample_times(traj).count(10.9999) == 1
+        assert sample_times(traj)[-2] == 10.99
+        expected = (10.9999, "stopped at onset") if stop else None
+        assert traj.terminated_early == expected
+        short = simulate(ISO, make_initial(2.0), cfg(t_end=10.999))
+        assert short.onset is None
+
+    def test_blow_up_in_mid_chunk(self):
+        # onset at step 13, blow-up at step 36: neither is a sample step
+        initial = make_initial(1100.0)
+        sparse = simulate(ISO, initial, cfg(t_end=1.0))
+        dense = simulate(ISO, initial, cfg(t_end=1.0, sample_every=1e-3))
+        assert sparse.terminated_early == dense.terminated_early
+        assert round(sparse.terminated_early[0] / 1e-3) == 36
+        assert sample_times(sparse) == [0.0, 0.01, 0.02, 0.03]
+        assert len(dense.samples) == 36
+        assert dense.samples[::10] == sparse.samples
+        assert (dense.onset, dense.max_torsion) == (sparse.onset, sparse.max_torsion)
+        assert dense.max_torsion == max(abs(s.z[0]) for s, _ in dense.samples)
+
+
 class TestKernelOracle:
     # the inlined accelerations of the fixed RK4 step against one RK4 step
     # per call of the public 1-mode right-hand side: 2000 steps of 1e-3
@@ -554,3 +669,31 @@ class TestKernelOracle:
         final = traj.final_state()
         assert final.t == 2.0
         assert [v.hex() for v in final.flat()] == [v.hex() for v in u]
+
+    def test_signed_zeros(self):
+        # The isolated kernel drops the zero aerodynamic terms, so its sums
+        # can differ from the coefficient form only in the sign of a zero:
+        # on the invariant subspaces seeded with (y, ydot) = (-0, -0) or
+        # (z, zdot) = (-0, -0).  Elsewhere the two agree bit for bit.
+        config = cfg(t_end=0.01, sample_every=0.01)
+        values = (0.0, -0.0, 0.5, -0.5)
+        for state in itertools.product(values, repeat=4):
+            final = simulate(ISO, SystemState.single(0.0, *state), config).final_state()
+            u = state
+            for _ in range(10):
+                u = rk4_1m_reference(ISO, u, config.h)
+            neg_y, neg_z, neg_yd, neg_zd = (
+                v == 0.0 and math.copysign(1.0, v) < 0.0 for v in state
+            )
+            if (neg_y and neg_yd) or (neg_z and neg_zd):
+                assert final.flat() == u, state
+            else:
+                assert [v.hex() for v in final.flat()] == [v.hex() for v in u], state
+        # the standard initial data never lies on those subspaces
+        for sigma in (0.0, -0.0):
+            initial = make_initial(sigma)
+            final = simulate(ISO, initial, config).final_state()
+            u = initial.flat()
+            for _ in range(10):
+                u = rk4_1m_reference(ISO, u, config.h)
+            assert [v.hex() for v in final.flat()] == [v.hex() for v in u]

@@ -12,6 +12,8 @@ Python frame, on local floats: the blow-up guard, the running max of |z1|
 and the onset level are checked there, and the loop around it only fires
 the onset and records samples.  The isolated 1-mode model has a kernel of
 its own, without the aerodynamic terms whose coefficients are zero there.
+The Dormand-Prince driver writes each stage out as one left-to-right sum,
+so its results are also the same on every Python version.
 """
 
 from __future__ import annotations
@@ -382,16 +384,34 @@ _DP_E = (
     -1.0 / 40.0,
 )
 
+# the tableau unpacked once for the written-out stages of AdaptiveDriver.advance
+_, _C1, _C2, _C3, _C4, _, _ = _DP_C
+(
+    _,
+    (_A10,),
+    (_A20, _A21),
+    (_A30, _A31, _A32),
+    (_A40, _A41, _A42, _A43),
+    (_A50, _A51, _A52, _A53, _A54),
+    (_A60, _A61, _A62, _A63, _A64, _A65),
+) = _DP_A
+_E0, _E1, _E2, _E3, _E4, _E5, _E6 = _DP_E
+
 
 class AdaptiveDriver:
     """Embedded Dormand-Prince 5(4) integrator over tuple-of-float states.
 
-    The right-hand side ``f(t, u)`` takes and returns a sequence of floats.
-    The driver owns (t, u, h) and advances to requested target times; the
-    first-same-as-last property is used to save one evaluation per step.
+    The right-hand side ``f(t, u)`` takes a tuple of floats and returns a
+    sequence of floats.  The driver owns (t, u, h) and advances to requested
+    target times; the first-same-as-last property is used to save one
+    evaluation per step.
 
     ``on_step(t, u)`` callbacks fire after every accepted step, which is how
     callers track onset events, running maxima, or dense output.
+
+    ``t0`` and every component of ``u0`` must be finite, ``u0`` non-empty,
+    and ``h0`` and both tolerances finite and positive; a ValueError says
+    which is not.
     """
 
     def __init__(
@@ -412,60 +432,108 @@ class AdaptiveDriver:
         self.h = float(h0)
         self.magnitude_limit = magnitude_limit
         self._k1: Optional[tuple[float, ...]] = None
+        if not math.isfinite(self.t):
+            raise ValueError("t0 must be finite")
+        if not self.u:
+            raise ValueError("u0 must not be empty")
+        if not all(math.isfinite(v) for v in self.u):
+            raise ValueError("u0 must be finite")
+        # NaN fails these comparisons too
+        for name, v in (("h0", self.h), ("rel_tol", rel_tol), ("abs_tol", abs_tol)):
+            if not 0.0 < v < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
 
     def advance(
         self,
         t_target: float,
         on_step: Optional[Callable[[float, tuple[float, ...]], None]] = None,
     ) -> tuple[float, tuple[float, ...]]:
-        """Integrate forward until t_target, stepping exactly onto it."""
-        if t_target < self.t:
-            raise ValueError("targets must be nondecreasing")
-        n = len(self.u)
+        """Integrate forward until t_target, stepping exactly onto it.
+
+        t_target must be finite and not before the current time.
+        """
+        if not self.t <= t_target < math.inf:
+            raise ValueError("targets must be finite and nondecreasing")
+        f = self.f
+        rtol = self.rel_tol
+        atol = self.abs_tol
         while self.t < t_target:
+            t = self.t
             # a sub-roundoff residual gap would shrink h below the collapse
             # floor; snap onto the target instead
-            if t_target - self.t <= _TIME_SNAP * max(1.0, abs(self.t)):
+            if t_target - t <= _TIME_SNAP * max(1.0, abs(t)):
                 self.t = t_target
                 break
+            u = self.u
             if self._k1 is None:
-                self._k1 = tuple(self.f(self.t, self.u))
-            h = min(self.h, t_target - self.t)
+                self._k1 = tuple(f(t, u))
+            k0 = self._k1
+            h = min(self.h, t_target - t)
             capped = h < self.h
             while True:
-                if h < _MIN_STEP_FACTOR * max(1.0, abs(self.t)):
-                    raise StepSizeCollapseError(self.t)
-                ks = [self._k1]
-                for s in range(1, 7):
-                    a = _DP_A[s]
-                    us = tuple(
-                        self.u[i] + h * sum(a[j] * ks[j][i] for j in range(s))
-                        for i in range(n)
-                    )
-                    ks.append(tuple(self.f(self.t + _DP_C[s] * h, us)))
+                if h < _MIN_STEP_FACTOR * max(1.0, abs(t)):
+                    raise StepSizeCollapseError(t)
+                # Each stage state is ui + h * sum(a_j * k_j[i]) written out
+                # as a left-to-right sum from the int 0, the float operations
+                # of sum() up to Python 3.11 (3.12 compensates sum(), which
+                # would tie the bits to the Python version).  The 0 turns a
+                # -0.0 first term into 0.0, and the zero coefficients stay
+                # because 0.0 * k carries a NaN or inf in k and the sign of a
+                # zero.  Stage states stay tuples, which f may slice and
+                # concatenate.  c = 1 for the last two stages.
+                us = tuple([ui + h * (0 + _A10 * a) for ui, a in zip(u, k0)])
+                k1 = tuple(f(t + _C1 * h, us))
+                us = tuple([
+                    ui + h * (0 + _A20 * a + _A21 * b)
+                    for ui, a, b in zip(u, k0, k1)
+                ])
+                k2 = tuple(f(t + _C2 * h, us))
+                us = tuple([
+                    ui + h * (0 + _A30 * a + _A31 * b + _A32 * c)
+                    for ui, a, b, c in zip(u, k0, k1, k2)
+                ])
+                k3 = tuple(f(t + _C3 * h, us))
+                us = tuple([
+                    ui + h * (0 + _A40 * a + _A41 * b + _A42 * c + _A43 * d)
+                    for ui, a, b, c, d in zip(u, k0, k1, k2, k3)
+                ])
+                k4 = tuple(f(t + _C4 * h, us))
+                us = tuple([
+                    ui + h * (0 + _A50 * a + _A51 * b + _A52 * c + _A53 * d + _A54 * e)
+                    for ui, a, b, c, d, e in zip(u, k0, k1, k2, k3, k4)
+                ])
+                k5 = tuple(f(t + h, us))
                 # the last stage state is the 5th-order solution (FSAL)
-                unew = us
-                err = 0.0
-                for i in range(n):
-                    e = h * sum(_DP_E[j] * ks[j][i] for j in range(7))
-                    sc = self.abs_tol + self.rel_tol * max(
-                        abs(self.u[i]), abs(unew[i])
+                unew = tuple([
+                    ui + h * (
+                        0 + _A60 * a + _A61 * b + _A62 * c + _A63 * d + _A64 * e
+                        + _A65 * g
                     )
-                    r = e / sc
+                    for ui, a, b, c, d, e, g in zip(u, k0, k1, k2, k3, k4, k5)
+                ])
+                k6 = tuple(f(t + h, unew))
+                err = 0.0
+                for ui, vi, a, b, c, d, e, g, q in zip(
+                    u, unew, k0, k1, k2, k3, k4, k5, k6
+                ):
+                    r = h * (
+                        0 + _E0 * a + _E1 * b + _E2 * c + _E3 * d + _E4 * e
+                        + _E5 * g + _E6 * q
+                    ) / (atol + rtol * max(abs(ui), abs(vi)))
                     err += r * r
-                err = math.sqrt(err / n)
+                err = math.sqrt(err / len(u))
                 if err <= 1.0 and all(math.isfinite(v) for v in unew):
                     break
                 shrink = 0.9 * err**-0.2 if (err > 0.0 and math.isfinite(err)) else 0.1
                 h *= max(0.1, min(0.9, shrink))
             # accept
-            tnew = self.t + h
+            tnew = t + h
             factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2))
             if not capped or h * factor < self.h:
                 self.h = h * factor
             self.t = tnew
             self.u = unew
-            self._k1 = ks[6]
+            self._k1 = k6
             if self.magnitude_limit is not None and any(
                 not (abs(v) < self.magnitude_limit) for v in unew
             ):

@@ -11,7 +11,8 @@ The RK4 reference step takes its accelerations from the public
 pure-mode state at time t comes from one tight integration of the
 oscillator from its initial data, and the Hill fundamental matrix over any
 time from one integration per fundamental solution, not from the coupled
-system of ``monodromy_matrix``.
+system of ``monodromy_matrix``.  The Dormand-Prince reference step loops
+over its own copy of the tableau, where the driver writes every stage out.
 """
 
 from __future__ import annotations
@@ -23,6 +24,50 @@ import numpy as np
 from fishbone.hill import FORCED_MAGNITUDE_LIMIT, ForcedHillCheck
 from fishbone.integrator import AdaptiveDriver, BlowUpError
 from fishbone.model import ModelSpec, SystemState, rhs_one_mode
+
+
+# Dormand-Prince 5(4): nodes, stage weights, 5th- minus 4th-order weights
+_DP_NODES = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_DP_WEIGHTS = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_DP_ERROR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+
+
+def _left_sum(terms):
+    # left to right from the int 0, as sum() added floats before Python 3.12
+    acc = 0
+    for x in terms:
+        acc = acc + x
+    return acc
+
+
+def dormand_prince_step(f, t, u, h, rel_tol, abs_tol):
+    """One Dormand-Prince 5(4) step of h from (t, u): (new state, error norm).
+
+    The error norm is the RMS over the components of the error estimate
+    divided by abs_tol + rel_tol max(|u|, |new u|).
+    """
+    n = len(u)
+    ks = [tuple(f(t, u))]
+    for s in range(1, 7):
+        us = tuple(
+            u[i] + h * _left_sum(_DP_WEIGHTS[s][j] * ks[j][i] for j in range(s))
+            for i in range(n)
+        )
+        ks.append(tuple(f(t + _DP_NODES[s] * h, us)))
+    err = 0.0
+    for i in range(n):
+        e = h * _left_sum(_DP_ERROR[j] * ks[j][i] for j in range(7))
+        r = e / (abs_tol + rel_tol * max(abs(u[i]), abs(us[i])))
+        err += r * r
+    return us, math.sqrt(err / n)
 
 
 def _duffing(t, u):

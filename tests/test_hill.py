@@ -227,6 +227,35 @@ class TestForcedCheck:
         assert check.sup_norm > 1e9
 
 
+class TestVerdictPins:
+    """Bit-exact values of one stable, one unstable and one early blow-up mode.
+
+    ``test_prop2_grid_pinned`` hashes the chart without the growth rate;
+    this pins the monodromy trace and det and every number ``forced_check``
+    returns (delta 0.01, 200 periods), as hex floats.
+    """
+
+    PINS = {
+        1.0: ("-0x1.1b2f080e313c4p-1", "0x1.ffffffffc8492p-1",
+              "-0x1.b3ce900263114p-20", "0x1.16c2e042d9d69p-8", 200),
+        5.0: ("0x1.0269ac88f708ep+1", "0x1.ffffffffd3a6fp-1",
+              "0x1.9ac1803bdfd83p-5", "0x1.ec62c4afb2bd8p+29", 200),
+        # the forced magnitude guard ends the horizon early
+        9.5: ("0x1.6bcd36de3b9cep+1", "0x1.ffffffffd06a8p-1",
+              "0x1.77ecf13b88099p-2", "0x1.327539efc203bp+38", 37),
+    }
+
+    @pytest.mark.parametrize("energy", list(PINS))
+    def test_bit_identical(self, energy):
+        mode = mode_from_energy(energy)
+        report = classify(mode)
+        check = forced_check(mode, 0.01, 200)
+        assert (
+            report.trace.hex(), report.det.hex(), check.growth_rate.hex(),
+            check.sup_norm.hex(), check.periods_completed,
+        ) == self.PINS[energy]
+
+
 class TestForcedOracle:
     @pytest.mark.parametrize("energy", [1.0, 5.0, 9.0])
     def test_one_period_map_matches_long_integration(self, energy):

@@ -2,12 +2,13 @@ import hashlib
 import io
 import itertools
 import math
+import signal
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oracles import duffing_state, rk4_1m_reference
+from oracles import dormand_prince_step, duffing_state, rk4_1m_reference
 
 from fishbone.cli import write_trajectory_csv
 from fishbone.hill import period_for_amplitude
@@ -389,6 +390,115 @@ def test_observer_sees_float_tuples(monkeypatch, scheme, m):
     assert len(seen["record"]) == 6 and len(seen["fire"]) == 1
     states = [u for us in seen.values() for u in us]
     assert all(type(u) is tuple and {type(v) for v in u} == {float} for u in states)
+
+
+def _oscillators(t, u):
+    # uncoupled harmonic oscillators: positions u[:n], velocities u[n:]
+    n = len(u) // 2
+    return u[n:] + tuple([-v for v in u[:n]])
+
+
+@pytest.fixture
+def time_limit():
+    """Fail a test that runs for 5 s instead of letting it hang the suite."""
+
+    def expired(signum, frame):
+        pytest.fail("no result within 5 s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.usefixtures("time_limit")
+class TestAdaptiveDriverInputs:
+    @pytest.mark.parametrize("kw, name", [
+        # a NaN step size never passes the error test, so it would loop
+        (dict(h0=math.nan), "h0"),
+        (dict(h0=math.inf), "h0"),
+        (dict(h0=0.0), "h0"),
+        (dict(h0=-1e-3), "h0"),
+        # zero tolerances would divide by zero in the error norm
+        (dict(rel_tol=0.0, abs_tol=0.0), "rel_tol"),
+        (dict(rel_tol=math.nan), "rel_tol"),
+        (dict(abs_tol=math.inf), "abs_tol"),
+        (dict(abs_tol=-1e-12), "abs_tol"),
+        (dict(t0=math.nan), "t0"),
+        (dict(t0=-math.inf), "t0"),
+        # so would an empty state
+        (dict(u0=()), "u0"),
+        (dict(u0=(1.0, math.nan)), "u0"),
+        (dict(u0=(math.inf, 0.0)), "u0"),
+    ])
+    def test_constructor_rejects(self, kw, name):
+        args = dict(f=_oscillators, t0=0.0, u0=(1.0, 0.0)) | kw
+        with pytest.raises(ValueError, match=name):
+            AdaptiveDriver(**args)
+
+    # a NaN target would return at once without integrating
+    @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf, 0.5])
+    def test_advance_rejects_target(self, target):
+        driver = AdaptiveDriver(_oscillators, 1.0, (1.0, 0.0))
+        with pytest.raises(ValueError, match="finite and nondecreasing"):
+            driver.advance(target)
+        assert (driver.t, driver.u) == (1.0, (1.0, 0.0))
+        assert driver.advance(1.0) == (1.0, (1.0, 0.0))
+
+
+@pytest.mark.parametrize("n", [2, 6, 8])
+def test_adaptive_driver_passes_float_tuples(n):
+    """f and on_step get every state as a tuple of Python floats."""
+    seen = []
+
+    def f(t, u):
+        seen.append(u)
+        return _oscillators(t, u)
+
+    steps = []
+    driver = AdaptiveDriver(f, 0.0, np.linspace(0.5, 1.0, n))
+    driver.advance(2.0, on_step=lambda t, u: steps.append(u))
+    assert len(seen) >= 1 + 6 * len(steps) > 7
+    for u in seen + steps:
+        assert type(u) is tuple and len(u) == n
+        assert {type(v) for v in u} == {float}
+
+
+def _isolated_rhs(t, u):
+    return (u[2], u[3], *rhs_one_mode(ISO, SystemState.single(t, *u)))
+
+
+def _logged(f, log):
+    """f that appends (t, u) of every call to log, as hex floats."""
+
+    def g(t, u):
+        log.append([t.hex()] + [v.hex() for v in u])
+        return f(t, u)
+
+    return g
+
+
+@pytest.mark.parametrize("f, n", [(_oscillators, 2), (_isolated_rhs, 4)],
+                         ids=["oscillators", "isolated"])
+def test_adaptive_step_matches_tableau_loop(f, n):
+    # the written-out stages against a loop over the tableau, bit for bit:
+    # one accepted step of 1/64 from every state of {0, -0, +-0.5}^n.  The
+    # stage states are compared too, because a stage's sign of zero (the
+    # int start of the sums turns -0.0 into 0.0) rarely reaches the result.
+    h = 2.0**-6
+    for u0 in itertools.product((0.0, -0.0, 0.5, -0.5), repeat=n):
+        stages, ref_stages = [], []
+        driver = AdaptiveDriver(_logged(f, stages), 0.0, u0, 1e-3, 1e-6, h0=h)
+        driver.advance(h)
+        u, err = dormand_prince_step(_logged(f, ref_stages), 0.0, u0, h, 1e-3, 1e-6)
+        assert err <= 1.0
+        factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2))
+        assert stages == ref_stages, u0
+        assert [v.hex() for v in driver.u] == [v.hex() for v in u], u0
+        assert driver.h.hex() == (h * factor).hex(), u0
 
 
 class TestPinnedPaths:

@@ -32,7 +32,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -83,6 +83,16 @@ _MONODROMY_RTOL = 1e-11
 _MONODROMY_ATOL = 1e-13
 _FORCED_RTOL = 1e-10
 _FORCED_ATOL = 1e-12
+
+
+def _left_sum(terms: Iterable[float]) -> float:
+    # left to right from the int 0, the float operations of sum() up to
+    # Python 3.11; 3.12 compensates sum(), which would tie the fitted growth
+    # rate's last bits to the Python version
+    acc = 0
+    for x in terms:
+        acc = acc + x
+    return acc
 
 
 def _duffing_rhs(t: float, u: Sequence[float]):
@@ -388,10 +398,10 @@ def forced_check(
     pts = [(t, math.log(v)) for t, v in zip(ts, period_maxima) if v > 0.0]
     if len(pts) >= 2:
         n = len(pts)
-        mean_t = sum(t for t, _ in pts) / n
-        mean_l = sum(l for _, l in pts) / n
-        var = sum((t - mean_t) ** 2 for t, _ in pts)
-        cov = sum((t - mean_t) * (l - mean_l) for t, l in pts)
+        mean_t = _left_sum(t for t, _ in pts) / n
+        mean_l = _left_sum(l for _, l in pts) / n
+        var = _left_sum((t - mean_t) ** 2 for t, _ in pts)
+        cov = _left_sum((t - mean_t) * (l - mean_l) for t, l in pts)
         growth_rate = cov / var
     else:
         growth_rate = 0.0

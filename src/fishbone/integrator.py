@@ -645,8 +645,9 @@ def simulate(
     onset_gain times |z1(0)|; detection is disabled when the torsional seed
     is exactly zero.  Blow-up or step-size collapse stops the run early and
     is reported in ``terminated_early``; samples up to that point are kept.
-    With ``stop_at_onset`` the run also ends at the onset step, which
-    becomes the last sample, and ``terminated_early`` is
+    A non-finite initial state is a blow-up under either scheme.  With
+    ``stop_at_onset`` the run also ends at the onset step, which becomes
+    the last sample, and ``terminated_early`` is
     ``(t_onset, "stopped at onset")``.
     """
     check_onset_gain(onset_gain)
@@ -708,6 +709,11 @@ def _run_fixed(
 
 def _run_adaptive(obs: _Observer, t0: float, u0, config: IntegratorConfig) -> None:
     """Dormand-Prince onto each sample time; the driver's guard stops blow-up."""
+    # the driver rejects a non-finite state; to simulate it is a blow-up
+    # signal, as in the fixed scheme
+    if not all(math.isfinite(v) for v in u0):
+        obs.traj.terminated_early = (t0, _BLOWUP_REASON)
+        return
     driver = AdaptiveDriver(
         _tuple_rhs(obs.traj.spec),
         t0,

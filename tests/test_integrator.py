@@ -266,6 +266,20 @@ class TestBlowUp:
         )
         assert traj.terminated_early is not None
 
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_seed_is_a_blow_up(self, scheme, bad):
+        # SystemState does not check finiteness; both schemes stop at once
+        traj = simulate(
+            ISO,
+            SystemState.single(0.0, bad, 0.01, 0.0, 0.0),
+            cfg(scheme=scheme, t_end=1.0),
+        )
+        t_term, reason = traj.terminated_early
+        assert reason.startswith("blow-up")
+        assert t_term <= 1e-3
+        assert len(traj.samples) == 1
+
 
 class TestSymmetries:
     def variants(self):

@@ -12,7 +12,7 @@ import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from operator import attrgetter
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence, TextIO
 
@@ -25,7 +25,7 @@ from .integrator import (
     make_initial,
     simulate,
 )
-from .model import ModelSpec, Variant
+from .model import ModelSpec, Variant, _aero_delta, _energy_terms
 from .threshold import (
     InvalidBracketError,
     SweepRow,
@@ -301,17 +301,32 @@ def _write_csv(
         out.write(",".join(cols) + "\n")
 
 
-#: Trajectory energy columns, with the EnergyBreakdown field each one holds.
-_ENERGY_COLUMNS = {
-    "E_total": "total",
-    "E_kin_y": "kinetic_y",
-    "E_kin_z": "kinetic_z",
-    "E_quad": "quadratic",
-    "E_coupling": "coupling",
-    "E_quartic": "quartic",
-    "E_aero": "aero_cross",
-}
-_energy_values = attrgetter(*_ENERGY_COLUMNS.values())
+#: Trajectory energy columns, in the order of ``model._energy_terms``.
+_ENERGY_COLUMNS = (
+    "E_total", "E_kin_y", "E_kin_z", "E_quad", "E_coupling", "E_quartic", "E_aero",
+)
+
+#: Rows of a trajectory CSV formatted per write.
+_CSV_CHUNK_ROWS = 1024
+
+
+def _trajectory_lines(trajectory: Trajectory) -> Iterable[str]:
+    """The CSV line of every sample, from the flat rows of its samples.
+
+    Each line is one %-format of 17 significant digits per field, which
+    formats every float (signed zeros, inf and nan too) as ``_fmt`` does.
+    """
+    m = trajectory.spec.m
+    rows = trajectory.samples.rows()
+    if m > 1:
+        n = 2 * m + 1
+        line = ",".join(["%.17g"] * n) + "," * len(_ENERGY_COLUMNS) + "\n"
+        return (line % row[:n] for row in rows)
+    line = ",".join(["%.17g"] * (3 + len(_ENERGY_COLUMNS))) + "\n"
+    d = _aero_delta(trajectory.spec)
+    return (
+        line % (t, y, z, *_energy_terms(y, z, yd, zd, d)) for t, y, z, yd, zd in rows
+    )
 
 
 def write_trajectory_csv(
@@ -322,20 +337,18 @@ def write_trajectory_csv(
     """Trajectory CSV, led by one '# key=value' line per ``header_fields`` item.
 
     The header lines fingerprint the run's config into its output.  Energy
-    columns are left empty for m > 1.
+    columns are left empty for m > 1.  The rows are written in chunks of
+    ``_CSV_CHUNK_ROWS``, so the whole file is never held as one string.
     """
     for key, value in (header_fields or {}).items():
         out.write(f"# {key}={value}\n")
     modes = range(1, trajectory.spec.m + 1)
     header = ["t", *(f"y{j}" for j in modes), *(f"z{j}" for j in modes),
               *_ENERGY_COLUMNS]
-    no_energy = [""] * len(_ENERGY_COLUMNS)
-
-    def row(state, e) -> list[str]:
-        cols = [_fmt(v) for v in (state.t, *state.y, *state.z)]
-        return cols + (no_energy if e is None else [_fmt(v) for v in _energy_values(e)])
-
-    _write_csv(out, header, (row(state, e) for state, e in trajectory.samples))
+    out.write(",".join(header) + "\n")
+    lines = _trajectory_lines(trajectory)
+    while chunk := "".join(islice(lines, _CSV_CHUNK_ROWS)):
+        out.write(chunk)
 
 
 def write_chart_csv(rows: Sequence[ChartRow], out: TextIO) -> None:

@@ -14,14 +14,21 @@ the onset and records samples.  The isolated 1-mode model has a kernel of
 its own, without the aerodynamic terms whose coefficients are zero there.
 The Dormand-Prince driver writes each stage out as one left-to-right sum,
 so its results are also the same on every Python version.
+
+A run keeps its samples as one flat array of doubles, 4m + 1 a sample;
+``Trajectory.samples`` reads them as (state, energy) pairs, built only for
+the entries read.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
+from array import array
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .model import (
     EnergyBreakdown,
@@ -58,7 +65,7 @@ BLOWUP_LIMIT = 1e8
 MAX_STEPS = 10**9
 
 #: Largest sample count t_end / sample_every of one run.  Samples are kept
-#: in memory, about 770 bytes each for m = 1.
+#: in memory, 8(4m + 1) bytes each: 40 for m = 1, so 400 MB at the cap.
 MAX_SAMPLES = 10**7
 
 #: Hard floor on adaptive step size, relative to the current time scale.
@@ -119,17 +126,73 @@ class OnsetEvent:
     gain: float
 
 
+class _Samples(Sequence):
+    """Read-only view of one run's samples as (state, energy) pairs.
+
+    The samples are rows (t, y..., z..., ydot..., zdot...) of 4m + 1
+    doubles, one after another in one flat array.  A pair is built only
+    for an entry that is read, its energy through ``energy``; the energy
+    entry is None for m > 1, where no energy function is defined.  A slice
+    is a list of pairs, and a view equals a list or a view of equal pairs.
+    """
+
+    __slots__ = ("_spec", "_buf", "_stride")
+
+    def __init__(self, spec: ModelSpec, buf: array):
+        self._spec = spec
+        self._buf = buf
+        self._stride = 4 * spec.m + 1
+
+    def __len__(self) -> int:
+        return len(self._buf) // self._stride
+
+    def __getitem__(self, index):
+        n = len(self)
+        if isinstance(index, slice):
+            return [self._pair(k) for k in range(*index.indices(n))]
+        k = operator.index(index)
+        if k < 0:
+            k += n
+        if not 0 <= k < n:
+            raise IndexError("sample index out of range")
+        return self._pair(k)
+
+    def __iter__(self) -> Iterator[tuple[SystemState, Optional[EnergyBreakdown]]]:
+        return map(self._pair, range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (_Samples, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def _pair(self, k: int) -> tuple[SystemState, Optional[EnergyBreakdown]]:
+        m = self._spec.m
+        start = k * self._stride
+        row = self._buf[start : start + self._stride].tolist()
+        state = SystemState(
+            row[0], row[1 : m + 1], row[m + 1 : 2 * m + 1],
+            row[2 * m + 1 : 3 * m + 1], row[3 * m + 1 :],
+        )
+        return state, energy(self._spec, state) if m == 1 else None
+
+    def rows(self) -> Iterator[tuple[float, ...]]:
+        """Every sample as its flat row (t, y..., z..., ydot..., zdot...)."""
+        return zip(*[iter(self._buf)] * self._stride)
+
+
 @dataclass
 class Trajectory:
     """Sampled run of one model: states, energies, onset, early termination.
 
-    ``samples`` holds (state, energy) pairs; the energy entry is None for
-    m > 1, where no energy function is defined.  ``max_torsion`` is the
+    ``samples`` is a sequence of (state, energy) pairs; the energy entry is
+    None for m > 1, where no energy function is defined.  ``simulate``
+    fills it with a read-only view over the run's flat sample array, whose
+    ``rows()`` the trajectory CSV writer reads.  ``max_torsion`` is the
     running maximum of |z1| over every accepted step, not just samples.
     """
 
     spec: ModelSpec
-    samples: list[tuple[SystemState, Optional[EnergyBreakdown]]]
+    samples: Sequence[tuple[SystemState, Optional[EnergyBreakdown]]]
     onset: Optional[OnsetEvent] = None
     terminated_early: Optional[tuple[float, str]] = None
     max_torsion: float = 0.0
@@ -147,11 +210,12 @@ class Trajectory:
 
 
 class BlowUpError(RuntimeError):
-    """A state component exceeded BLOWUP_LIMIT or became non-finite."""
+    """A state component reached ``limit`` in magnitude or became non-finite."""
 
-    def __init__(self, t: float):
+    def __init__(self, t: float, limit: float = BLOWUP_LIMIT):
         self.t = t
-        super().__init__(f"state magnitude exceeded {BLOWUP_LIMIT:g} at t={t:.6g}")
+        self.limit = limit
+        super().__init__(f"state magnitude exceeded {limit:g} at t={t:.6g}")
 
 
 class StepSizeCollapseError(RuntimeError):
@@ -410,8 +474,10 @@ class AdaptiveDriver:
     callers track onset events, running maxima, or dense output.
 
     ``t0`` and every component of ``u0`` must be finite, ``u0`` non-empty,
-    and ``h0`` and both tolerances finite and positive; a ValueError says
-    which is not.
+    ``h0`` and both tolerances finite and positive, and ``magnitude_limit``
+    None (no guard) or positive; a ValueError says which is not.  A step
+    that takes a component to the limit in magnitude, or to NaN, raises
+    BlowUpError with that limit.
     """
 
     def __init__(
@@ -442,6 +508,8 @@ class AdaptiveDriver:
         for name, v in (("h0", self.h), ("rel_tol", rel_tol), ("abs_tol", abs_tol)):
             if not 0.0 < v < math.inf:
                 raise ValueError(f"{name} must be finite and positive")
+        if magnitude_limit is not None and not magnitude_limit > 0.0:
+            raise ValueError("magnitude_limit must be positive or None")
 
     def advance(
         self,
@@ -537,7 +605,7 @@ class AdaptiveDriver:
             if self.magnitude_limit is not None and any(
                 not (abs(v) < self.magnitude_limit) for v in unew
             ):
-                raise BlowUpError(tnew)
+                raise BlowUpError(tnew, self.magnitude_limit)
             if on_step is not None:
                 on_step(tnew, unew)
         return self.t, self.u
@@ -587,7 +655,8 @@ class _Observer:
     the onset fires, and inf once it has fired or when the seed is zero.
     The fixed-step loop tracks the running max and the level in its kernel
     and calls ``fire`` at the onset step; ``watch`` does both for every
-    accepted step of the adaptive driver.  ``record`` takes every sample.
+    accepted step of the adaptive driver.  ``record`` appends every sample
+    to the flat array behind ``traj.samples``.
     The drivers write an early termination into ``traj`` too.  With
     ``stop_at_onset`` the onset step is recorded as the last sample and
     ``fire`` raises _OnsetReached.
@@ -600,7 +669,8 @@ class _Observer:
         self.z_seed = abs(u0[self.m])
         self.level = onset_gain * self.z_seed if self.z_seed > 0.0 else math.inf
         self.stop_at_onset = stop_at_onset
-        self.traj = Trajectory(spec, [], max_torsion=self.z_seed)
+        self.buf = array("d")
+        self.traj = Trajectory(spec, _Samples(spec, self.buf), max_torsion=self.z_seed)
         self.record(t0, u0)
 
     def watch(self, t: float, u: tuple[float, ...]) -> None:
@@ -620,9 +690,8 @@ class _Observer:
             raise _OnsetReached
 
     def record(self, t: float, u: tuple[float, ...]) -> None:
-        m = self.m
-        st = SystemState(t, u[:m], u[m : 2 * m], u[2 * m : 3 * m], u[3 * m :])
-        self.traj.samples.append((st, energy(self.traj.spec, st) if m == 1 else None))
+        self.buf.append(t)
+        self.buf.extend(u)
 
 
 def check_onset_gain(onset_gain: float) -> None:

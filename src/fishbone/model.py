@@ -244,17 +244,16 @@ def rhs_m_mode(spec: ModelSpec, state: SystemState) -> tuple[np.ndarray, np.ndar
     return ydd, zdd
 
 
-def energy(spec: ModelSpec, state: SystemState) -> EnergyBreakdown:
-    """Energy of a 1-mode state, split by term.
+def _energy_terms(
+    y: float, z: float, yd: float, zd: float, aero_delta: float | None
+) -> tuple[float, float, float, float, float, float, float]:
+    """(total, kinetic_y, kinetic_z, quadratic, coupling, quartic, aero_cross).
 
-    For the isolated system the total is a conserved quantity; for the
-    aerodynamic variants it is the tracked energy function (with the extra
-    delta*y1*z1 term when zero-order couplings are present).
+    The energy of the 1-mode state (y1, z1, y1', z1') in the column order
+    of the trajectory CSV; ``aero_delta`` is the delta of the zero-order
+    coupling term delta*y1*z1, or None where the variant has none.  Both
+    ``energy`` and the CSV writer take their values from here.
     """
-    if state.m != 1 or spec.m != 1:
-        raise ValueError("the energy function is defined for m = 1 only")
-    y, z = state.y[0], state.z[0]
-    yd, zd = state.ydot[0], state.zdot[0]
     kin_y = 0.5 * yd * yd
     kin_z = zd * zd / 6.0
     quad = 1.5 * y * y + 7.0 * z * z / 6.0
@@ -269,11 +268,31 @@ def energy(spec: ModelSpec, state: SystemState) -> EnergyBreakdown:
         + 2.25 * y * y * z * z
         + 0.375 * (y**4 + z**4)
     )
-    if spec.variant is Variant.CROSS_DERIV_ZERO:
-        aero = spec.delta * y * z
+    if aero_delta is not None:
+        aero = aero_delta * y * z
         total += aero
     else:
         aero = 0.0
+    return total, kin_y, kin_z, quad, coup, quart, aero
+
+
+def _aero_delta(spec: ModelSpec) -> float | None:
+    """The ``aero_delta`` of ``_energy_terms`` for this spec."""
+    return spec.delta if spec.variant is Variant.CROSS_DERIV_ZERO else None
+
+
+def energy(spec: ModelSpec, state: SystemState) -> EnergyBreakdown:
+    """Energy of a 1-mode state, split by term.
+
+    For the isolated system the total is a conserved quantity; for the
+    aerodynamic variants it is the tracked energy function (with the extra
+    delta*y1*z1 term when zero-order couplings are present).
+    """
+    if state.m != 1 or spec.m != 1:
+        raise ValueError("the energy function is defined for m = 1 only")
+    total, kin_y, kin_z, quad, coup, quart, aero = _energy_terms(
+        state.y[0], state.z[0], state.ydot[0], state.zdot[0], _aero_delta(spec)
+    )
     return EnergyBreakdown(
         kinetic_y=kin_y,
         kinetic_z=kin_z,

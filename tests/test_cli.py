@@ -596,7 +596,7 @@ class TestLibrarySurface:
                 "magnitude_limit=None)"
             ),
             "AdaptiveDriver.advance": "(self, t_target, on_step=None)",
-            "BlowUpError.__init__": "(self, t)",
+            "BlowUpError.__init__": "(self, t, limit=100000000.0)",
             "IntegratorConfig.__init__": (
                 "(self, scheme=<Scheme.FIXED_RK4: 'fixed_rk4'>, h=0.001, "
                 "rel_tol=1e-10, abs_tol=1e-12, t_end=200.0, sample_every=0.01)"

@@ -3,6 +3,7 @@ import io
 import itertools
 import math
 import signal
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from oracles import dormand_prince_step, duffing_state, rk4_1m_reference
 
+import fishbone.integrator
 from fishbone.cli import write_trajectory_csv
 from fishbone.hill import period_for_amplitude
 from fishbone.integrator import (
@@ -17,13 +19,22 @@ from fishbone.integrator import (
     MAX_SAMPLES,
     MAX_STEPS,
     AdaptiveDriver,
+    BlowUpError,
     IntegratorConfig,
     Scheme,
     make_initial,
     simulate,
     _Observer,
 )
-from fishbone.model import ModelSpec, SystemState, Variant, rhs_one_mode
+from fishbone.model import (
+    ModelSpec,
+    SystemState,
+    Variant,
+    _aero_delta,
+    _energy_terms,
+    energy,
+    rhs_one_mode,
+)
 
 ISO = ModelSpec(Variant.ISOLATED)
 
@@ -447,6 +458,10 @@ class TestAdaptiveDriverInputs:
         (dict(u0=()), "u0"),
         (dict(u0=(1.0, math.nan)), "u0"),
         (dict(u0=(math.inf, 0.0)), "u0"),
+        # a NaN or nonpositive guard would call every step a blow-up
+        (dict(magnitude_limit=math.nan), "magnitude_limit"),
+        (dict(magnitude_limit=0.0), "magnitude_limit"),
+        (dict(magnitude_limit=-1.0), "magnitude_limit"),
     ])
     def test_constructor_rejects(self, kw, name):
         args = dict(f=_oscillators, t0=0.0, u0=(1.0, 0.0)) | kw
@@ -461,6 +476,14 @@ class TestAdaptiveDriverInputs:
             driver.advance(target)
         assert (driver.t, driver.u) == (1.0, (1.0, 0.0))
         assert driver.advance(1.0) == (1.0, (1.0, 0.0))
+
+    def test_blow_up_names_its_limit(self):
+        # u' = u from 1 passes 1e12 near t = 27.6
+        driver = AdaptiveDriver(lambda t, u: u, 0.0, (1.0,), magnitude_limit=1e12)
+        with pytest.raises(BlowUpError, match=r"exceeded 1e\+12 at t=27\.") as info:
+            driver.advance(30.0)
+        assert info.value.limit == 1e12
+        assert abs(driver.u[0]) >= 1e12
 
 
 @pytest.mark.parametrize("n", [2, 6, 8])
@@ -821,3 +844,146 @@ class TestKernelOracle:
             for _ in range(10):
                 u = rk4_1m_reference(ISO, u, config.h)
             assert [v.hex() for v in final.flat()] == [v.hex() for v in u]
+
+
+class TestColumnarSamples:
+    """``Trajectory.samples`` as a read-only view over the flat sample array."""
+
+    @pytest.fixture
+    def energy_calls(self, monkeypatch):
+        calls = []
+        real = fishbone.integrator.energy
+
+        def counting(spec, state):
+            calls.append(state)
+            return real(spec, state)
+
+        monkeypatch.setattr(fishbone.integrator, "energy", counting)
+        return calls
+
+    def test_pairs_are_built_only_when_read(self, energy_calls):
+        traj = simulate(ISO, make_initial(1.2), cfg(t_end=1.0))
+        assert len(traj.samples) == 101
+        assert energy_calls == []
+        state, e = traj.samples[-1]
+        assert energy_calls == [state]
+        assert e == energy(ISO, state)
+        assert state.t == 1.0
+
+    def test_sequence_semantics(self):
+        traj = simulate(ISO, make_initial(1.2), cfg(t_end=0.5))
+        samples = traj.samples
+        pairs = list(samples)
+        assert not hasattr(samples, "append")
+        assert samples == pairs and pairs == samples
+        assert samples == simulate(ISO, make_initial(1.2), cfg(t_end=0.5)).samples
+        assert samples != pairs[:-1] and pairs[1:] != samples
+        assert samples[-1] == pairs[-1] and samples[0] == pairs[0]
+        assert samples[len(pairs) - 1] == pairs[-1]
+        for sl in (slice(None), slice(3, 9), slice(-5, None), slice(None, None, 10),
+                   slice(None, None, -7), slice(40, 2, -3), slice(90, 200)):
+            assert samples[sl] == pairs[sl], sl
+        for bad in (len(pairs), -len(pairs) - 1):
+            with pytest.raises(IndexError):
+                samples[bad]
+        with pytest.raises(TypeError):
+            samples[1.0]
+
+    def test_multimode_pairs(self):
+        spec = ModelSpec(Variant.ISOLATED, m=3)
+        traj = simulate(spec, make_initial(1.2, m=3), cfg(t_end=0.1))
+        state, e = traj.samples[-1]
+        assert e is None and state.m == 3 and state.t == 0.1
+        assert traj.final_state() == state and traj.final_energy() is None
+
+    def test_memory_per_sample(self):
+        # 2001 samples of m = 1: five doubles each, not a state and an
+        # energy object each
+        tracemalloc.start()
+        try:
+            traj = simulate(ISO, make_initial(1.2), cfg(t_end=20.0))
+            current, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(traj.samples) == 2001
+        assert current / len(traj.samples) < 100.0
+
+
+def _oracle_csv(traj, header_fields):
+    """The trajectory CSV built from the (state, energy) pairs, field by field."""
+    m = traj.spec.m
+    lines = [f"# {k}={v}" for k, v in header_fields.items()]
+    lines.append(",".join(
+        ["t"] + [f"y{j}" for j in range(1, m + 1)] + [f"z{j}" for j in range(1, m + 1)]
+        + ["E_total", "E_kin_y", "E_kin_z", "E_quad", "E_coupling", "E_quartic",
+           "E_aero"]
+    ))
+    for state, e in traj.samples:
+        cols = [format(v, ".17g") for v in (state.t, *state.y, *state.z)]
+        if e is None:
+            cols += [""] * 7
+        else:
+            cols += [format(v, ".17g") for v in (
+                e.total, e.kinetic_y, e.kinetic_z, e.quadratic, e.coupling,
+                e.quartic, e.aero_cross,
+            )]
+        lines.append(",".join(cols))
+    return "\n".join(lines) + "\n"
+
+
+class TestTrajectoryCsvOracle:
+    """The writer's one-format rows against the CSV built from the pairs."""
+
+    NAN_SEED = SystemState.single(0.0, math.nan, 0.01, 0.0, 0.0)
+    CASES = {
+        "isolated": (ISO, make_initial(1.47), dict(t_end=2.0), {}),
+        "cross": (ModelSpec(Variant.CROSS_DERIV, delta=0.01), make_initial(1.47),
+                  dict(t_end=2.0), {}),
+        "crosszero": (ModelSpec(Variant.CROSS_DERIV_ZERO, delta=0.01),
+                      make_initial(1.47), dict(t_end=2.0), {}),
+        "m2": (ModelSpec(Variant.ISOLATED, m=2), make_initial(1.2, m=2),
+               dict(t_end=0.5), {}),
+        "adaptive": (ModelSpec(Variant.CROSS_DERIV_ZERO, delta=0.02),
+                     make_initial(1.5), dict(scheme=AD, t_end=5.0), {}),
+        "blowup-fixed": (ISO, make_initial(1e9), dict(t_end=1.0), {}),
+        "blowup-adaptive": (ISO, make_initial(1e9), dict(scheme=AD, t_end=1.0), {}),
+        "inf-seed-fixed": (ISO, SystemState.single(0.0, math.inf, 0.01, 0.0, 0.0),
+                           dict(t_end=1.0), {}),
+        "nan-seed-adaptive": (ISO, NAN_SEED, dict(scheme=AD, t_end=1.0), {}),
+        "stop-at-onset": (ModelSpec(Variant.CROSS_DERIV, delta=0.02),
+                          make_initial(1.5), dict(t_end=15.0),
+                          dict(stop_at_onset=True)),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_matches_pairs(self, name):
+        spec, initial, kw, sim_kw = self.CASES[name]
+        traj = simulate(spec, initial, cfg(**kw), **sim_kw)
+        header = {"case": name, "sigma": "1.47"}
+        buf = io.StringIO()
+        write_trajectory_csv(traj, buf, header_fields=header)
+        assert buf.getvalue() == _oracle_csv(traj, header)
+        if name == "nan-seed-adaptive":
+            assert len(traj.samples) == 1
+            assert buf.getvalue().splitlines()[-1].startswith("0,nan,0.01,nan,")
+
+    def test_more_rows_than_one_chunk(self):
+        traj = simulate(ISO, make_initial(1.47), cfg(t_end=30.0))
+        assert len(traj.samples) > 2 * 1024
+        buf = io.StringIO()
+        write_trajectory_csv(traj, buf)
+        assert buf.getvalue() == _oracle_csv(traj, {})
+
+    @pytest.mark.parametrize("spec", [
+        ISO,
+        ModelSpec(Variant.CROSS_DERIV, delta=0.01),
+        ModelSpec(Variant.CROSS_DERIV_ZERO, delta=0.02),
+    ], ids=["isolated", "cross", "crosszero"])
+    def test_energy_terms_match_energy(self, spec):
+        values = (0.0, -0.0, 0.5, -1.5)
+        for y, z, yd, zd in itertools.product(values, repeat=4):
+            e = energy(spec, SystemState.single(0.0, y, z, yd, zd))
+            want = (e.total, e.kinetic_y, e.kinetic_z, e.quadratic, e.coupling,
+                    e.quartic, e.aero_cross)
+            got = _energy_terms(y, z, yd, zd, _aero_delta(spec))
+            assert [v.hex() for v in got] == [v.hex() for v in want], (y, z, yd, zd)

@@ -2,7 +2,8 @@
 # Write the byte-level output contract of the checkout in the current
 # directory into DIR: every `simulate` preset CSV, the trajectory CSVs of
 # paths the presets do not take (three modes, the adaptive scheme, a
-# blow-up, standard output), the standard threshold report and the
+# blow-up, standard output), the standard threshold report, threshold
+# searches of other models, schemes and invalid brackets, and the
 # prop2-grid chart, each with its exit code in NAME.exit.
 # Two checkouts give the same DIR contents exactly when their outputs agree:
 #   (cd base && scripts/contract_outputs.sh /tmp/a)
@@ -44,4 +45,23 @@ run blowup.csv simulate --sigma 1100 --t-end 1
 python3 -m fishbone simulate --t-end 0.5 --out - >"$out/stdout.csv" 2>"$out/stdout.csv.stderr"
 echo $? >"$out/stdout.csv.exit"
 run threshold.txt threshold --bracket 1.40:1.60 --tol 1e-3
+# searches whose probes take other paths: onset already at the low end and
+# none at the high end (exit 5), the forced response crossing gain 300, two
+# modes (numpy), and the adaptive scheme, which has no threshold flag
+run threshold-onset-at-lo.txt threshold --bracket 1.40:1.60 --variant cross --delta 0.05 --t-end 50
+run threshold-quiet-at-hi.txt threshold --bracket 0.1:0.2 --t-end 50
+run threshold-crosszero.txt threshold --bracket 0.5:2.0 --variant crosszero --delta 0.05 \
+    --onset-gain 300 --t-end 1
+run threshold-modes2.txt threshold --bracket 4:16 --tol 1 --modes 2 --t-end 2
+python3 -c '
+import sys
+from fishbone.cli import format_threshold_report
+from fishbone.integrator import IntegratorConfig, Scheme
+from fishbone.model import ModelSpec, Variant
+from fishbone.threshold import find_threshold
+config = IntegratorConfig(scheme=Scheme.ADAPTIVE_EMBEDDED, t_end=10.0)
+result = find_threshold(ModelSpec(Variant.ISOLATED), (1.5, 3.5), 0.25, config)
+sys.stdout.write(format_threshold_report(result))
+' >"$out/threshold-adaptive.txt" 2>"$out/threshold-adaptive.txt.stderr"
+echo $? >"$out/threshold-adaptive.txt.exit"
 run prop2-grid.csv hill --preset prop2-grid

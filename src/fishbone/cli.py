@@ -21,6 +21,7 @@ from .integrator import (
     IntegratorConfig,
     Scheme,
     Trajectory,
+    _check_sample_memory,
     check_onset_gain,
     make_initial,
     simulate,
@@ -405,11 +406,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if args.config is not None:
             cfg = _apply_kv(cfg, _parse_kv_file(args.config))
         cfg = _apply_flags(cfg, args, _SIM_FLAGS)
-    spec = cfg.spec()
+    spec, config = cfg.spec(), cfg.integrator()
+    _check_sample_memory(spec, config)
     # open the output before the (possibly long) run so a bad path fails fast
     with _open_out(args.out) as fh:
-        traj = simulate(spec, make_initial(cfg.sigma, cfg.modes), cfg.integrator(),
-                        cfg.onset_gain)
+        traj = simulate(spec, make_initial(cfg.sigma, cfg.modes), config, cfg.onset_gain)
         write_trajectory_csv(traj, fh, header_fields=cfg.fingerprint())
     onset = "none" if traj.onset is None else format(traj.onset.t_onset, ".6g")
     final_e = traj.final_energy()

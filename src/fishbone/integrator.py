@@ -68,6 +68,10 @@ MAX_STEPS = 10**9
 #: in memory, 8(4m + 1) bytes each: 40 for m = 1, so 400 MB at the cap.
 MAX_SAMPLES = 10**7
 
+#: Largest number of doubles the samples of one run may hold: the m = 1
+#: budget, 400 MB, for every m (``_check_sample_memory``).
+_MAX_SAMPLE_DOUBLES = 5 * MAX_SAMPLES
+
 #: Hard floor on adaptive step size, relative to the current time scale.
 _MIN_STEP_FACTOR = 1e-14
 
@@ -700,6 +704,20 @@ def check_onset_gain(onset_gain: float) -> None:
         raise ValueError("onset_gain must be finite and exceed 1")
 
 
+def _check_sample_memory(spec: ModelSpec, config: IntegratorConfig) -> None:
+    """Reject a run whose samples would hold more than _MAX_SAMPLE_DOUBLES.
+
+    A sample is 4m + 1 doubles, so at m = 1 this is ``MAX_SAMPLES`` again,
+    and at m = 1000 it admits about 12 500 samples instead of 10^7.
+    """
+    doubles = config.t_end / config.sample_every * (4 * spec.m + 1)
+    if doubles > _MAX_SAMPLE_DOUBLES:
+        raise ValueError(
+            f"samples would hold {doubles:.3g} doubles (t_end / sample_every "
+            f"times 4m + 1); at most {_MAX_SAMPLE_DOUBLES:.0e} (400 MB)"
+        )
+
+
 def simulate(
     spec: ModelSpec,
     initial: SystemState,
@@ -720,6 +738,7 @@ def simulate(
     ``(t_onset, "stopped at onset")``.
     """
     check_onset_gain(onset_gain)
+    _check_sample_memory(spec, config)
     if initial.m != spec.m:
         raise ValueError(f"initial state has m={initial.m}, spec has m={spec.m}")
     t0, u0 = initial.t, initial.flat()

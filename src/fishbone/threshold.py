@@ -12,7 +12,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import multiprocessing
 import os
+import signal
+import threading
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -85,6 +89,104 @@ def _probe(
     return simulate(spec, initial, config, onset_gain, stop_at_onset=True).onset
 
 
+def _bisection(lo: float, hi: float, tol: float):
+    """The serial search as a generator of probes.
+
+    It yields each sigma to probe, takes that probe's onset (or None) by
+    ``send``, and returns (lo, hi, onset at hi) once hi - lo <= tol.
+    """
+    onset_lo = yield lo
+    if onset_lo is not None:
+        raise InvalidBracketError(
+            f"onset already present at sigma_lo={lo:g} (t={onset_lo.t_onset:g})"
+        )
+    onset_hi = yield hi
+    if onset_hi is None:
+        raise InvalidBracketError(f"no onset detected at sigma_hi={hi:g}")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        onset_mid = yield mid
+        if onset_mid is not None:
+            hi, onset_hi = mid, onset_mid
+        else:
+            lo = mid
+    return lo, hi, onset_hi
+
+
+def _fork_context():
+    """The fork context when a look-ahead child can run beside this process,
+    else None: at least 2 usable CPUs, no other thread that a fork could
+    catch holding a lock, and not a daemonic process, which may not have
+    children."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+        ctx = multiprocessing.get_context("fork")
+    except (AttributeError, ValueError):  # no affinity mask or no fork here
+        return None
+    if cpus < 2 or threading.active_count() > 1 or multiprocessing.current_process().daemon:
+        return None
+    return ctx
+
+
+def _run_ahead(reader, writer, search, spec, config, onset_gain) -> None:
+    """Child: go on with the parent's search as if its probe came out quiet,
+    and send each (sigma, onset) to ``writer`` as soon as that probe
+    finishes."""
+    # Ctrl-C reaches the whole process group; the parent kills this child
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # with the parent's reading end closed here too, a send fails once the
+    # parent is gone
+    reader.close()
+    onset = None
+    try:
+        while True:
+            sigma = search.send(onset)
+            onset = _probe(spec, sigma, config, onset_gain)
+            writer.send((sigma, onset))
+    except Exception:
+        # the search ended (StopIteration, InvalidBracketError), the parent
+        # is gone (BrokenPipeError at a send), or a probe raised; the parent
+        # runs that probe again itself if the serial search reaches it
+        pass
+
+
+def _probe_ahead(ctx, search, spec, sigma, config, onset_gain):
+    """Probe sigma here while a forked child runs the serial search ahead.
+
+    Returns sigma's onset and, if sigma is quiet, the child's (sigma, onset)
+    pairs in serial order: those it finished, plus the one it was running.
+    The child is killed and reaped before this returns or raises.
+    """
+    if ctx is None:
+        return _probe(spec, sigma, config, onset_gain), []
+    reader, writer = ctx.Pipe(duplex=False)
+    child = ctx.Process(
+        target=_run_ahead, args=(reader, writer, search, spec, config, onset_gain), daemon=True
+    )
+    try:
+        child.start()
+    except OSError:  # no process to spare: the reader sees EOF, this probe runs alone
+        child = None
+    writer.close()  # the child has its own copy
+    try:
+        onset = _probe(spec, sigma, config, onset_gain)
+        ahead = []
+        if onset is None:
+            try:
+                while reader.poll():
+                    ahead.append(reader.recv())
+                ahead.append(reader.recv())
+            except EOFError:  # the child ended: its search is done, or a probe raised
+                pass
+        return onset, ahead
+    finally:
+        reader.close()
+        if child is not None:
+            child.kill()
+            child.join()
+            child.close()
+
+
 def find_threshold(
     spec: ModelSpec,
     bracket: tuple[float, float],
@@ -101,6 +203,20 @@ def find_threshold(
     probe can fire below a quiet one or stay quiet above an onset, and the
     bisection cannot see a non-monotone boundary.  The returned endpoints
     are certified by their own runs.
+
+    Look-ahead: while this process probes a sigma, a forked child goes on
+    with the same search as if that probe came out quiet (in the first
+    round, it probes sigma_hi while sigma_lo runs here).  If the probe
+    fires, the child is killed; if it is quiet, the child's finished
+    probes and the one it is running are taken in order.  A child runs a
+    copy of this search's own state, so each probe whose verdict is taken
+    is the one the serial search runs next, at the same sigma, and the
+    bit-deterministic integrator gives it the same onset: the result is
+    that of the serial search to the last digit.  A probe that raised in
+    the child is run again here if the serial search reaches it, so only
+    such a probe's exception is raised.  The look-ahead is off, and the
+    loop serial, unless the process may run on at least 2 CPUs, has no
+    other thread and is not daemonic (see ``_fork_context``).
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     # checked before tol: the ulp of an infinite endpoint is infinite
@@ -114,22 +230,22 @@ def find_threshold(
     if not min_tol <= tol < math.inf:
         raise ValueError(f"tol must be finite and at least {min_tol:.3g}")
 
-    onset_lo = _probe(spec, lo, config, onset_gain)
-    if onset_lo is not None:
-        raise InvalidBracketError(
-            f"onset already present at sigma_lo={lo:g} (t={onset_lo.t_onset:g})"
-        )
-    onset_hi = _probe(spec, hi, config, onset_gain)
-    if onset_hi is None:
-        raise InvalidBracketError(f"no onset detected at sigma_hi={hi:g}")
-
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        onset_mid = _probe(spec, mid, config, onset_gain)
-        if onset_mid is not None:
-            hi, onset_hi = mid, onset_mid
+    ctx = _fork_context()
+    search = _bisection(lo, hi, tol)
+    ahead: deque = deque()  # verdicts a child ran ahead, in serial order
+    sigma = next(search)
+    while True:
+        if ahead:
+            ran, onset = ahead.popleft()
+            assert ran == sigma
         else:
-            lo = mid
+            onset, more = _probe_ahead(ctx, search, spec, sigma, config, onset_gain)
+            ahead.extend(more)
+        try:
+            sigma = search.send(onset)
+        except StopIteration as done:
+            lo, hi, onset_hi = done.value
+            break
 
     sigma_star = 0.5 * (lo + hi)
     # no energy function is defined for m > 1

@@ -195,6 +195,15 @@ class TestSimulate:
         assert "mode count" in res.stderr
         assert not out.exists()
 
+    def test_sample_memory_above_cap_leaves_no_file(self, tmp_path):
+        # 20 001 samples of 4m + 1 = 4001 doubles is 640 MB, over the 400 MB
+        # that MAX_SAMPLES allows at m = 1
+        out = tmp_path / "x.csv"
+        res = run_cli("simulate", "--modes", str(MAX_MODES), "--out", str(out))
+        assert res.returncode == 2, res.stderr
+        assert "400 MB" in res.stderr
+        assert not out.exists()
+
     def test_blow_up_exit_code_with_partial_csv(self, tmp_path):
         out = tmp_path / "blow.csv"
         res = run_cli(

@@ -24,9 +24,11 @@ from fishbone.integrator import (
     Scheme,
     make_initial,
     simulate,
+    _check_sample_memory,
     _Observer,
 )
 from fishbone.model import (
+    MAX_MODES,
     ModelSpec,
     SystemState,
     Variant,
@@ -107,6 +109,26 @@ class TestConfigValidation:
     def test_counts_at_cap_accepted(self):
         cfg(h=1.0, sample_every=float(MAX_STEPS), t_end=float(MAX_STEPS))
         cfg(h=1.0, sample_every=1.0, t_end=float(MAX_SAMPLES))
+
+    def test_sample_memory_capped_at_one_mode_budget(self):
+        # a sample holds 4m + 1 doubles; the cap on their total is the
+        # m = 1 budget, so MAX_SAMPLES samples pass at m = 1 and no more
+        at_cap = cfg(h=1.0, sample_every=1.0, t_end=float(MAX_SAMPLES))
+        _check_sample_memory(ISO, at_cap)
+        with pytest.raises(ValueError, match="400 MB"):
+            _check_sample_memory(ModelSpec(Variant.ISOLATED, m=2), at_cap)
+        # m = 1000: 4001 doubles a sample, so 12 496 samples and no more
+        spec = ModelSpec(Variant.ISOLATED, m=MAX_MODES)
+        _check_sample_memory(spec, cfg(h=1.0, sample_every=1.0, t_end=12496.0))
+        with pytest.raises(ValueError, match="400 MB"):
+            _check_sample_memory(spec, cfg(h=1.0, sample_every=1.0, t_end=12497.0))
+
+    def test_simulate_rejects_sample_memory_before_running(self, monkeypatch):
+        # 20 001 samples of 4001 doubles: 640 MB at the default sampling
+        spec = ModelSpec(Variant.ISOLATED, m=MAX_MODES)
+        monkeypatch.setattr(fishbone.integrator, "_Observer", None)
+        with pytest.raises(ValueError, match="400 MB"):
+            simulate(spec, make_initial(1.0, MAX_MODES), cfg(t_end=200.0))
 
 
 class TestSimulateBasics:

@@ -1,16 +1,33 @@
 import io
 import math
+import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
 import fishbone.threshold
 from fishbone.cli import format_threshold_report, write_sweep_csv
-from fishbone.integrator import IntegratorConfig, make_initial, simulate
+from fishbone.integrator import IntegratorConfig, Scheme, make_initial, simulate
 from fishbone.model import ModelSpec, Variant, energy
 from fishbone.threshold import InvalidBracketError, find_threshold, sweep
 
 ISO = ModelSpec(Variant.ISOLATED)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Sets how many CPUs this process may run on: 2 turns the threshold
+    look-ahead on, 1 turns it off."""
+
+    def set_cpus(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+    return set_cpus
 
 
 class TestFindThreshold:
@@ -55,7 +72,9 @@ class TestFindThreshold:
         assert (result.sigma_lo, result.sigma_hi) == (1.5, 3.5)
         assert math.isnan(result.energy_star)
 
-    def test_probes_record_only_endpoints(self, monkeypatch):
+    def test_probes_record_only_endpoints(self, monkeypatch, cpus):
+        # the spy sees only the probes of this process
+        cpus(1)
         probes = []
         real = fishbone.threshold.simulate
 
@@ -107,6 +126,204 @@ class TestFindThreshold:
         assert float(lines["sigma_star"]) == result.sigma_star
         assert float(lines["energy_star"]) == result.energy_star
         assert lines["config.scheme"] == "fixed_rk4"
+
+
+# (spec, bracket, tol, config, onset gain): a search the look-ahead must
+# not change
+LOOKAHEAD_CASES = {
+    "isolated-t200": (ISO, (1.40, 1.60), 1e-3, IntegratorConfig(t_end=200.0), 100.0),
+    # the forced response crosses gain 300 near t=1 at every amplitude
+    "crosszero-gain300": (
+        ModelSpec(Variant.CROSS_DERIV_ZERO, delta=0.05), (0.5, 2.0), 1e-3,
+        IntegratorConfig(t_end=1.0), 300.0,
+    ),
+    "m2": (ModelSpec(Variant.ISOLATED, m=2), (4.0, 16.0), 1.0, IntegratorConfig(t_end=2.0), 100.0),
+    "adaptive": (
+        ISO, (1.5, 3.5), 0.25,
+        IntegratorConfig(scheme=Scheme.ADAPTIVE_EMBEDDED, t_end=10.0), 100.0,
+    ),
+    "tol-covers-bracket": (ISO, (1.5, 3.5), 2.0, IntegratorConfig(t_end=10.0), 100.0),
+}
+SHORT = (ISO, (1.5, 3.5), 0.25, IntegratorConfig(t_end=10.0))
+
+
+def serial_path(monkeypatch, cpus):
+    """(sigma, fired) of every probe of the serial SHORT search, in order."""
+    path = []
+    real = fishbone.threshold._probe
+
+    def spy(spec, sigma, config, onset_gain):
+        onset = real(spec, sigma, config, onset_gain)
+        path.append((sigma, onset is not None))
+        return onset
+
+    cpus(1)
+    with monkeypatch.context() as m:
+        m.setattr(fishbone.threshold, "_probe", spy)
+        find_threshold(*SHORT)
+    return path
+
+
+class TestLookAhead:
+    @pytest.mark.parametrize("case", list(LOOKAHEAD_CASES))
+    def test_same_result_on_and_off(self, cpus, case):
+        spec, bracket, tol, config, gain = LOOKAHEAD_CASES[case]
+        results = []
+        for n in (1, 2):
+            cpus(n)
+            results.append(find_threshold(spec, bracket, tol, config, onset_gain=gain))
+            assert multiprocessing.active_children() == []
+        # repr tells every float apart, and a nan energy_star (m=2) from no other
+        assert repr(results[0]) == repr(results[1])
+        assert format_threshold_report(results[0]) == format_threshold_report(results[1])
+
+    @pytest.mark.parametrize("spec,bracket", [
+        (ModelSpec(Variant.CROSS_DERIV, delta=0.05), (1.40, 1.60)),
+        (ISO, (0.1, 0.2)),
+    ], ids=["onset-at-lo", "quiet-at-hi"])
+    def test_invalid_bracket_same_message(self, cpus, spec, bracket):
+        messages = []
+        for n in (1, 2):
+            cpus(n)
+            with pytest.raises(InvalidBracketError) as err:
+                find_threshold(spec, bracket, 1e-3, IntegratorConfig(t_end=50.0))
+            messages.append(str(err.value))
+            assert multiprocessing.active_children() == []
+        assert messages[0] == messages[1]
+
+    def test_probes_run_in_a_child(self, cpus, monkeypatch, tmp_path):
+        log = tmp_path / "probes"
+        real = fishbone.threshold._probe
+
+        def logging(spec, sigma, config, onset_gain):
+            onset = real(spec, sigma, config, onset_gain)
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return onset
+
+        monkeypatch.setattr(fishbone.threshold, "_probe", logging)
+        cpus(2)
+        find_threshold(*SHORT)
+        pids = set(log.read_text().split())
+        assert str(os.getpid()) in pids and len(pids) > 1
+
+    @pytest.mark.parametrize("cause", ["one-cpu", "daemonic", "threaded"])
+    def test_off(self, cpus, monkeypatch, cause):
+        cpus(2)
+        assert fishbone.threshold._fork_context() is not None
+        if cause == "one-cpu":
+            cpus(1)
+        elif cause == "daemonic":
+            monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+        else:
+            monkeypatch.setattr(fishbone.threshold.threading, "active_count", lambda: 2)
+        assert fishbone.threshold._fork_context() is None
+
+    @pytest.mark.parametrize("failure", ["raise", "hang"])
+    def test_failure_off_the_serial_path_changes_nothing(self, cpus, monkeypatch, tmp_path,
+                                                         capfd, failure):
+        path = serial_path(monkeypatch, cpus)
+        expected = repr(find_threshold(*SHORT))
+        # slow probes at hi and at the first interior probe that fires make
+        # the rounds deterministic: the first child's result is hi alone,
+        # then the parent probes fired_at while the child bisects above it,
+        # where the serial search never goes
+        hi = path[1][0]
+        fired_at = next(sigma for sigma, fired in path[2:] if fired)
+        unreached = 0.5 * (fired_at + hi)
+        assert unreached not in [sigma for sigma, _ in path]
+        log = tmp_path / "reached"
+        real = fishbone.threshold._probe
+
+        def failing(spec, sigma, config, onset_gain):
+            if sigma == unreached:
+                log.write_text("reached")
+                if failure == "hang":
+                    time.sleep(60)  # unless the child is killed
+                raise RuntimeError("probe failed")
+            if sigma in (hi, fired_at):
+                time.sleep(0.3)
+            return real(spec, sigma, config, onset_gain)
+
+        monkeypatch.setattr(fishbone.threshold, "_probe", failing)
+        cpus(2)
+        start = time.monotonic()
+        assert repr(find_threshold(*SHORT)) == expected
+        assert time.monotonic() - start < 30
+        assert log.exists()
+        assert "Traceback" not in capfd.readouterr().err
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("index", range(5))
+    def test_failure_on_the_serial_path_raises(self, cpus, monkeypatch, index):
+        path = serial_path(monkeypatch, cpus)
+        assert len(path) == 5
+        target = path[index][0]
+        real = fishbone.threshold._probe
+
+        def failing(spec, sigma, config, onset_gain):
+            if sigma == target:
+                raise RuntimeError(f"probe failed at {sigma!r}")
+            return real(spec, sigma, config, onset_gain)
+
+        monkeypatch.setattr(fishbone.threshold, "_probe", failing)
+        for n in (1, 2):
+            cpus(n)
+            with pytest.raises(RuntimeError, match=f"probe failed at {target!r}"):
+                find_threshold(*SHORT)
+            assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc")
+    def test_orphaned_child_exits_quietly(self, tmp_path):
+        # the parent hangs in its first probe and is killed while the child
+        # runs its own: the child must end at that probe's send, start no
+        # other, and print nothing
+        log = tmp_path / "child-probes"
+        script = f"""
+import os, sys, time
+sys.path.insert(0, {str(Path(fishbone.threshold.__file__).parents[1])!r})
+import fishbone.threshold as th
+from fishbone.integrator import IntegratorConfig
+from fishbone.model import ModelSpec, Variant
+parent, real = os.getpid(), th._probe
+def probe(spec, sigma, config, onset_gain):
+    if os.getpid() == parent:
+        time.sleep(60)
+    with open({str(log)!r}, "a") as fh:
+        fh.write(f"{{os.getpid()}} {{sigma!r}}\\n")
+    time.sleep(1.0)
+    return real(spec, sigma, config, onset_gain)
+th._probe = probe
+os.sched_getaffinity = lambda pid: {{0, 1}}
+th.find_threshold(ModelSpec(Variant.ISOLATED), (1.5, 3.5), 0.25, IntegratorConfig(t_end=10.0))
+"""
+        err = tmp_path / "stderr"
+        with open(err, "w") as fh:
+            parent = subprocess.Popen([sys.executable, "-c", script], stderr=fh)
+        try:
+            deadline = time.monotonic() + 30
+            while not (log.exists() and log.read_text()) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            child = int(log.read_text().split()[0])
+        finally:
+            parent.kill()
+            parent.wait()
+
+        def running():
+            try:
+                stat = Path(f"/proc/{child}/stat").read_text()
+            except FileNotFoundError:
+                return False
+            return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+        deadline = time.monotonic() + 30
+        while running() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        if running():
+            os.kill(child, signal.SIGKILL)
+            pytest.fail("the orphaned child kept running")
+        assert len(log.read_text().splitlines()) == 1
+        assert err.read_text() == ""
 
 
 class TestSweep:

@@ -64,13 +64,11 @@ BLOWUP_LIMIT = 1e8
 #: most of an hour.
 MAX_STEPS = 10**9
 
-#: Largest sample count t_end / sample_every of one run.  Samples are kept
-#: in memory, 8(4m + 1) bytes each: 40 for m = 1, so 400 MB at the cap.
+#: Largest sample count t_end / sample_every of a one-mode run.  Samples
+#: are kept in memory, 8(4m + 1) bytes each: 40 for m = 1, so 400 MB at the
+#: cap.  A run of m modes may hold as many doubles as this many one-mode
+#: samples (``_check_sample_memory``).
 MAX_SAMPLES = 10**7
-
-#: Largest number of doubles the samples of one run may hold: the m = 1
-#: budget, 400 MB, for every m (``_check_sample_memory``).
-_MAX_SAMPLE_DOUBLES = 5 * MAX_SAMPLES
 
 #: Hard floor on adaptive step size, relative to the current time scale.
 _MIN_STEP_FACTOR = 1e-14
@@ -705,16 +703,18 @@ def check_onset_gain(onset_gain: float) -> None:
 
 
 def _check_sample_memory(spec: ModelSpec, config: IntegratorConfig) -> None:
-    """Reject a run whose samples would hold more than _MAX_SAMPLE_DOUBLES.
+    """Reject a run whose samples would hold more doubles than MAX_SAMPLES
+    one-mode samples of 5 doubles (400 MB).
 
-    A sample is 4m + 1 doubles, so at m = 1 this is ``MAX_SAMPLES`` again,
-    and at m = 1000 it admits about 12 500 samples instead of 10^7.
+    A sample is 4m + 1 doubles, so at m = 1 this is the check that
+    ``IntegratorConfig`` makes, and at m = 1000 it admits about 12 500
+    samples.
     """
     doubles = config.t_end / config.sample_every * (4 * spec.m + 1)
-    if doubles > _MAX_SAMPLE_DOUBLES:
+    if doubles > 5 * MAX_SAMPLES:
         raise ValueError(
             f"samples would hold {doubles:.3g} doubles (t_end / sample_every "
-            f"times 4m + 1); at most {_MAX_SAMPLE_DOUBLES:.0e} (400 MB)"
+            f"times 4m + 1); at most {5 * MAX_SAMPLES:.0e} (400 MB)"
         )
 
 

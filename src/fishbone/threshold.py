@@ -131,35 +131,43 @@ def _fork_context():
 def _run_ahead(reader, writer, search, spec, config, onset_gain) -> None:
     """Child: go on with the parent's search as if its probe came out quiet,
     and send each (sigma, onset) to ``writer`` as soon as that probe
-    finishes."""
+    finishes.  It stops once its probes have run t_end of model time, as
+    far as the parent's quiet probe runs, so how many it runs depends on
+    their onsets alone and not on how fast either process is."""
     # Ctrl-C reaches the whole process group; the parent kills this child
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     # with the parent's reading end closed here too, a send fails once the
     # parent is gone
     reader.close()
-    onset = None
+    onset, spent = None, 0.0
     try:
-        while True:
+        while spent < config.t_end:
             sigma = search.send(onset)
             onset = _probe(spec, sigma, config, onset_gain)
             writer.send((sigma, onset))
+            spent += config.t_end if onset is None else onset.t_onset
     except Exception:
         # the search ended (StopIteration, InvalidBracketError), the parent
         # is gone (BrokenPipeError at a send), or a probe raised; the parent
         # runs that probe again itself if the serial search reaches it
         pass
+    finally:
+        writer.close()  # the parent's reader sees EOF
 
 
 def _probe_ahead(ctx, search, spec, sigma, config, onset_gain):
     """Probe sigma here while a forked child runs the serial search ahead.
 
-    Returns sigma's onset and, if sigma is quiet, the child's (sigma, onset)
-    pairs in serial order: those it finished, plus the one it was running.
-    The child is killed and reaped before this returns or raises.
+    Returns sigma's onset and, if sigma is quiet, every (sigma, onset) pair
+    the child sent, in serial order.  The child is killed and reaped before
+    this returns or raises.
     """
     if ctx is None:
         return _probe(spec, sigma, config, onset_gain), []
-    reader, writer = ctx.Pipe(duplex=False)
+    try:
+        reader, writer = ctx.Pipe(duplex=False)
+    except OSError:  # no file descriptor to spare: this probe runs alone
+        return _probe(spec, sigma, config, onset_gain), []
     child = ctx.Process(
         target=_run_ahead, args=(reader, writer, search, spec, config, onset_gain), daemon=True
     )
@@ -173,10 +181,9 @@ def _probe_ahead(ctx, search, spec, sigma, config, onset_gain):
         ahead = []
         if onset is None:
             try:
-                while reader.poll():
+                while True:
                     ahead.append(reader.recv())
-                ahead.append(reader.recv())
-            except EOFError:  # the child ended: its search is done, or a probe raised
+            except EOFError:  # the child stopped, its search ended, or a probe raised
                 pass
         return onset, ahead
     finally:
@@ -206,17 +213,20 @@ def find_threshold(
 
     Look-ahead: while this process probes a sigma, a forked child goes on
     with the same search as if that probe came out quiet (in the first
-    round, it probes sigma_hi while sigma_lo runs here).  If the probe
-    fires, the child is killed; if it is quiet, the child's finished
-    probes and the one it is running are taken in order.  A child runs a
+    round, it probes sigma_hi while sigma_lo runs here), until its probes
+    have run t_end of model time between them, as long as a quiet probe
+    runs here.  If the probe here fires, the child is killed; if it is
+    quiet, every verdict the child sent is taken in order.  A child runs a
     copy of this search's own state, so each probe whose verdict is taken
     is the one the serial search runs next, at the same sigma, and the
     bit-deterministic integrator gives it the same onset: the result is
-    that of the serial search to the last digit.  A probe that raised in
-    the child is run again here if the serial search reaches it, so only
-    such a probe's exception is raised.  The look-ahead is off, and the
-    loop serial, unless the process may run on at least 2 CPUs, has no
-    other thread and is not daemonic (see ``_fork_context``).
+    that of the serial search to the last digit.  Which probes run here
+    and which in a child depends on the onsets alone, never on timing.  A
+    probe that raised in the child is run again here if the serial search
+    reaches it, so only such a probe's exception is raised.  The
+    look-ahead is off, and the loop serial, unless the process may run on
+    at least 2 CPUs, has no other thread and is not daemonic (see
+    ``_fork_context``).
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     # checked before tol: the ulp of an infinite endpoint is infinite

@@ -145,10 +145,13 @@ LOOKAHEAD_CASES = {
     "tol-covers-bracket": (ISO, (1.5, 3.5), 2.0, IntegratorConfig(t_end=10.0), 100.0),
 }
 SHORT = (ISO, (1.5, 3.5), 0.25, IntegratorConfig(t_end=10.0))
+# a longer search in which this process also runs a probe that fires, so
+# the child it killed has run ahead where the serial search never goes
+BRANCHING = (ISO, (1.5, 3.5), 0.05, IntegratorConfig(t_end=10.0))
 
 
-def serial_path(monkeypatch, cpus):
-    """(sigma, fired) of every probe of the serial SHORT search, in order."""
+def serial_path(monkeypatch, cpus, search=SHORT):
+    """(sigma, fired) of every probe of the serial search, in order."""
     path = []
     real = fishbone.threshold._probe
 
@@ -160,8 +163,29 @@ def serial_path(monkeypatch, cpus):
     cpus(1)
     with monkeypatch.context() as m:
         m.setattr(fishbone.threshold, "_probe", spy)
-        find_threshold(*SHORT)
+        find_threshold(*search)
     return path
+
+
+def probes_here(monkeypatch, log, search, delay_here=0.0, delay_child=0.0):
+    """The sigmas probed in this process, in order, with the look-ahead on;
+    each probe here or in a child is slowed by the given delay."""
+    real = fishbone.threshold._probe
+    here = os.getpid()
+
+    def logging(spec, sigma, config, onset_gain):
+        time.sleep(delay_here if os.getpid() == here else delay_child)
+        onset = real(spec, sigma, config, onset_gain)
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {sigma!r}\n")
+        return onset
+
+    log.write_text("")
+    with monkeypatch.context() as m:
+        m.setattr(fishbone.threshold, "_probe", logging)
+        find_threshold(*search)
+    lines = [line.split() for line in log.read_text().splitlines()]
+    return [float(sigma) for pid, sigma in lines if int(pid) == here], len(lines)
 
 
 class TestLookAhead:
@@ -192,20 +216,40 @@ class TestLookAhead:
         assert messages[0] == messages[1]
 
     def test_probes_run_in_a_child(self, cpus, monkeypatch, tmp_path):
-        log = tmp_path / "probes"
-        real = fishbone.threshold._probe
-
-        def logging(spec, sigma, config, onset_gain):
-            onset = real(spec, sigma, config, onset_gain)
-            with open(log, "a") as fh:
-                fh.write(f"{os.getpid()}\n")
-            return onset
-
-        monkeypatch.setattr(fishbone.threshold, "_probe", logging)
         cpus(2)
-        find_threshold(*SHORT)
-        pids = set(log.read_text().split())
-        assert str(os.getpid()) in pids and len(pids) > 1
+        here, total = probes_here(monkeypatch, tmp_path / "probes", SHORT)
+        assert 0 < len(here) < total
+
+    def test_probes_here_do_not_depend_on_timing(self, cpus, monkeypatch, tmp_path):
+        # a child runs ahead by model time, not by wall time, so slowing
+        # either process moves no probe between them: a traced search
+        # counts the same probes in every run
+        cpus(2)
+        log = tmp_path / "probes"
+        here = [probes_here(monkeypatch, log, BRANCHING, *delays)[0]
+                for delays in ((0.0, 0.0), (0.05, 0.0), (0.0, 0.05))]
+        assert here[0] == here[1] == here[2]
+        path = [sigma for sigma, _ in serial_path(monkeypatch, cpus, BRANCHING)]
+        assert 0 < len(here[0]) < len(path)
+        assert here[0] == [sigma for sigma in path if sigma in here[0]]
+
+    @pytest.mark.parametrize("failure", ["pipe", "fork"])
+    def test_no_child_to_spare(self, cpus, monkeypatch, failure):
+        # without a pipe or a process for the child, each probe runs alone
+        cpus(1)
+        expected = repr(find_threshold(*SHORT))
+        cpus(2)
+        ctx = fishbone.threshold._fork_context()
+
+        def refuse(*args, **kwargs):
+            raise OSError(24, "Too many open files")
+
+        if failure == "pipe":
+            monkeypatch.setattr(ctx, "Pipe", refuse)
+        else:
+            monkeypatch.setattr(ctx.Process, "start", refuse)
+        assert repr(find_threshold(*SHORT)) == expected
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("cause", ["one-cpu", "daemonic", "threaded"])
     def test_off(self, cpus, monkeypatch, cause):
@@ -222,14 +266,16 @@ class TestLookAhead:
     @pytest.mark.parametrize("failure", ["raise", "hang"])
     def test_failure_off_the_serial_path_changes_nothing(self, cpus, monkeypatch, tmp_path,
                                                          capfd, failure):
-        path = serial_path(monkeypatch, cpus)
-        expected = repr(find_threshold(*SHORT))
-        # slow probes at hi and at the first interior probe that fires make
-        # the rounds deterministic: the first child's result is hi alone,
-        # then the parent probes fired_at while the child bisects above it,
-        # where the serial search never goes
-        hi = path[1][0]
-        fired_at = next(sigma for sigma, fired in path[2:] if fired)
+        path = serial_path(monkeypatch, cpus, BRANCHING)
+        expected = repr(find_threshold(*BRANCHING))
+        # a probe here that fires, past the endpoints: its child went on as
+        # if it were quiet, to the midpoint of it and the current hi, where
+        # the serial search never goes
+        cpus(2)
+        here, _ = probes_here(monkeypatch, tmp_path / "probes", BRANCHING)
+        k, fired_at = next((k, sigma) for k, (sigma, fired) in enumerate(path)
+                           if k >= 2 and fired and sigma in here)
+        hi = min(sigma for sigma, fired in path[:k] if fired)
         unreached = 0.5 * (fired_at + hi)
         assert unreached not in [sigma for sigma, _ in path]
         log = tmp_path / "reached"
@@ -241,14 +287,13 @@ class TestLookAhead:
                 if failure == "hang":
                     time.sleep(60)  # unless the child is killed
                 raise RuntimeError("probe failed")
-            if sigma in (hi, fired_at):
-                time.sleep(0.3)
+            if sigma == fired_at:
+                time.sleep(0.3)  # so that the child reaches unreached
             return real(spec, sigma, config, onset_gain)
 
         monkeypatch.setattr(fishbone.threshold, "_probe", failing)
-        cpus(2)
         start = time.monotonic()
-        assert repr(find_threshold(*SHORT)) == expected
+        assert repr(find_threshold(*BRANCHING)) == expected
         assert time.monotonic() - start < 30
         assert log.exists()
         assert "Traceback" not in capfd.readouterr().err

@@ -3,8 +3,9 @@
 # directory into DIR: every `simulate` preset CSV, the trajectory CSVs of
 # paths the presets do not take (three modes, the adaptive scheme, a
 # blow-up, standard output), the standard threshold report, threshold
-# searches of other models, schemes and invalid brackets, and the
-# prop2-grid chart, each with its exit code in NAME.exit.
+# searches of other models, schemes and invalid brackets, sweeps of the
+# three variants, and the prop2-grid chart, each with its exit code in
+# NAME.exit.
 # Two checkouts give the same DIR contents exactly when their outputs agree:
 #   (cd base && scripts/contract_outputs.sh /tmp/a)
 #   (cd head && scripts/contract_outputs.sh /tmp/b) && diff -r /tmp/a /tmp/b
@@ -64,4 +65,10 @@ result = find_threshold(ModelSpec(Variant.ISOLATED), (1.5, 3.5), 0.25, config)
 sys.stdout.write(format_threshold_report(result))
 ' >"$out/threshold-adaptive.txt" 2>"$out/threshold-adaptive.txt.stderr"
 echo $? >"$out/threshold-adaptive.txt.exit"
+# sweeps with onset, quiet and blow-up rows; where two CPUs are free they
+# run in a process pool, and their rows must not depend on it
+run sweep-cross.csv sweep --deltas 0,0.01,0.05 --sigmas 1.2,1.47,1100 --t-end 20
+run sweep-crosszero.csv sweep --variant crosszero --deltas 0.01,0.05 --sigmas 1.2,1.47 \
+    --onset-gain 300 --t-end 20
+run sweep-modes2.csv sweep --variant isolated --modes 2 --deltas 0 --sigmas 1.47,4,16 --t-end 2
 run prop2-grid.csv hill --preset prop2-grid

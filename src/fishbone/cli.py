@@ -364,8 +364,6 @@ def write_chart_csv(rows: Sequence[ChartRow], out: TextIO) -> None:
                 r.classification.value, _flag(r.zhukovskii)]
         if r.forced is not None:
             cols += [_flag(r.forced.bounded_verdict), _fmt(r.forced.growth_rate)]
-        elif with_forced:
-            cols += ["", ""]
         return cols
 
     _write_csv(out, header, map(row, rows))
@@ -478,7 +476,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         cfg.integrator(),
         onset_gain=cfg.onset_gain,
         m=cfg.modes,
-        jobs=args.jobs,
     )
     with _open_out(args.out) as fh:
         write_sweep_csv(rows, fh)
@@ -531,7 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--deltas", required=True, help="comma list")
     sw.add_argument("--sigmas", required=True, help="comma list")
     _add_flags(sw, _RUN_FLAGS)
-    sw.add_argument("--jobs", type=int, default=1)
     sw.add_argument("--out")
     sw.set_defaults(func=cmd_sweep)
 

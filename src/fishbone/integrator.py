@@ -25,6 +25,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
+import sys
 from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -69,6 +70,9 @@ MAX_STEPS = 10**9
 #: cap.  A run of m modes may hold as many doubles as this many one-mode
 #: samples (``_check_sample_memory``).
 MAX_SAMPLES = 10**7
+
+#: |sigma| from here up overflows the quartic term of the initial energy.
+_SIGMA_LIMIT = sys.float_info.max**0.25
 
 #: Hard floor on adaptive step size, relative to the current time scale.
 _MIN_STEP_FACTOR = 1e-14
@@ -236,8 +240,8 @@ def make_initial(sigma: float, m: int = 1) -> SystemState:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if not math.isfinite(sigma):
-        raise ValueError(f"sigma must be finite, got {sigma}")
+    if not abs(sigma) < _SIGMA_LIMIT:
+        raise ValueError(f"sigma must be finite with |sigma| < {_SIGMA_LIMIT:.6g}, got {sigma}")
     y = (float(sigma),) + (0.0,) * (m - 1)
     z = (float(sigma) * 1e-4,) + (0.0,) * (m - 1)
     zeros = (0.0,) * m

@@ -17,7 +17,6 @@ import os
 import signal
 import threading
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -114,10 +113,10 @@ def _bisection(lo: float, hi: float, tol: float):
 
 
 def _fork_context():
-    """The fork context when a look-ahead child can run beside this process,
-    else None: at least 2 usable CPUs, no other thread that a fork could
-    catch holding a lock, and not a daemonic process, which may not have
-    children."""
+    """The fork context when a child process, the look-ahead or a sweep
+    worker, can run beside this one, else None: at least 2 usable CPUs, no
+    other thread that a fork could catch holding a lock, and not a daemonic
+    process, which may not have children."""
     try:
         cpus = len(os.sched_getaffinity(0))
         ctx = multiprocessing.get_context("fork")
@@ -295,18 +294,16 @@ def sweep(
     config: IntegratorConfig,
     onset_gain: float = 100.0,
     m: int = 1,
-    jobs: int = 1,
 ) -> list[SweepRow]:
     """One run per (delta, sigma) pair, rows in input (delta-major) order.
 
     Every delta and sigma is checked before the first run, and neither list
     may be empty.  Early termination of a run is recorded in its row and
-    never aborts the rest of the sweep.  Probes are independent, so jobs > 1
-    fans them out to worker processes, no more than there are runs or CPUs,
-    without changing the results.
+    never aborts the rest of the sweep.  Runs are independent, so when
+    ``_fork_context`` allows children they fan out to min(runs, usable
+    CPUs) pool workers with the same rows; otherwise, as in a process bound
+    to one CPU, they run here in turn.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if not deltas or not sigmas:
         raise ValueError("deltas and sigmas must not be empty")
     # building every run checks every delta and sigma; a row keeps the
@@ -315,8 +312,10 @@ def sweep(
         (d, s, ModelSpec(variant, m=m, delta=d), make_initial(s, m), config, onset_gain)
         for d, s in itertools.product(map(float, deltas), map(float, sigmas))
     ]
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    ctx = _fork_context()
+    workers = 1 if ctx is None else min(len(tasks), len(os.sched_getaffinity(0)))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_sweep_task, tasks))
+        # a task per run, as run costs differ widely; the exit reaps every worker
+        with ctx.Pool(workers) as pool:
+            return pool.map(_sweep_task, tasks, chunksize=1)
     return [_sweep_task(t) for t in tasks]

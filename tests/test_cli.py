@@ -120,6 +120,11 @@ class TestSimulate:
         cfg.write_text("no_such_key=1\n")
         assert run_cli("simulate", "--config", str(cfg)).returncode == 2
 
+    def test_missing_config_file(self, tmp_path):
+        res = run_cli("simulate", "--config", str(tmp_path / "missing.cfg"))
+        assert res.returncode == 2, res.stderr
+        assert "cannot read config file" in res.stderr
+
     def test_rejected_onset_gain_leaves_no_file(self, tmp_path):
         out = tmp_path / "x.csv"
         res = run_cli(
@@ -204,6 +209,15 @@ class TestSimulate:
         assert "400 MB" in res.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("scheme", ["fixed_rk4", "adaptive_embedded"])
+    def test_sigma_past_the_energy_range_leaves_no_file(self, tmp_path, scheme):
+        # y**4 of its initial energy overflows a double
+        out = tmp_path / "x.csv"
+        res = run_cli("simulate", "--scheme", scheme, "--sigma", "1e200", "--out", str(out))
+        assert res.returncode == 2, res.stderr
+        assert "sigma" in res.stderr and "Traceback" not in res.stderr
+        assert not out.exists()
+
     def test_blow_up_exit_code_with_partial_csv(self, tmp_path):
         out = tmp_path / "blow.csv"
         res = run_cli(
@@ -227,6 +241,8 @@ class TestHill:
     def test_malformed_grid(self):
         assert run_cli("hill", "--grid", "0.1:xyz:0.1").returncode == 2
         assert run_cli("hill", "--grid", "1:0.5:0.1").returncode == 2
+        assert run_cli("hill", "--grid", "1:2").returncode == 2
+        assert run_cli("hill", "--grid", ",").returncode == 2
         assert run_cli("hill").returncode == 2
 
     def test_nonpositive_energy_rejected(self):
@@ -349,6 +365,7 @@ class TestThreshold:
 
     def test_malformed_bracket(self):
         assert run_cli("threshold", "--bracket", "1.4").returncode == 2
+        assert run_cli("threshold", "--bracket", "a:b").returncode == 2
 
     @pytest.mark.parametrize("bracket", ["1.4:inf", "-inf:1.5"])
     def test_non_finite_bracket_named(self, bracket):
@@ -369,12 +386,16 @@ class TestSweep:
         assert lines[0] == "delta,sigma,t_onset,max_torsion,E0,Ef"
         assert len(lines) == 3
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no affinity mask")
     def test_parallel_jobs_reproduce_serial_output(self, tmp_path):
+        # bound to one CPU, a sweep runs serially; with more, in a pool
         a, b = tmp_path / "serial.csv", tmp_path / "par.csv"
-        args = ["sweep", "--deltas", "0.01,0.02", "--sigmas", "1.4,1.6",
+        args = ["sweep", "--deltas", "0.01,0.02", "--sigmas", "1.4,1.6,1100",
                 "--t-end", "5"]
-        assert run_cli(*args, "--out", str(a)).returncode == 0
-        assert run_cli(*args, "--jobs", "2", "--out", str(b)).returncode == 0
+        one_cpu = {min(os.sched_getaffinity(0))}
+        res = run_cli(*args, "--out", str(a), preexec_fn=lambda: os.sched_setaffinity(0, one_cpu))
+        assert res.returncode == 0, res.stderr
+        assert run_cli(*args, "--out", str(b)).returncode == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_bad_lists(self):
@@ -385,12 +406,12 @@ class TestSweep:
         assert res.returncode == 2, res.stderr
         assert "rows=" not in res.stdout + res.stderr
 
-    def test_zero_jobs_is_config_error(self):
-        res = run_cli(
-            "sweep", "--deltas", "0.01", "--sigmas", "1.0", "--t-end", "1",
-            "--jobs", "0", "--out", "-",
-        )
+    def test_sigma_past_the_energy_range_leaves_no_file(self, tmp_path):
+        out = tmp_path / "x.csv"
+        res = run_cli("sweep", "--deltas", "0.01", "--sigmas", "1e200", "--out", str(out))
         assert res.returncode == 2, res.stderr
+        assert "sigma" in res.stderr and "Traceback" not in res.stderr
+        assert not out.exists()
 
 
 class TestOutputPins:
@@ -466,8 +487,8 @@ class TestRunFlags:
 
 
 class TestSurface:
-    # (option, default, choices) of every subcommand, captured before the
-    # run flags were declared from one table: no flag added or dropped
+    # (option, default, choices) of every subcommand: a flag added or
+    # dropped is a surface change, made here on purpose
     SURFACE = {
         "hill": [
             ("--delta", None, None),
@@ -493,7 +514,6 @@ class TestSurface:
         ],
         "sweep": [
             ("--deltas", None, None),
-            ("--jobs", 1, None),
             ("--modes", None, None),
             ("--onset-gain", None, None),
             ("--out", None, None),
@@ -657,7 +677,7 @@ class TestLibrarySurface:
             ),
             "config_fingerprint": "(config, onset_gain)",
             "find_threshold": "(spec, bracket, tol, config, onset_gain=100.0)",
-            "sweep": "(variant, deltas, sigmas, config, onset_gain=100.0, m=1, jobs=1)",
+            "sweep": "(variant, deltas, sigmas, config, onset_gain=100.0, m=1)",
         },
     }
 

@@ -3,6 +3,7 @@ import io
 import itertools
 import math
 import signal
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -65,6 +66,19 @@ class TestMakeInitial:
     def test_non_finite_sigma_rejected(self, sigma):
         with pytest.raises(ValueError):
             make_initial(sigma)
+
+    def test_sigma_bounded_where_the_quartic_energy_overflows(self):
+        # from float max ** 1/4 up, y**4 in the initial energy raises
+        # OverflowError; the next float below it is accepted
+        limit = sys.float_info.max**0.25
+        below = math.nextafter(limit, 0.0)
+        for sigma in (below, -below):
+            st = make_initial(sigma)
+            assert st.y == (sigma,)
+            assert math.isfinite(energy(ISO, st).total)
+        for sigma in (limit, -limit, 1e200):
+            with pytest.raises(ValueError, match="sigma"):
+                make_initial(sigma, 2)
 
 
 class TestConfigValidation:
@@ -298,6 +312,23 @@ class TestBlowUp:
             ISO, make_initial(1e9), cfg(scheme=Scheme.ADAPTIVE_EMBEDDED, t_end=1.0)
         )
         assert traj.terminated_early is not None
+
+    def test_blow_up_on_the_short_step_onto_t_end(self):
+        # t_end is half a step, so the one step is the short one onto t_end
+        initial = make_initial(1e9)
+        traj = simulate(ISO, initial, cfg(t_end=5e-4))
+        assert traj.terminated_early == (5e-4, "blow-up: state magnitude reached 1e+08")
+        assert len(traj.samples) == 1
+        assert traj.max_torsion == initial.z[0]
+
+    def test_adaptive_step_size_collapse_recorded(self):
+        # no step from a seed of 1e200 passes the error test
+        traj = simulate(
+            ISO,
+            SystemState.single(0.0, 1e200, 0.0, 0.0, 0.0),
+            cfg(scheme=Scheme.ADAPTIVE_EMBEDDED, t_end=1.0),
+        )
+        assert traj.terminated_early == (0.0, "step-size collapse: no acceptable step found")
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -30,6 +30,29 @@ def cpus(monkeypatch):
     return set_cpus
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker count of each pool a sweep starts; the pool runs the
+    tasks in this process."""
+    started = []
+
+    class FakePool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=None):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", FakePool)
+    return started
+
+
 class TestFindThreshold:
     def test_bracket_with_both_endpoints_stable(self):
         config = IntegratorConfig(t_end=50.0)
@@ -371,6 +394,14 @@ th.find_threshold(ModelSpec(Variant.ISOLATED), (1.5, 3.5), 0.25, IntegratorConfi
         assert err.read_text() == ""
 
 
+# (variant, deltas, sigmas, config, modes): sweeps the pool must not change
+SWEEP_CASES = {
+    "cross": (Variant.CROSS_DERIV, [0.01, 0.02], [1.4, 1.6], IntegratorConfig(t_end=5.0), 1),
+    "m2": (Variant.ISOLATED, [0.0], [1.47, 16.0], IntegratorConfig(t_end=2.0), 2),
+    "blow-up": (Variant.ISOLATED, [0.0], [1e9, 1.0], IntegratorConfig(t_end=1.0), 1),
+}
+
+
 class TestSweep:
     def test_rows_in_input_order_with_onset_trends(self):
         config = IntegratorConfig(t_end=60.0)
@@ -424,11 +455,28 @@ class TestSweep:
         assert rows[0].terminated_early[1].startswith("blow-up")
         assert rows[1].terminated_early is None
 
-    def test_parallel_jobs_match_serial(self):
-        config = IntegratorConfig(t_end=5.0)
-        serial = sweep(Variant.CROSS_DERIV, [0.01, 0.02], [1.4, 1.6], config, jobs=1)
-        parallel = sweep(Variant.CROSS_DERIV, [0.01, 0.02], [1.4, 1.6], config, jobs=2)
-        assert serial == parallel
+    def test_parallel_jobs_match_serial(self, cpus, monkeypatch, tmp_path):
+        # runs go to pool workers with 2 usable CPUs and stay here with 1
+        log = tmp_path / "runs"
+        real = fishbone.threshold.simulate
+
+        def spy(*args, **kw):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return real(*args, **kw)
+
+        monkeypatch.setattr(fishbone.threshold, "simulate", spy)
+        for variant, deltas, sigmas, config, m in SWEEP_CASES.values():
+            rows, pids = [], []
+            for n in (1, 2):
+                cpus(n)
+                log.write_text("")
+                rows.append(sweep(variant, deltas, sigmas, config, m=m))
+                pids.append({int(pid) for pid in log.read_text().split()})
+                assert multiprocessing.active_children() == []
+            # repr tells every float apart, and a nan energy (m=2) from no other
+            assert repr(rows[0]) == repr(rows[1])
+            assert pids[0] == {os.getpid()} and os.getpid() not in pids[1]
 
     @pytest.mark.parametrize("deltas,sigmas", [
         ([0.01, -1.0], [1.0]),
@@ -454,40 +502,47 @@ class TestSweep:
         rows = sweep(Variant.ISOLATED, [0.02], [1.0], IntegratorConfig(t_end=0.1))
         assert (rows[0].delta, rows[0].sigma) == (0.02, 1.0)
 
-    def test_jobs_below_one_rejected(self):
-        with pytest.raises(ValueError, match="jobs"):
-            sweep(Variant.CROSS_DERIV, [0.01], [1.0], IntegratorConfig(t_end=0.1),
-                  jobs=0)
-
-    def test_worker_count_capped(self, monkeypatch):
-        # a process pool may start all its workers at the first submit, so
-        # the count must not exceed the runs or the CPUs
-        pools = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(fishbone.threshold, "ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    def test_worker_count_capped(self, cpus, pools):
+        # a pool starts all its workers at once, so there are no more than
+        # runs or usable CPUs, and one run starts none
         config = IntegratorConfig(t_end=0.01)
-        rows = sweep(Variant.CROSS_DERIV, [0.01, 0.02], [1.0, 1.1, 1.2], config,
-                     jobs=5000)
+        cpus(4)
+        rows = sweep(Variant.CROSS_DERIV, [0.01, 0.02], [1.0, 1.1, 1.2], config)
         assert len(rows) == 6
-        sweep(Variant.CROSS_DERIV, [0.01], [1.0, 1.1], config, jobs=5000)
+        sweep(Variant.CROSS_DERIV, [0.01], [1.0, 1.1], config)
+        sweep(Variant.CROSS_DERIV, [0.01], [1.0], config)
         assert pools == [4, 2]
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        sweep(Variant.CROSS_DERIV, [0.01], [1.0, 1.1], config, jobs=8)
-        assert pools == [4, 2]
+
+    @pytest.mark.parametrize("cause", ["one-cpu", "daemonic", "threaded"])
+    def test_serial_without_a_free_cpu_or_a_safe_fork(self, cpus, pools, monkeypatch, cause):
+        # the rule of the threshold look-ahead, _fork_context
+        cpus(2)
+        if cause == "one-cpu":
+            cpus(1)
+        elif cause == "daemonic":
+            monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+        else:
+            monkeypatch.setattr(fishbone.threshold.threading, "active_count", lambda: 2)
+        rows = sweep(Variant.CROSS_DERIV, [0.01], [1.0, 1.1], IntegratorConfig(t_end=0.01))
+        assert len(rows) == 2 and pools == []
+
+    def test_no_worker_outlives_the_sweep(self, cpus, monkeypatch):
+        cpus(2)
+        config = IntegratorConfig(t_end=0.1)
+        sweep(Variant.CROSS_DERIV, [0.01], [1.0, 1.1, 1.2], config)
+        assert multiprocessing.active_children() == []
+        real = fishbone.threshold.simulate
+
+        def failing(spec, initial, *args, **kw):
+            if initial.y[0] == 1.1:
+                raise RuntimeError(f"run failed in {os.getpid()}")
+            return real(spec, initial, *args, **kw)
+
+        monkeypatch.setattr(fishbone.threshold, "simulate", failing)
+        with pytest.raises(RuntimeError, match="run failed in") as err:
+            sweep(Variant.CROSS_DERIV, [0.01], [1.0, 1.1, 1.2], config)
+        assert str(err.value) != f"run failed in {os.getpid()}"
+        assert multiprocessing.active_children() == []
 
     def test_csv_with_empty_onset_field(self):
         config = IntegratorConfig(t_end=5.0)

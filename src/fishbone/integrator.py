@@ -71,7 +71,7 @@ MAX_STEPS = 10**9
 #: samples (``_check_sample_memory``).
 MAX_SAMPLES = 10**7
 
-#: |sigma| from here up overflows the quartic term of the initial energy.
+#: |sigma| from here up overflows the quartic term of the m = 1 initial energy.
 _SIGMA_LIMIT = sys.float_info.max**0.25
 
 #: Hard floor on adaptive step size, relative to the current time scale.
@@ -240,8 +240,10 @@ def make_initial(sigma: float, m: int = 1) -> SystemState:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if not abs(sigma) < _SIGMA_LIMIT:
-        raise ValueError(f"sigma must be finite with |sigma| < {_SIGMA_LIMIT:.6g}, got {sigma}")
+    if not abs(sigma) < (_SIGMA_LIMIT if m == 1 else math.inf):
+        raise ValueError(
+            f"sigma must be finite (and below {_SIGMA_LIMIT:.6g} at m = 1), got {sigma}"
+        )
     y = (float(sigma),) + (0.0,) * (m - 1)
     z = (float(sigma) * 1e-4,) + (0.0,) * (m - 1)
     zeros = (0.0,) * m
@@ -706,9 +708,10 @@ def check_onset_gain(onset_gain: float) -> None:
         raise ValueError("onset_gain must be finite and exceed 1")
 
 
-def _check_sample_memory(spec: ModelSpec, config: IntegratorConfig) -> None:
+def _check_sample_memory(spec: ModelSpec, config: IntegratorConfig) -> int:
     """Reject a run whose samples would hold more doubles than MAX_SAMPLES
-    one-mode samples of 5 doubles (400 MB).
+    one-mode samples of 5 doubles (400 MB); else return how many such runs
+    that budget holds at once.
 
     A sample is 4m + 1 doubles, so at m = 1 this is the check that
     ``IntegratorConfig`` makes, and at m = 1000 it admits about 12 500
@@ -720,6 +723,7 @@ def _check_sample_memory(spec: ModelSpec, config: IntegratorConfig) -> None:
             f"samples would hold {doubles:.3g} doubles (t_end / sample_every "
             f"times 4m + 1); at most {5 * MAX_SAMPLES:.0e} (400 MB)"
         )
+    return int(5 * MAX_SAMPLES // doubles)
 
 
 def simulate(

@@ -20,7 +20,8 @@ from collections import deque
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from .integrator import IntegratorConfig, OnsetEvent, Scheme, make_initial, simulate
+from .integrator import (IntegratorConfig, OnsetEvent, Scheme, _check_sample_memory,
+                         make_initial, simulate)
 from .model import ModelSpec, SystemState, Variant, energy
 
 __all__ = [
@@ -297,12 +298,12 @@ def sweep(
 ) -> list[SweepRow]:
     """One run per (delta, sigma) pair, rows in input (delta-major) order.
 
-    Every delta and sigma is checked before the first run, and neither list
-    may be empty.  Early termination of a run is recorded in its row and
-    never aborts the rest of the sweep.  Runs are independent, so when
-    ``_fork_context`` allows children they fan out to min(runs, usable
-    CPUs) pool workers with the same rows; otherwise, as in a process bound
-    to one CPU, they run here in turn.
+    Every delta and sigma, and the runs' sample memory, are checked before
+    the first run; neither list may be empty.  Early termination of a run is
+    recorded in its row and never aborts the sweep.  When ``_fork_context``
+    allows children, the runs fan out to as many worker processes as there
+    are runs, usable CPUs, and runs the one-run sample budget holds at once,
+    with the same rows; otherwise they run here in turn.
     """
     if not deltas or not sigmas:
         raise ValueError("deltas and sigmas must not be empty")
@@ -312,10 +313,12 @@ def sweep(
         (d, s, ModelSpec(variant, m=m, delta=d), make_initial(s, m), config, onset_gain)
         for d, s in itertools.product(map(float, deltas), map(float, sigmas))
     ]
+    in_budget = _check_sample_memory(tasks[0][2], config)
     ctx = _fork_context()
-    workers = 1 if ctx is None else min(len(tasks), len(os.sched_getaffinity(0)))
+    workers = 1 if ctx is None else min(len(tasks), len(os.sched_getaffinity(0)), in_budget)
     if workers > 1:
-        # a task per run, as run costs differ widely; the exit reaps every worker
-        with ctx.Pool(workers) as pool:
-            return pool.map(_sweep_task, tasks, chunksize=1)
+        # a worker that dies raises BrokenProcessPool here; the exit reaps them all
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(workers, mp_context=ctx) as pool:
+            return list(pool.map(_sweep_task, tasks))
     return [_sweep_task(t) for t in tasks]

@@ -413,6 +413,19 @@ class TestSweep:
         assert "sigma" in res.stderr and "Traceback" not in res.stderr
         assert not out.exists()
 
+    def test_pool_library_imported_only_for_a_pool(self):
+        code = "import sys, fishbone.cli; print('concurrent.futures' in sys.modules)"
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             timeout=60, env=ENV)
+        assert res.stdout == "False\n", res.stderr
+
+    def test_sigma_past_the_energy_range_at_two_modes_blows_up(self):
+        # the bound is where the m = 1 energy overflows; m = 2 has no energy
+        res = run_cli("sweep", "--variant", "isolated", "--modes", "2", "--deltas", "0",
+                      "--sigmas", "1e100", "--t-end", "1", "--out", "-")
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[1] == "0,1e+100,,1e+96,nan,nan"
+
 
 class TestOutputPins:
     # SHA-256 of every byte a writer emits: the '# key=value' headers, the

@@ -78,6 +78,13 @@ class TestMakeInitial:
             assert math.isfinite(energy(ISO, st).total)
         for sigma in (limit, -limit, 1e200):
             with pytest.raises(ValueError, match="sigma"):
+                make_initial(sigma)
+
+    def test_sigma_unbounded_without_an_energy(self):
+        # m > 1 has no energy function, so only a non-finite sigma is refused
+        assert make_initial(1e200, 2).y == (1e200, 0.0)
+        for sigma in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="sigma"):
                 make_initial(sigma, 2)
 
 
@@ -136,6 +143,14 @@ class TestConfigValidation:
         _check_sample_memory(spec, cfg(h=1.0, sample_every=1.0, t_end=12496.0))
         with pytest.raises(ValueError, match="400 MB"):
             _check_sample_memory(spec, cfg(h=1.0, sample_every=1.0, t_end=12497.0))
+
+    def test_sample_memory_says_how_many_runs_fit(self):
+        # what a sweep's pool may hold at once: the default 20 000 samples of
+        # 5 doubles fit 500 times, 10 000 samples of 2001 doubles twice
+        assert _check_sample_memory(ISO, cfg()) == 500
+        spec = ModelSpec(Variant.ISOLATED, m=500)
+        assert _check_sample_memory(spec, cfg(t_end=100.0)) == 2
+        assert _check_sample_memory(spec, cfg(t_end=125.0)) == 1
 
     def test_simulate_rejects_sample_memory_before_running(self, monkeypatch):
         # 20 001 samples of 4001 doubles: 640 MB at the default sampling

@@ -1,3 +1,4 @@
+import concurrent.futures
 import io
 import math
 import multiprocessing
@@ -37,8 +38,9 @@ def pools(monkeypatch):
     started = []
 
     class FakePool:
-        def __init__(self, processes):
-            started.append(processes)
+        def __init__(self, max_workers, mp_context):
+            assert mp_context is multiprocessing.get_context("fork")
+            started.append(max_workers)
 
         def __enter__(self):
             return self
@@ -46,10 +48,10 @@ def pools(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks, chunksize=None):
-            return [fn(t) for t in tasks]
+        def map(self, fn, tasks):
+            return map(fn, tasks)
 
-    monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     return started
 
 
@@ -502,9 +504,10 @@ class TestSweep:
         rows = sweep(Variant.ISOLATED, [0.02], [1.0], IntegratorConfig(t_end=0.1))
         assert (rows[0].delta, rows[0].sigma) == (0.02, 1.0)
 
-    def test_worker_count_capped(self, cpus, pools):
+    def test_worker_count_capped(self, cpus, pools, monkeypatch):
         # a pool starts all its workers at once, so there are no more than
-        # runs or usable CPUs, and one run starts none
+        # runs, usable CPUs, or runs whose samples one run's memory budget
+        # holds, and one run starts none
         config = IntegratorConfig(t_end=0.01)
         cpus(4)
         rows = sweep(Variant.CROSS_DERIV, [0.01, 0.02], [1.0, 1.1, 1.2], config)
@@ -512,6 +515,19 @@ class TestSweep:
         sweep(Variant.CROSS_DERIV, [0.01], [1.0, 1.1], config)
         sweep(Variant.CROSS_DERIV, [0.01], [1.0], config)
         assert pools == [4, 2]
+        for in_budget in (3, 1):
+            monkeypatch.setattr(fishbone.threshold, "_check_sample_memory",
+                                lambda spec, config: in_budget)
+            sweep(Variant.CROSS_DERIV, [0.01, 0.02], [1.0, 1.1, 1.2], config)
+        assert pools == [4, 2, 3]
+
+    def test_sample_memory_checked_before_first_run(self, monkeypatch):
+        # 20 001 samples of 4001 doubles are more than one run may hold
+        calls = []
+        monkeypatch.setattr(fishbone.threshold, "simulate", lambda *a, **kw: calls.append(a))
+        with pytest.raises(ValueError, match="400 MB"):
+            sweep(Variant.ISOLATED, [0.0], [1.0, 1.1], IntegratorConfig(), m=1000)
+        assert calls == []
 
     @pytest.mark.parametrize("cause", ["one-cpu", "daemonic", "threaded"])
     def test_serial_without_a_free_cpu_or_a_safe_fork(self, cpus, pools, monkeypatch, cause):
@@ -543,6 +559,40 @@ class TestSweep:
             sweep(Variant.CROSS_DERIV, [0.01], [1.0, 1.1, 1.2], config)
         assert str(err.value) != f"run failed in {os.getpid()}"
         assert multiprocessing.active_children() == []
+
+    def test_dead_worker_raises(self, tmp_path):
+        # a worker killed outright (by the OOM killer, say) raises here,
+        # where a multiprocessing.Pool would wait for its task for ever; run
+        # in a child process group, so a hang is killed with its workers
+        script = tmp_path / "dead_worker.py"
+        script.write_text(
+            "import multiprocessing, os, signal\n"
+            "import fishbone.threshold as th\n"
+            "from fishbone.integrator import IntegratorConfig\n"
+            "from fishbone.model import Variant\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "here, real = os.getpid(), th.simulate\n"
+            "def dying(spec, initial, *args, **kw):\n"
+            "    if initial.y[0] == 1.1 and os.getpid() != here:\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    return real(spec, initial, *args, **kw)\n"
+            "th.simulate = dying\n"
+            "try:\n"
+            "    th.sweep(Variant.CROSS_DERIV, [0.01], [1.0, 1.1, 1.2], IntegratorConfig(t_end=0.1))\n"
+            "except Exception as e:\n"
+            "    print(type(e).__name__, multiprocessing.active_children())\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(fishbone.threshold.__file__).parents[1]))
+        proc = subprocess.Popen([sys.executable, str(script)], stdout=subprocess.PIPE,
+                                text=True, env=env, start_new_session=True)
+        try:
+            out, _ = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("the sweep still waited on its dead worker after 60 s")
+        assert proc.returncode == 0
+        assert out == "BrokenProcessPool []\n"
 
     def test_csv_with_empty_onset_field(self):
         config = IntegratorConfig(t_end=5.0)

@@ -2,10 +2,10 @@
 # Write the byte-level output contract of the checkout in the current
 # directory into DIR: every `simulate` preset CSV, the trajectory CSVs of
 # paths the presets do not take (three modes, the adaptive scheme, a
-# blow-up, standard output), the standard threshold report, threshold
-# searches of other models, schemes and invalid brackets, sweeps of the
-# three variants, and the prop2-grid chart, each with its exit code in
-# NAME.exit.
+# blow-up under each scheme, standard output), the standard threshold
+# report, threshold searches of other models, schemes and invalid
+# brackets, sweeps of the three variants, and the prop2-grid chart, each
+# with its exit code in NAME.exit.
 # Two checkouts give the same DIR contents exactly when their outputs agree:
 #   (cd base && scripts/contract_outputs.sh /tmp/a)
 #   (cd head && scripts/contract_outputs.sh /tmp/b) && diff -r /tmp/a /tmp/b
@@ -42,6 +42,8 @@ run modes3.csv simulate --modes 3 --t-end 1
 run adaptive.csv simulate --scheme adaptive_embedded --t-end 5
 # onset, then blow-up after three samples: exit 4, partial CSV
 run blowup.csv simulate --sigma 1100 --t-end 1
+# a blow-up on an adaptive step: exit 4 at t=4.87271e-05
+run blowup-adaptive.csv simulate --scheme adaptive_embedded --sigma 12000 --t-end 1
 # the CSV on standard output, the summary on standard error
 python3 -m fishbone simulate --t-end 0.5 --out - >"$out/stdout.csv" 2>"$out/stdout.csv.stderr"
 echo $? >"$out/stdout.csv.exit"

@@ -11,7 +11,6 @@ from .hill import (
     pure_mode,
 )
 from .integrator import (
-    BlowUpError,
     IntegratorConfig,
     OnsetEvent,
     Scheme,
@@ -38,7 +37,6 @@ from .threshold import (
 )
 
 __all__ = [
-    "BlowUpError",
     "EnergyBreakdown",
     "ForcedHillCheck",
     "HillStabilityReport",

@@ -29,7 +29,7 @@ import sys
 from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NoReturn, Optional
 
 from .model import (
     EnergyBreakdown,
@@ -47,7 +47,6 @@ __all__ = [
     "IntegratorConfig",
     "OnsetEvent",
     "Trajectory",
-    "BlowUpError",
     "StepSizeCollapseError",
     "AdaptiveDriver",
     "check_onset_gain",
@@ -213,15 +212,6 @@ class Trajectory:
     def initial_energy(self) -> Optional[float]:
         e = self.samples[0][1]
         return None if e is None else e.total
-
-
-class BlowUpError(RuntimeError):
-    """A state component reached ``limit`` in magnitude or became non-finite."""
-
-    def __init__(self, t: float, limit: float = BLOWUP_LIMIT):
-        self.t = t
-        self.limit = limit
-        super().__init__(f"state magnitude exceeded {limit:g} at t={t:.6g}")
 
 
 class StepSizeCollapseError(RuntimeError):
@@ -482,10 +472,10 @@ class AdaptiveDriver:
     callers track onset events, running maxima, or dense output.
 
     ``t0`` and every component of ``u0`` must be finite, ``u0`` non-empty,
-    ``h0`` and both tolerances finite and positive, and ``magnitude_limit``
-    None (no guard) or positive; a ValueError says which is not.  A step
-    that takes a component to the limit in magnitude, or to NaN, raises
-    BlowUpError with that limit.
+    and ``h0`` and both tolerances finite and positive; a ValueError says
+    which is not.  Only a step with every component finite is accepted;
+    how large a state may grow is the caller's rule, which ``simulate``
+    applies to each accepted step through ``on_step``.
     """
 
     def __init__(
@@ -496,7 +486,6 @@ class AdaptiveDriver:
         rel_tol: float = 1e-10,
         abs_tol: float = 1e-12,
         h0: float = 1e-3,
-        magnitude_limit: Optional[float] = None,
     ):
         self.f = f
         self.t = float(t0)
@@ -504,7 +493,6 @@ class AdaptiveDriver:
         self.rel_tol = rel_tol
         self.abs_tol = abs_tol
         self.h = float(h0)
-        self.magnitude_limit = magnitude_limit
         self._k1: Optional[tuple[float, ...]] = None
         if not math.isfinite(self.t):
             raise ValueError("t0 must be finite")
@@ -516,8 +504,6 @@ class AdaptiveDriver:
         for name, v in (("h0", self.h), ("rel_tol", rel_tol), ("abs_tol", abs_tol)):
             if not 0.0 < v < math.inf:
                 raise ValueError(f"{name} must be finite and positive")
-        if magnitude_limit is not None and not magnitude_limit > 0.0:
-            raise ValueError("magnitude_limit must be positive or None")
 
     def advance(
         self,
@@ -610,10 +596,6 @@ class AdaptiveDriver:
             self.t = tnew
             self.u = unew
             self._k1 = k6
-            if self.magnitude_limit is not None and any(
-                not (abs(v) < self.magnitude_limit) for v in unew
-            ):
-                raise BlowUpError(tnew, self.magnitude_limit)
             if on_step is not None:
                 on_step(tnew, unew)
         return self.t, self.u
@@ -651,8 +633,17 @@ _BLOWUP_REASON = f"blow-up: state magnitude reached {BLOWUP_LIMIT:g}"
 _ONSET_REASON = "stopped at onset"
 
 
-class _OnsetReached(Exception):
-    """Ends a run that stops at its onset step; the observer has recorded it."""
+def _within_guard(u: Sequence[float]) -> bool:
+    """Whether every component lies strictly inside +-BLOWUP_LIMIT.
+
+    NaN fails the comparison, so a non-finite state is outside; this is
+    the test the fixed-step kernels inline in their loops.
+    """
+    return all(-BLOWUP_LIMIT < v < BLOWUP_LIMIT for v in u)
+
+
+class _Stopped(Exception):
+    """Ends a run early; ``_Observer.stop`` has recorded why and when."""
 
 
 class _Observer:
@@ -661,13 +652,14 @@ class _Observer:
     Every driver hands it the flat state (y..., z..., ydot..., zdot...) as
     a tuple of floats, so z1 is ``u[m]``.  ``level`` is the |z1| at which
     the onset fires, and inf once it has fired or when the seed is zero.
-    The fixed-step loop tracks the running max and the level in its kernel
-    and calls ``fire`` at the onset step; ``watch`` does both for every
-    accepted step of the adaptive driver.  ``record`` appends every sample
-    to the flat array behind ``traj.samples``.
-    The drivers write an early termination into ``traj`` too.  With
-    ``stop_at_onset`` the onset step is recorded as the last sample and
-    ``fire`` raises _OnsetReached.
+    The fixed-step loop tracks the guard, the running max and the level in
+    its kernel and calls ``fire`` at the onset step; ``watch`` does all
+    three for every accepted step of the adaptive driver.  ``record``
+    appends every sample to the flat array behind ``traj.samples``.
+    Every early end of a run, a blow-up, a step-size collapse or the onset
+    step under ``stop_at_onset`` (recorded as the last sample), goes
+    through ``stop``, which writes ``traj.terminated_early`` and raises
+    _Stopped for ``simulate`` to catch.
     """
 
     def __init__(
@@ -682,6 +674,8 @@ class _Observer:
         self.record(t0, u0)
 
     def watch(self, t: float, u: tuple[float, ...]) -> None:
+        if not _within_guard(u):
+            self.stop(t, _BLOWUP_REASON)
         az = abs(u[self.m])
         if az > self.traj.max_torsion:
             self.traj.max_torsion = az
@@ -694,8 +688,11 @@ class _Observer:
         traj.onset = OnsetEvent(t_onset=t, gain=abs(u[self.m]) / self.z_seed)
         if self.stop_at_onset:
             self.record(t, u)
-            traj.terminated_early = (t, _ONSET_REASON)
-            raise _OnsetReached
+            self.stop(t, _ONSET_REASON)
+
+    def stop(self, t: float, reason: str) -> NoReturn:
+        self.traj.terminated_early = (t, reason)
+        raise _Stopped
 
     def record(self, t: float, u: tuple[float, ...]) -> None:
         self.buf.append(t)
@@ -740,9 +737,11 @@ def simulate(
     onset_gain times |z1(0)|; detection is disabled when the torsional seed
     is exactly zero.  Blow-up or step-size collapse stops the run early and
     is reported in ``terminated_early``; samples up to that point are kept.
-    A non-finite initial state is a blow-up under either scheme.  With
-    ``stop_at_onset`` the run also ends at the onset step, which becomes
-    the last sample, and ``terminated_early`` is
+    A blow-up is a state component at or beyond BLOWUP_LIMIT in magnitude,
+    or NaN.  The run checks it on the initial state, where it stops the run
+    at t0 with the seed as the only sample, and on every step of either
+    scheme.  With ``stop_at_onset`` the run also ends at the onset step,
+    which becomes the last sample, and ``terminated_early`` is
     ``(t_onset, "stopped at onset")``.
     """
     check_onset_gain(onset_gain)
@@ -752,12 +751,14 @@ def simulate(
     t0, u0 = initial.t, initial.flat()
     obs = _Observer(spec, t0, u0, onset_gain, stop_at_onset)
     try:
+        if not _within_guard(u0):
+            obs.stop(t0, _BLOWUP_REASON)
         if config.scheme is Scheme.ADAPTIVE_EMBEDDED:
             _run_adaptive(obs, t0, u0, config)
         else:
             advance = _rk4_1m(spec) if spec.m == 1 else _rk4_m(spec)
             _run_fixed(obs, advance, t0, u0, config)
-    except _OnsetReached:
+    except _Stopped:
         pass
     return obs.traj
 
@@ -783,8 +784,7 @@ def _run_fixed(
         i += k
         traj.max_torsion = peak
         if u is None:
-            traj.terminated_early = (t0 + i * h, _BLOWUP_REASON)
-            return
+            obs.stop(t0 + i * h, _BLOWUP_REASON)
         if fired:
             obs.fire(t0 + i * h, u)
         if i % n_sub == 0:
@@ -794,8 +794,7 @@ def _run_fixed(
         traj.max_torsion = peak
         t = t0 + config.t_end
         if u is None:
-            traj.terminated_early = (t, _BLOWUP_REASON)
-            return
+            obs.stop(t, _BLOWUP_REASON)
         if fired:
             obs.fire(t, u)
         obs.record(t, u)
@@ -804,12 +803,7 @@ def _run_fixed(
 
 
 def _run_adaptive(obs: _Observer, t0: float, u0, config: IntegratorConfig) -> None:
-    """Dormand-Prince onto each sample time; the driver's guard stops blow-up."""
-    # the driver rejects a non-finite state; to simulate it is a blow-up
-    # signal, as in the fixed scheme
-    if not all(math.isfinite(v) for v in u0):
-        obs.traj.terminated_early = (t0, _BLOWUP_REASON)
-        return
+    """Dormand-Prince onto each sample time; ``obs.watch`` guards each step."""
     driver = AdaptiveDriver(
         _tuple_rhs(obs.traj.spec),
         t0,
@@ -817,7 +811,6 @@ def _run_adaptive(obs: _Observer, t0: float, u0, config: IntegratorConfig) -> No
         rel_tol=config.rel_tol,
         abs_tol=config.abs_tol,
         h0=config.h,
-        magnitude_limit=BLOWUP_LIMIT,
     )
     # a sample interval longer than the horizon still ends on t_end
     n_samples = max(1, math.ceil(config.t_end / config.sample_every - 1e-9))
@@ -825,7 +818,5 @@ def _run_adaptive(obs: _Observer, t0: float, u0, config: IntegratorConfig) -> No
         for k in range(1, n_samples + 1):
             target = t0 + min(k * config.sample_every, config.t_end)
             obs.record(*driver.advance(target, on_step=obs.watch))
-    except BlowUpError as exc:
-        obs.traj.terminated_early = (exc.t, _BLOWUP_REASON)
     except StepSizeCollapseError as exc:
-        obs.traj.terminated_early = (exc.t, "step-size collapse: no acceptable step found")
+        obs.stop(exc.t, "step-size collapse: no acceptable step found")

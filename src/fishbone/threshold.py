@@ -16,7 +16,6 @@ import multiprocessing
 import os
 import signal
 import threading
-from collections import deque
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -158,16 +157,16 @@ def _run_ahead(reader, writer, search, spec, config, onset_gain) -> None:
 def _probe_ahead(ctx, search, spec, sigma, config, onset_gain):
     """Probe sigma here while a forked child runs the serial search ahead.
 
-    Returns sigma's onset and, if sigma is quiet, every (sigma, onset) pair
-    the child sent, in serial order.  The child is killed and reaped before
-    this returns or raises.
+    Returns [(sigma, onset)] and, if sigma is quiet, every (sigma, onset)
+    pair the child sent after it, in serial order.  The child is killed and
+    reaped before this returns or raises.
     """
     if ctx is None:
-        return _probe(spec, sigma, config, onset_gain), []
+        return [(sigma, _probe(spec, sigma, config, onset_gain))]
     try:
         reader, writer = ctx.Pipe(duplex=False)
     except OSError:  # no file descriptor to spare: this probe runs alone
-        return _probe(spec, sigma, config, onset_gain), []
+        return [(sigma, _probe(spec, sigma, config, onset_gain))]
     child = ctx.Process(
         target=_run_ahead, args=(reader, writer, search, spec, config, onset_gain), daemon=True
     )
@@ -178,14 +177,14 @@ def _probe_ahead(ctx, search, spec, sigma, config, onset_gain):
     writer.close()  # the child has its own copy
     try:
         onset = _probe(spec, sigma, config, onset_gain)
-        ahead = []
+        probes = [(sigma, onset)]
         if onset is None:
             try:
                 while True:
-                    ahead.append(reader.recv())
+                    probes.append(reader.recv())
             except EOFError:  # the child stopped, its search ended, or a probe raised
                 pass
-        return onset, ahead
+        return probes
     finally:
         reader.close()
         if child is not None:
@@ -242,20 +241,15 @@ def find_threshold(
 
     ctx = _fork_context()
     search = _bisection(lo, hi, tol)
-    ahead: deque = deque()  # verdicts a child ran ahead, in serial order
     sigma = next(search)
-    while True:
-        if ahead:
-            ran, onset = ahead.popleft()
-            assert ran == sigma
-        else:
-            onset, more = _probe_ahead(ctx, search, spec, sigma, config, onset_gain)
-            ahead.extend(more)
-        try:
-            sigma = search.send(onset)
-        except StopIteration as done:
-            lo, hi, onset_hi = done.value
-            break
+    try:
+        while True:
+            # the probe here, then the verdicts a child ran ahead, in serial order
+            for ran, onset in _probe_ahead(ctx, search, spec, sigma, config, onset_gain):
+                assert ran == sigma
+                sigma = search.send(onset)
+    except StopIteration as done:
+        lo, hi, onset_hi = done.value
 
     sigma_star = 0.5 * (lo + hi)
     # no energy function is defined for m > 1

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from fishbone.hill import FORCED_MAGNITUDE_LIMIT, ForcedHillCheck
-from fishbone.integrator import AdaptiveDriver, BlowUpError
+from fishbone.integrator import AdaptiveDriver
 from fishbone.model import ModelSpec, SystemState, rhs_one_mode
 
 
@@ -207,10 +207,11 @@ def forced_check_by_long_integration(mode, delta: float, horizon_periods: int) -
 
     xi'' + a(t) xi = -delta ybar' runs from rest together with ybar at the
     tolerances of the forced check; the running max |xi| over the accepted
-    steps of each period is that period's maximum.  The driver's magnitude
-    guard (on every component) ends the run inside the period that reaches
-    FORCED_MAGNITUDE_LIMIT, which still counts as completed.  The verdict
-    rule and the growth-rate fit are those of ``forced_check``.
+    steps of each period is that period's maximum.  A magnitude guard on
+    every component, checked on each accepted step before the running max,
+    ends the run inside the period that reaches FORCED_MAGNITUDE_LIMIT,
+    which still counts as completed.  The verdict rule and the growth-rate
+    fit are those of ``forced_check``.
     """
     t_period = mode.period
 
@@ -223,14 +224,16 @@ def forced_check_by_long_integration(mode, delta: float, horizon_periods: int) -
             -(7.0 + 13.5 * y * y) * xi - delta * yd,
         )
 
-    driver = AdaptiveDriver(
-        f, 0.0, (mode.eta0, mode.eta1, 0.0, 0.0), 1e-10, 1e-12,
-        magnitude_limit=FORCED_MAGNITUDE_LIMIT,
-    )
+    driver = AdaptiveDriver(f, 0.0, (mode.eta0, mode.eta1, 0.0, 0.0), 1e-10, 1e-12)
     peak = 0.0
+
+    class BlowUp(Exception):
+        pass
 
     def track(t, u):
         nonlocal peak
+        if not all(abs(v) < FORCED_MAGNITUDE_LIMIT for v in u):
+            raise BlowUp
         peak = max(peak, abs(u[2]))
 
     period_maxima = []
@@ -239,7 +242,7 @@ def forced_check_by_long_integration(mode, delta: float, horizon_periods: int) -
             peak = 0.0
             driver.advance((k + 1) * t_period, on_step=track)
             period_maxima.append(peak)
-    except BlowUpError:
+    except BlowUp:
         period_maxima.append(peak)
 
     pts = [((k + 0.5) * t_period, math.log(v)) for k, v in enumerate(period_maxima) if v > 0.0]

@@ -228,6 +228,15 @@ class TestSimulate:
         assert out.exists()
         assert len(out.read_text().splitlines()) >= 2
 
+    def test_seed_beyond_guard_is_a_blow_up_under_adaptive(self):
+        # the same exit as fixed RK4, not a quiet step-size collapse
+        res = run_cli(
+            "simulate", "--scheme", "adaptive_embedded", "--sigma", "1e12",
+            "--t-end", "1", "--out", "-",
+        )
+        assert res.returncode == 4, res.stderr
+        assert "blow-up" in res.stderr
+
 
 class TestHill:
     def test_single_energy(self):
@@ -582,13 +591,13 @@ class TestLibrarySurface:
 
     ALL = {
         "fishbone": [
-            "BlowUpError", "EnergyBreakdown", "ForcedHillCheck",
-            "HillStabilityReport", "IntegratorConfig", "InvalidBracketError",
-            "ModelSpec", "OnsetEvent", "PureVerticalMode", "Scheme", "Stability",
-            "SweepRow", "SystemState", "ThresholdResult", "Trajectory", "Variant",
-            "classify", "energy", "find_threshold", "forced_check", "make_initial",
-            "mode_from_energy", "pure_mode", "rhs_m_mode", "rhs_one_mode",
-            "simulate", "sweep", "vertical_mode_energy",
+            "EnergyBreakdown", "ForcedHillCheck", "HillStabilityReport",
+            "IntegratorConfig", "InvalidBracketError", "ModelSpec", "OnsetEvent",
+            "PureVerticalMode", "Scheme", "Stability", "SweepRow", "SystemState",
+            "ThresholdResult", "Trajectory", "Variant", "classify", "energy",
+            "find_threshold", "forced_check", "make_initial", "mode_from_energy",
+            "pure_mode", "rhs_m_mode", "rhs_one_mode", "simulate", "sweep",
+            "vertical_mode_energy",
         ],
         "fishbone.model": [
             "EnergyBreakdown", "MAX_MODES", "ModelSpec", "SystemState", "Variant",
@@ -596,10 +605,9 @@ class TestLibrarySurface:
             "vertical_mode_energy",
         ],
         "fishbone.integrator": [
-            "AdaptiveDriver", "BLOWUP_LIMIT", "BlowUpError", "IntegratorConfig",
-            "MAX_SAMPLES", "MAX_STEPS", "OnsetEvent", "Scheme",
-            "StepSizeCollapseError", "Trajectory", "check_onset_gain",
-            "make_initial", "simulate",
+            "AdaptiveDriver", "BLOWUP_LIMIT", "IntegratorConfig", "MAX_SAMPLES",
+            "MAX_STEPS", "OnsetEvent", "Scheme", "StepSizeCollapseError",
+            "Trajectory", "check_onset_gain", "make_initial", "simulate",
         ],
         "fishbone.hill": [
             "ForcedHillCheck", "HARMONIC_PERIOD", "HillStabilityReport",
@@ -634,11 +642,9 @@ class TestLibrarySurface:
         },
         "fishbone.integrator": {
             "AdaptiveDriver.__init__": (
-                "(self, f, t0, u0, rel_tol=1e-10, abs_tol=1e-12, h0=0.001, "
-                "magnitude_limit=None)"
+                "(self, f, t0, u0, rel_tol=1e-10, abs_tol=1e-12, h0=0.001)"
             ),
             "AdaptiveDriver.advance": "(self, t_target, on_step=None)",
-            "BlowUpError.__init__": "(self, t, limit=100000000.0)",
             "IntegratorConfig.__init__": (
                 "(self, scheme=<Scheme.FIXED_RK4: 'fixed_rk4'>, h=0.001, "
                 "rel_tol=1e-10, abs_tol=1e-12, t_end=200.0, sample_every=0.01)"

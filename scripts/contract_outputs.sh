@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Write the byte-level output contract of the checkout in the current
 # directory into DIR: every `simulate` preset CSV, the trajectory CSVs of
-# paths the presets do not take (three modes, the adaptive scheme, a
-# blow-up under each scheme, standard output), the standard threshold
-# report, threshold searches of other models, schemes and invalid
-# brackets, sweeps of the three variants, and the prop2-grid chart, each
-# with its exit code in NAME.exit.
+# paths the presets do not take (three modes, the adaptive scheme, a short
+# step onto t_end, a blow-up under each scheme, standard output), the
+# standard threshold report, threshold searches of other models, schemes
+# and invalid brackets, sweeps of the three variants, and the prop2-grid
+# chart, each with its exit code in NAME.exit.
 # Two checkouts give the same DIR contents exactly when their outputs agree:
 #   (cd base && scripts/contract_outputs.sh /tmp/a)
 #   (cd head && scripts/contract_outputs.sh /tmp/b) && diff -r /tmp/a /tmp/b
@@ -40,6 +40,9 @@ for p in $presets; do
 done
 run modes3.csv simulate --modes 3 --t-end 1
 run adaptive.csv simulate --scheme adaptive_embedded --t-end 5
+# 333 steps of 0.003 sampled every 3 steps, then a short step of 0.0014
+# onto t_end
+run tail-step.csv simulate --step 0.003 --t-end 1.0004
 # onset, then blow-up after three samples: exit 4, partial CSV
 run blowup.csv simulate --sigma 1100 --t-end 1
 # a blow-up on an adaptive step: exit 4 at t=4.87271e-05

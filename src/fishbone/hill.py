@@ -77,6 +77,11 @@ MIN_HORIZON_PERIODS = 10
 #: Most forcing periods a forced check may cover: it keeps one float per period.
 MAX_HORIZON_PERIODS = 100_000
 
+#: Largest energy of a pure mode.  The monodromy trace reads its large-E
+#: limit 4.6263252734 from E = 1e25 to 1e40, drifts from 1e42 (4.707 at
+#: 1e44), and at 1e46 the adaptive step collapses.
+_MAX_ENERGY = 1e30
+
 _EVAL_RTOL = 1e-12
 _EVAL_ATOL = 1e-14
 _MONODROMY_RTOL = 1e-11
@@ -102,8 +107,8 @@ def _duffing_rhs(t: float, u: Sequence[float]):
 
 def amplitude_for_energy(e: float) -> float:
     """Turning-point amplitude A with (3/2) A^2 + (3/8) A^4 = e."""
-    if not 0.0 <= e < math.inf:
-        raise ValueError(f"energy must be finite and nonnegative, got {e}")
+    if not 0.0 <= e <= _MAX_ENERGY:
+        raise ValueError(f"energy must be between 0 and {_MAX_ENERGY:g}, got {e}")
     if e == 0.0:
         return 0.0
     return math.sqrt((math.sqrt(2.25 + 1.5 * e) - 1.5) / 0.75)
@@ -442,8 +447,8 @@ def stability_chart(
     Every energy, the horizon and the forcing are checked before the first
     is classified; the horizon is checked with or without forcing.
     """
-    if not all(0.0 < e < math.inf for e in energies):
-        raise ValueError("chart energies must be positive and finite")
+    if not all(0.0 < e <= _MAX_ENERGY for e in energies):
+        raise ValueError(f"chart energies must be positive and at most {_MAX_ENERGY:g}")
     _check_horizon(horizon_periods)
     if forced_delta is not None:
         _check_delta(forced_delta)

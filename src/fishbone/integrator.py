@@ -7,11 +7,10 @@ plain Python floats so that results are bit-deterministic across runs: every
 driver carries the state as one flat tuple of floats (y..., z..., ydot...,
 zdot...), whatever the mode count.
 
-The fixed-step kernel runs all the steps up to the next sample time in one
-Python frame, on local floats: the blow-up guard, the running max of |z1|
-and the onset level are checked there, and the loop around it only fires
-the onset and records samples.  The isolated 1-mode model has a kernel of
-its own, without the aerodynamic terms whose coefficients are zero there.
+The fixed-step kernel, chosen by ``_kernel``, runs all the steps up to the
+next sample time in one Python frame: the blow-up guard, the running max of
+|z1| and the onset level are checked there.  The isolated 1-mode model has
+a kernel of its own, without the aerodynamic terms that are zero there.
 The Dormand-Prince driver writes each stage out as one left-to-right sum,
 so its results are also the same on every Python version.
 
@@ -64,10 +63,10 @@ BLOWUP_LIMIT = 1e8
 #: most of an hour.
 MAX_STEPS = 10**9
 
-#: Largest sample count t_end / sample_every of a one-mode run.  Samples
-#: are kept in memory, 8(4m + 1) bytes each: 40 for m = 1, so 400 MB at the
-#: cap.  A run of m modes may hold as many doubles as this many one-mode
-#: samples (``_check_sample_memory``).
+#: Largest sample count of a one-mode run, as ``_sample_count`` counts it.
+#: Samples are kept in memory, 8(4m + 1) bytes each: 40 for m = 1, so 400 MB
+#: at the cap.  A run of m modes may hold as many doubles as this many
+#: one-mode samples (``_check_sample_memory``).
 MAX_SAMPLES = 10**7
 
 #: |sigma| from here up overflows the quartic term of the m = 1 initial energy.
@@ -87,7 +86,12 @@ class Scheme(enum.Enum):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Scheme selection, step/tolerance settings, horizon, and sampling."""
+    """Scheme selection, step/tolerance settings, horizon, and sampling.
+
+    A run takes at most MAX_STEPS steps t_end / h and MAX_SAMPLES samples,
+    t_end / sample_every under the adaptive scheme and t_end / (h * stride)
+    under fixed RK4, which records every ``_sample_stride`` steps.
+    """
 
     scheme: Scheme = Scheme.FIXED_RK4
     h: float = 1e-3
@@ -100,12 +104,9 @@ class IntegratorConfig:
         for name in ("h", "rel_tol", "abs_tol", "t_end", "sample_every"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.h <= 0.0:
-            raise ValueError("h must be positive")
-        if self.t_end <= 0.0:
-            raise ValueError("t_end must be positive")
-        if self.sample_every <= 0.0:
-            raise ValueError("sample_every must be positive")
+        for name in ("h", "t_end", "sample_every"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be positive")
         if self.h > self.sample_every:
             raise ValueError("h must not exceed sample_every")
         # the drivers count steps and samples as ints; an infinite ratio
@@ -115,12 +116,22 @@ class IntegratorConfig:
                 raise ValueError(f"{name} / h must be finite")
         if self.t_end / self.h > MAX_STEPS:
             raise ValueError(f"t_end / h must be at most {MAX_STEPS} steps")
-        if self.t_end / self.sample_every > MAX_SAMPLES:
-            raise ValueError(
-                f"t_end / sample_every must be at most {MAX_SAMPLES} samples"
-            )
+        if (samples := _sample_count(self)) > MAX_SAMPLES:
+            raise ValueError(f"{samples:.6g} samples; at most {MAX_SAMPLES} samples a run")
         if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
             raise ValueError("tolerances must be positive")
+
+
+def _sample_stride(config: IntegratorConfig) -> int:
+    """Steps of h between two samples of the fixed-step scheme."""
+    return max(1, round(config.sample_every / config.h))
+
+
+def _sample_count(config: IntegratorConfig) -> float:
+    """Samples a run records after its seed: the count both caps bound."""
+    if config.scheme is Scheme.ADAPTIVE_EMBEDDED:
+        return config.t_end / config.sample_every
+    return config.t_end / (config.h * _sample_stride(config))
 
 
 @dataclass(frozen=True)
@@ -308,13 +319,41 @@ def _advance_isolated(u, h, n, peak, level):
     return (y, z, yd, zd), n, peak, False
 
 
-def _rk4_1m(spec: ModelSpec) -> _Advance:
-    """Fixed-step RK4 kernel of the 1-mode system on the flat 4-tuple.
+def _kernel(spec: ModelSpec) -> _Advance:
+    """The fixed-step RK4 ``advance`` of one model, the one place it is chosen.
 
-    The isolated model gets ``_advance_isolated``.  The aerodynamic
-    variants inline ``one_mode_accelerations`` operation for operation, so
-    their steps are bit-identical to calling it.
+    The isolated 1-mode model gets ``_advance_isolated``; the aerodynamic
+    1-mode kernel inlines ``one_mode_accelerations`` operation for
+    operation.  The m-mode kernel calls ``_rhs(spec)`` at t = 0 (the model
+    is autonomous) and forms u + (h/6) (k1 + 2 (k2 + k3) + k4) after the
+    stages u + (h/2) k and u + h k3, in the order the pinned runs check.
     """
+    m = spec.m
+    if m > 1:
+        f = _rhs(spec)
+
+        def advance_m(u, h, n, peak, level):
+            h2 = 0.5 * h
+            h6 = h / 6.0
+            for k in range(1, n + 1):
+                k1 = f(0.0, u)
+                k2 = f(0.0, tuple([a + h2 * b for a, b in zip(u, k1)]))
+                k3 = f(0.0, tuple([a + h2 * b for a, b in zip(u, k2)]))
+                k4 = f(0.0, tuple([a + h * b for a, b in zip(u, k3)]))
+                u = tuple([
+                    a + h6 * (b1 + 2.0 * (b2 + b3) + b4)
+                    for a, b1, b2, b3, b4 in zip(u, k1, k2, k3, k4)
+                ])
+                if not _within_guard(u):
+                    return None, k, peak, False
+                az = abs(u[m])
+                if az >= peak:
+                    peak = az
+                    if az >= level:
+                        return u, k, peak, True
+            return u, n, peak, False
+
+        return advance_m
     if spec.variant is Variant.ISOLATED:
         return _advance_isolated
     c1, c2, c3, c4 = _cross_coefficients(spec)
@@ -364,59 +403,30 @@ def _rk4_1m(spec: ModelSpec) -> _Advance:
     return advance
 
 
-def _flat_rhs_m(spec: ModelSpec) -> Callable[[tuple], tuple]:
+def _rhs(spec: ModelSpec) -> Callable[[float, tuple], tuple]:
+    """The right-hand side ``f(t, u)`` of the model on the flat state tuple:
+    ``one_mode_accelerations`` at m = 1, else ``rhs_m_mode`` on the
+    ``SystemState`` of u.  ``AdaptiveDriver`` and the m-mode kernel take it.
+    """
     m = spec.m
+    if m == 1:
+        c1, c2, c3, c4 = _cross_coefficients(spec)
 
-    def f(u: tuple[float, ...]) -> tuple[float, ...]:
+        def f1(t, u):
+            y, z, yd, zd = u
+            ay, az = one_mode_accelerations(y, z, yd, zd, c1, c2, c3, c4)
+            return (yd, zd, ay, az)
+
+        return f1
+
+    def fm(t, u):
         state = SystemState(
             t=0.0, y=u[:m], z=u[m : 2 * m], ydot=u[2 * m : 3 * m], zdot=u[3 * m :]
         )
         ydd, zdd = rhs_m_mode(spec, state)
         return u[2 * m :] + tuple(ydd.tolist()) + tuple(zdd.tolist())
 
-    return f
-
-
-def _rk4_m(spec: ModelSpec) -> _Advance:
-    """Fixed-step RK4 kernel of the m-mode system on the flat state tuple.
-
-    Each component is u + (h/6) (k1 + 2 (k2 + k3) + k4) after the stage
-    states u + (h/2) k and u + h k3, in exactly that operation order: the
-    order fixes the output bits that the pinned runs check.  The returned
-    ``advance`` has the contract of the 1-mode kernels, with z1 at ``u[m]``.
-    """
-    m = spec.m
-    f = _flat_rhs_m(spec)
-
-    def step(u: tuple[float, ...], h: float) -> Optional[tuple[float, ...]]:
-        h2 = 0.5 * h
-        k1 = f(u)
-        k2 = f(tuple([a + h2 * k for a, k in zip(u, k1)]))
-        k3 = f(tuple([a + h2 * k for a, k in zip(u, k2)]))
-        k4 = f(tuple([a + h * k for a, k in zip(u, k3)]))
-        h6 = h / 6.0
-        u = tuple(
-            [
-                a + h6 * (b1 + 2.0 * (b2 + b3) + b4)
-                for a, b1, b2, b3, b4 in zip(u, k1, k2, k3, k4)
-            ]
-        )
-        # NaN fails every comparison, so this also catches non-finite values
-        return u if all(abs(v) < BLOWUP_LIMIT for v in u) else None
-
-    def advance(u, h, n, peak, level):
-        for k in range(1, n + 1):
-            u = step(u, h)
-            if u is None:
-                return None, k, peak, False
-            az = abs(u[m])
-            if az >= peak:
-                peak = az
-                if az >= level:
-                    return u, k, peak, True
-        return u, n, peak, False
-
-    return advance
+    return fm
 
 
 # ---------------------------------------------------------------------------
@@ -605,20 +615,6 @@ class AdaptiveDriver:
 # Simulation
 
 
-def _tuple_rhs(spec: ModelSpec):
-    if spec.m == 1:
-        c1, c2, c3, c4 = _cross_coefficients(spec)
-
-        def f1(t: float, u: Sequence[float]):
-            y, z, yd, zd = u
-            ay, az = one_mode_accelerations(y, z, yd, zd, c1, c2, c3, c4)
-            return (yd, zd, ay, az)
-
-        return f1
-    fm = _flat_rhs_m(spec)
-    return lambda t, u: fm(u)
-
-
 def _split_horizon(t_end: float, h: float) -> tuple[int, float]:
     """Number of full steps plus a final short step landing on t_end."""
     n = round(t_end / h)
@@ -636,8 +632,7 @@ _ONSET_REASON = "stopped at onset"
 def _within_guard(u: Sequence[float]) -> bool:
     """Whether every component lies strictly inside +-BLOWUP_LIMIT.
 
-    NaN fails the comparison, so a non-finite state is outside; this is
-    the test the fixed-step kernels inline in their loops.
+    NaN fails the comparison, so a non-finite state is outside.
     """
     return all(-BLOWUP_LIMIT < v < BLOWUP_LIMIT for v in u)
 
@@ -652,8 +647,8 @@ class _Observer:
     Every driver hands it the flat state (y..., z..., ydot..., zdot...) as
     a tuple of floats, so z1 is ``u[m]``.  ``level`` is the |z1| at which
     the onset fires, and inf once it has fired or when the seed is zero.
-    The fixed-step loop tracks the guard, the running max and the level in
-    its kernel and calls ``fire`` at the onset step; ``watch`` does all
+    The fixed-step kernel tracks the guard, the running max and the level,
+    and ``settle`` takes each kernel call's result; ``watch`` does all
     three for every accepted step of the adaptive driver.  ``record``
     appends every sample to the flat array behind ``traj.samples``.
     Every early end of a run, a blow-up, a step-size collapse or the onset
@@ -682,10 +677,17 @@ class _Observer:
         if az >= self.level:
             self.fire(t, u)
 
+    def settle(self, t: float, u, peak: float, fired: bool) -> None:
+        """Take the result of one fixed-step kernel call ending at t."""
+        self.traj.max_torsion = peak
+        if u is None:
+            self.stop(t, _BLOWUP_REASON)
+        if fired:
+            self.fire(t, u)
+
     def fire(self, t: float, u: tuple[float, ...]) -> None:
-        traj = self.traj
         self.level = math.inf
-        traj.onset = OnsetEvent(t_onset=t, gain=abs(u[self.m]) / self.z_seed)
+        self.traj.onset = OnsetEvent(t_onset=t, gain=abs(u[self.m]) / self.z_seed)
         if self.stop_at_onset:
             self.record(t, u)
             self.stop(t, _ONSET_REASON)
@@ -711,13 +713,13 @@ def _check_sample_memory(spec: ModelSpec, config: IntegratorConfig) -> int:
     that budget holds at once.
 
     A sample is 4m + 1 doubles, so at m = 1 this is the check that
-    ``IntegratorConfig`` makes, and at m = 1000 it admits about 12 500
-    samples.
+    ``IntegratorConfig`` makes, on the same ``_sample_count``, and at
+    m = 1000 it admits about 12 500 samples.
     """
-    doubles = config.t_end / config.sample_every * (4 * spec.m + 1)
+    doubles = _sample_count(config) * (4 * spec.m + 1)
     if doubles > 5 * MAX_SAMPLES:
         raise ValueError(
-            f"samples would hold {doubles:.3g} doubles (t_end / sample_every "
+            f"samples would hold {doubles:.3g} doubles (the sample count "
             f"times 4m + 1); at most {5 * MAX_SAMPLES:.0e} (400 MB)"
         )
     return int(5 * MAX_SAMPLES // doubles)
@@ -756,8 +758,7 @@ def simulate(
         if config.scheme is Scheme.ADAPTIVE_EMBEDDED:
             _run_adaptive(obs, t0, u0, config)
         else:
-            advance = _rk4_1m(spec) if spec.m == 1 else _rk4_m(spec)
-            _run_fixed(obs, advance, t0, u0, config)
+            _run_fixed(obs, _kernel(spec), t0, u0, config)
     except _Stopped:
         pass
     return obs.traj
@@ -768,36 +769,27 @@ def _run_fixed(
 ) -> None:
     """Fixed-step loop: n full steps of h, then a short step onto t_end.
 
-    Each call of the kernel ``advance`` runs the steps up to the next
-    sample time, or to the onset step, which the observer then fires; the
-    short step onto t_end is one more call of one step.
+    Each kernel call runs the steps up to the next sample, every
+    ``_sample_stride`` steps, or to the onset step, and ``obs.settle``
+    takes its result; the short step onto t_end is one more call.
     """
     h = config.h
-    n_sub = max(1, round(config.sample_every / h))
+    n_sub = _sample_stride(config)
     n_steps, h_tail = _split_horizon(config.t_end, h)
-    traj = obs.traj
-    peak = traj.max_torsion
+    peak = obs.traj.max_torsion
     i = 0
     while i < n_steps:
         n = min(n_sub - i % n_sub, n_steps - i)
         u, k, peak, fired = advance(u, h, n, peak, obs.level)
         i += k
-        traj.max_torsion = peak
-        if u is None:
-            obs.stop(t0 + i * h, _BLOWUP_REASON)
-        if fired:
-            obs.fire(t0 + i * h, u)
+        t = t0 + i * h
+        obs.settle(t, u, peak, fired)
         if i % n_sub == 0:
-            obs.record(t0 + i * h, u)
+            obs.record(t, u)
     if h_tail > 0.0:
         u, _, peak, fired = advance(u, h_tail, 1, peak, obs.level)
-        traj.max_torsion = peak
-        t = t0 + config.t_end
-        if u is None:
-            obs.stop(t, _BLOWUP_REASON)
-        if fired:
-            obs.fire(t, u)
-        obs.record(t, u)
+        obs.settle(t0 + config.t_end, u, peak, fired)
+        obs.record(t0 + config.t_end, u)
     elif n_steps % n_sub:
         obs.record(t0 + n_steps * h, u)
 
@@ -805,7 +797,7 @@ def _run_fixed(
 def _run_adaptive(obs: _Observer, t0: float, u0, config: IntegratorConfig) -> None:
     """Dormand-Prince onto each sample time; ``obs.watch`` guards each step."""
     driver = AdaptiveDriver(
-        _tuple_rhs(obs.traj.spec),
+        _rhs(obs.traj.spec),
         t0,
         u0,
         rel_tol=config.rel_tol,

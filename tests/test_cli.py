@@ -257,6 +257,12 @@ class TestHill:
     def test_nonpositive_energy_rejected(self):
         assert run_cli("hill", "--grid", "-1.0").returncode == 2
         assert run_cli("hill", "--grid", "1,-1").returncode == 2
+        # past the energy cap the step collapses (1e46) or nothing is
+        # integrated (1e55): a config error naming the cap, not a verdict
+        for grid in ("1e46", "1e55"):
+            res = run_cli("hill", "--grid", grid, "--out", "-")
+            assert res.returncode == 2, res.stderr
+            assert "at most 1e+30" in res.stderr and "Traceback" not in res.stderr
 
     def test_non_finite_forcing_delta_rejected(self):
         res = run_cli("hill", "--grid", "1", "--delta", "nan", "--horizon-periods", "10")

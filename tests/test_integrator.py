@@ -121,6 +121,8 @@ class TestConfigValidation:
         (dict(t_end=1e300), "steps"),
         (dict(h=1.0, sample_every=1e9 + 1, t_end=1e9 + 1), "steps"),
         (dict(h=1.0, sample_every=1.0, t_end=1e7 + 1), "samples"),
+        # fixed RK4 samples every round(1.4) = 1 step: 1.4e7 samples
+        (dict(h=1.0, sample_every=1.4, t_end=1.4e7), "samples"),
     ])
     def test_step_or_sample_count_above_cap_rejected(self, kw, what):
         with pytest.raises(ValueError, match=f"at most .* {what}"):
@@ -129,6 +131,20 @@ class TestConfigValidation:
     def test_counts_at_cap_accepted(self):
         cfg(h=1.0, sample_every=float(MAX_STEPS), t_end=float(MAX_STEPS))
         cfg(h=1.0, sample_every=1.0, t_end=float(MAX_SAMPLES))
+        # the cap counts the samples each scheme records
+        cfg(scheme=Scheme.ADAPTIVE_EMBEDDED, h=1.0, sample_every=1.4, t_end=1.4e7)
+        cfg(h=1.0, sample_every=1.6, t_end=2e7)
+
+    @pytest.mark.parametrize("scheme,recorded", [
+        (Scheme.FIXED_RK4, 1491), (Scheme.ADAPTIVE_EMBEDDED, 1001),
+    ])
+    def test_samples_recorded_as_counted(self, scheme, recorded):
+        # fixed RK4 records every round(1.49) = 1 step, not every 1.49e-3
+        config = cfg(scheme=scheme, h=1e-3, sample_every=1.49e-3, t_end=1.49)
+        traj = simulate(ISO, make_initial(1.0), config)
+        assert len(traj.samples) == recorded
+        # the memory budget counts the same samples after the seed
+        assert _check_sample_memory(ISO, config) == 5 * MAX_SAMPLES // (5 * (recorded - 1))
 
     def test_sample_memory_capped_at_one_mode_budget(self):
         # a sample holds 4m + 1 doubles; the cap on their total is the

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Write the byte-level output contract of the checkout in the current
 # directory into DIR: every `simulate` preset CSV, the trajectory CSVs of
-# paths the presets do not take (three modes, the adaptive scheme, a short
-# step onto t_end, a blow-up under each scheme, standard output), the
+# paths the presets do not take (three and four modes, two modes on the
+# adaptive scheme, the adaptive scheme, a short step onto t_end, a blow-up
+# under each scheme and one at three modes, standard output), the
 # standard threshold report, threshold searches of other models, schemes
 # and invalid brackets, sweeps of the three variants, and the prop2-grid
 # chart, each with its exit code in NAME.exit.
@@ -39,6 +40,11 @@ for p in $presets; do
     run "$p.csv" simulate --preset "$p"
 done
 run modes3.csv simulate --modes 3 --t-end 1
+# the m-mode right-hand side under both schemes: the mmode benchmark
+# item, the adaptive driver at two modes, and a three-mode blow-up (exit 4)
+run modes4.csv simulate --modes 4 --t-end 2
+run modes2-adaptive.csv simulate --modes 2 --scheme adaptive_embedded --t-end 1
+run blowup-modes3.csv simulate --modes 3 --sigma 1100 --t-end 1
 run adaptive.csv simulate --scheme adaptive_embedded --t-end 5
 # 333 steps of 0.003 sampled every 3 steps, then a short step of 0.0014
 # onto t_end

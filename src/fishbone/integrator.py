@@ -36,9 +36,10 @@ from .model import (
     SystemState,
     Variant,
     _cross_coefficients,
+    _m_mode_accelerations,
     energy,
     one_mode_accelerations,
-    rhs_m_mode,
+    rhs_m_mode,  # not called here: benchmarks/tracing.py patches it on this module
 )
 
 __all__ = [
@@ -90,7 +91,8 @@ class IntegratorConfig:
 
     A run takes at most MAX_STEPS steps t_end / h and MAX_SAMPLES samples,
     t_end / sample_every under the adaptive scheme and t_end / (h * stride)
-    under fixed RK4, which records every ``_sample_stride`` steps.
+    under fixed RK4, which records every ``_sample_stride`` steps.  An
+    adaptive sample interval must exceed the driver's time snap.
     """
 
     scheme: Scheme = Scheme.FIXED_RK4
@@ -118,6 +120,10 @@ class IntegratorConfig:
             raise ValueError(f"t_end / h must be at most {MAX_STEPS} steps")
         if (samples := _sample_count(self)) > MAX_SAMPLES:
             raise ValueError(f"{samples:.6g} samples; at most {MAX_SAMPLES} samples a run")
+        # AdaptiveDriver takes a gap that short as reached, without a step
+        snap = _TIME_SNAP * max(1.0, self.t_end)
+        if self.scheme is Scheme.ADAPTIVE_EMBEDDED and min(self.sample_every, self.t_end) <= snap:
+            raise ValueError(f"adaptive sample interval must exceed the time snap {snap:g}")
         if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
             raise ValueError("tolerances must be positive")
 
@@ -405,8 +411,8 @@ def _kernel(spec: ModelSpec) -> _Advance:
 
 def _rhs(spec: ModelSpec) -> Callable[[float, tuple], tuple]:
     """The right-hand side ``f(t, u)`` of the model on the flat state tuple:
-    ``one_mode_accelerations`` at m = 1, else ``rhs_m_mode`` on the
-    ``SystemState`` of u.  ``AdaptiveDriver`` and the m-mode kernel take it.
+    ``one_mode_accelerations`` at m = 1, else the m-mode core that
+    ``rhs_m_mode`` calls.  ``AdaptiveDriver`` and the m-mode kernel take it.
     """
     m = spec.m
     if m == 1:
@@ -419,12 +425,11 @@ def _rhs(spec: ModelSpec) -> Callable[[float, tuple], tuple]:
 
         return f1
 
+    accelerations = _m_mode_accelerations(m)
+
     def fm(t, u):
-        state = SystemState(
-            t=0.0, y=u[:m], z=u[m : 2 * m], ydot=u[2 * m : 3 * m], zdot=u[3 * m :]
-        )
-        ydd, zdd = rhs_m_mode(spec, state)
-        return u[2 * m :] + tuple(ydd.tolist()) + tuple(zdd.tolist())
+        ydd, zdd = accelerations(u)
+        return u[2 * m :] + tuple(ydd.tolist() + zdd.tolist())
 
     return fm
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -202,19 +203,32 @@ def rhs_one_mode(spec: ModelSpec, state: SystemState) -> tuple[float, float]:
 
 
 @lru_cache(maxsize=None)
-def _galerkin_tables(m: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """Sine sampling grid and linear stiffnesses for the m-mode projection.
+def _m_mode_accelerations(m: int) -> Callable[[Sequence[float]], tuple[np.ndarray, np.ndarray]]:
+    """(y_j'', z_j'') of the m-mode system from the flat state (y, z, ...).
 
     The nonlinear projection integrands are odd trigonometric polynomials of
     degree <= 4m, so the interior-point sum (pi/N) * sum g(k pi/N) with
     N = 4m + 2 integrates them exactly (discrete sine orthogonality holds
-    for all frequency sums below 2N).
+    for all frequency sums below 2N).  The tables are built once per m.
     """
     n = 4 * m + 2
     x = np.arange(1, n) * (math.pi / n)
     modes = np.arange(1, m + 1, dtype=float)
     sines = np.sin(np.outer(x, modes))
-    return n, sines, modes**2, modes**4
+    sample, project = sines.dot, sines.T.dot
+    neg_j4, neg_j2 = -(modes**4), -(modes**2)
+    cy, cz = 4.0 / n, 12.0 / n
+
+    def accelerations(u):
+        y = np.asarray(u[:m])
+        z = np.asarray(u[m : 2 * m])
+        yx = sample(y)
+        zx = sample(z)
+        gy = yx * (1.0 + yx * yx + 3.0 * zx * zx)
+        gz = zx * (1.0 + 3.0 * yx * yx + zx * zx)
+        return neg_j4 * y - cy * project(gy), neg_j2 * z - cz * project(gz)
+
+    return accelerations
 
 
 def rhs_m_mode(spec: ModelSpec, state: SystemState) -> tuple[np.ndarray, np.ndarray]:
@@ -232,16 +246,7 @@ def rhs_m_mode(spec: ModelSpec, state: SystemState) -> tuple[np.ndarray, np.ndar
         raise ValueError("the m-mode system is defined for the isolated variant only")
     if state.m != spec.m:
         raise ValueError(f"state has m={state.m} but spec has m={spec.m}")
-    n, sines, j2, j4 = _galerkin_tables(spec.m)
-    y = np.asarray(state.y)
-    z = np.asarray(state.z)
-    yx = sines @ y
-    zx = sines @ z
-    gy = yx * (1.0 + yx * yx + 3.0 * zx * zx)
-    gz = zx * (1.0 + 3.0 * yx * yx + zx * zx)
-    ydd = -j4 * y - (4.0 / n) * (sines.T @ gy)
-    zdd = -j2 * z - (12.0 / n) * (sines.T @ gz)
-    return ydd, zdd
+    return _m_mode_accelerations(spec.m)(state.y + state.z)
 
 
 def _energy_terms(

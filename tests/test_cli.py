@@ -190,6 +190,16 @@ class TestSimulate:
         assert "at most" in res.stderr and what in res.stderr
         assert not out.exists()
 
+    def test_adaptive_interval_within_time_snap_leaves_no_file(self, tmp_path):
+        out = tmp_path / "x.csv"
+        res = run_cli(
+            "simulate", "--scheme", "adaptive_embedded", "--t-end", "5e-14",
+            "--step", "5e-14", "--sample-every", "5e-14", "--out", str(out),
+        )
+        assert res.returncode == 2, res.stderr
+        assert "time snap" in res.stderr and "Traceback" not in res.stderr
+        assert not out.exists()
+
     def test_mode_count_above_cap_leaves_no_file(self, tmp_path):
         out = tmp_path / "x.csv"
         res = run_cli(

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fishbone.integrator import _rhs
 from fishbone.model import (
     MAX_MODES,
     ModelSpec,
@@ -202,3 +203,18 @@ class TestMModeRhs:
             oy, oz = m_mode_rhs_trapezoid(y, z, n_nodes=20000)
             np.testing.assert_allclose(ydd, oy, atol=1e-5)
             np.testing.assert_allclose(zdd, oz, atol=1e-5)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 8])
+def test_integrator_rhs_is_rhs_m_mode(m):
+    # the integrator's right-hand side and the public one share one core,
+    # so they agree to the bit (at m = 1 the integrator takes the closed
+    # form, which TestMModeRhs compares with the quadrature)
+    rng = np.random.default_rng(m)
+    spec = ModelSpec(Variant.ISOLATED, m=m)
+    f = _rhs(spec)
+    for _ in range(200):
+        u = tuple(rng.uniform(-3.0, 3.0, 4 * m).tolist())
+        state = SystemState(0.0, u[:m], u[m : 2 * m], u[2 * m : 3 * m], u[3 * m :])
+        ydd, zdd = rhs_m_mode(spec, state)
+        assert f(0.0, u) == u[2 * m :] + tuple(ydd.tolist()) + tuple(zdd.tolist())

@@ -6,7 +6,8 @@
 # under each scheme and one at three modes, standard output), the
 # standard threshold report, threshold searches of other models, schemes
 # and invalid brackets, sweeps of the three variants, and the prop2-grid
-# chart, each with its exit code in NAME.exit.
+# chart, the cross sweep and the chart also on one CPU (taskset), each with
+# its exit code in NAME.exit.
 # Two checkouts give the same DIR contents exactly when their outputs agree:
 #   (cd base && scripts/contract_outputs.sh /tmp/a)
 #   (cd head && scripts/contract_outputs.sh /tmp/b) && diff -r /tmp/a /tmp/b
@@ -19,10 +20,12 @@ out=$1
 mkdir -p "$out"
 export PYTHONPATH="$PWD/src${PYTHONPATH:+:$PYTHONPATH}"
 
+# $pin, unquoted, is the command (if any) that runs python3
+pin=
 run() {
     name=$1
     shift
-    python3 -m fishbone "$@" --out "$out/$name" >"$out/$name.stdout" 2>"$out/$name.stderr"
+    $pin python3 -m fishbone "$@" --out "$out/$name" >"$out/$name.stdout" 2>"$out/$name.stderr"
     echo $? >"$out/$name.exit"
 }
 
@@ -77,9 +80,14 @@ sys.stdout.write(format_threshold_report(result))
 ' >"$out/threshold-adaptive.txt" 2>"$out/threshold-adaptive.txt.stderr"
 echo $? >"$out/threshold-adaptive.txt.exit"
 # sweeps with onset, quiet and blow-up rows; where two CPUs are free they
-# run in a process pool, and their rows must not depend on it
+# fan out to forked children, and their rows must not depend on it
 run sweep-cross.csv sweep --deltas 0,0.01,0.05 --sigmas 1.2,1.47,1100 --t-end 20
 run sweep-crosszero.csv sweep --variant crosszero --deltas 0.01,0.05 --sigmas 1.2,1.47 \
     --onset-gain 300 --t-end 20
 run sweep-modes2.csv sweep --variant isolated --modes 2 --deltas 0 --sigmas 1.47,4,16 --t-end 2
 run prop2-grid.csv hill --preset prop2-grid
+# the same sweep and chart bound to one CPU, where they run serially: with
+# the runs above, both paths of each checkout are in the contract
+pin="taskset -c 0"
+run sweep-cross-1cpu.csv sweep --deltas 0,0.01,0.05 --sigmas 1.2,1.47,1100 --t-end 20
+run prop2-grid-1cpu.csv hill --preset prop2-grid

@@ -21,6 +21,7 @@ from .integrator import (
     IntegratorConfig,
     Scheme,
     Trajectory,
+    _check_fixed_step,
     _check_sample_memory,
     check_onset_gain,
     make_initial,
@@ -406,6 +407,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         cfg = _apply_flags(cfg, args, _SIM_FLAGS)
     spec, config = cfg.spec(), cfg.integrator()
     _check_sample_memory(spec, config)
+    _check_fixed_step(spec, config)
     # open the output before the (possibly long) run so a bad path fails fast
     with _open_out(args.out) as fh:
         traj = simulate(spec, make_initial(cfg.sigma, cfg.modes), config, cfg.onset_gain)

@@ -38,6 +38,7 @@ import numpy as np
 
 from .integrator import AdaptiveDriver
 from .model import vertical_mode_energy
+from .threshold import _fan_out
 
 __all__ = [
     "Stability",
@@ -445,31 +446,30 @@ def stability_chart(
     """Classify each energy; optionally add the forced boundedness verdict.
 
     Every energy, the horizon and the forcing are checked before the first
-    is classified; the horizon is checked with or without forcing.
+    is classified; the horizon is checked with or without forcing.  The
+    energies are independent, so they fan out over the usable CPUs
+    (``threshold._fan_out``), with the same rows.
     """
     if not all(0.0 < e <= _MAX_ENERGY for e in energies):
         raise ValueError(f"chart energies must be positive and at most {_MAX_ENERGY:g}")
     _check_horizon(horizon_periods)
     if forced_delta is not None:
         _check_delta(forced_delta)
-    rows = []
-    for e in energies:
+
+    def row(e: float) -> ChartRow:
         mode = mode_from_energy(e)
         report = classify(mode)
-        forced = (
-            forced_check(mode, forced_delta, horizon_periods)
-            if forced_delta is not None
-            else None
+        forced = None
+        if forced_delta is not None:
+            forced = forced_check(mode, forced_delta, horizon_periods)
+        return ChartRow(
+            energy=float(e),
+            amplitude=mode.amplitude,
+            period=mode.period,
+            trace=report.trace,
+            classification=report.classification,
+            zhukovskii=report.zhukovskii_sufficient,
+            forced=forced,
         )
-        rows.append(
-            ChartRow(
-                energy=float(e),
-                amplitude=mode.amplitude,
-                period=mode.period,
-                trace=report.trace,
-                classification=report.classification,
-                zhukovskii=report.zhukovskii_sufficient,
-                forced=forced,
-            )
-        )
-    return rows
+
+    return _fan_out(row, list(energies), len(energies))

@@ -730,6 +730,14 @@ def _check_sample_memory(spec: ModelSpec, config: IntegratorConfig) -> int:
     return int(5 * MAX_SAMPLES // doubles)
 
 
+def _check_fixed_step(spec: ModelSpec, config: IntegratorConfig) -> None:
+    """Reject a fixed RK4 step past h * sqrt(m^4 + 2) < 2 sqrt(2): RK4's reach
+    on the imaginary axis over the stiffest vertical frequency."""
+    if config.scheme is Scheme.FIXED_RK4 and config.h**2 * (spec.m**4 + 2) >= 8.0:
+        raise ValueError(f"fixed RK4 step h={config.h:g} at m={spec.m} breaks h * sqrt(m^4 + 2)"
+                         " < 2 sqrt(2), its stability bound (necessary, not sufficient)")
+
+
 def simulate(
     spec: ModelSpec,
     initial: SystemState,
@@ -753,6 +761,7 @@ def simulate(
     """
     check_onset_gain(onset_gain)
     _check_sample_memory(spec, config)
+    _check_fixed_step(spec, config)
     if initial.m != spec.m:
         raise ValueError(f"initial state has m={initial.m}, spec has m={spec.m}")
     t0, u0 = initial.t, initial.flat()

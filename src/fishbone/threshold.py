@@ -15,12 +15,13 @@ import math
 import multiprocessing
 import os
 import signal
+import tempfile
 import threading
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from .integrator import (IntegratorConfig, OnsetEvent, Scheme, _check_sample_memory,
-                         make_initial, simulate)
+from .integrator import (IntegratorConfig, OnsetEvent, Scheme, _check_fixed_step,
+                         _check_sample_memory, make_initial, simulate)
 from .model import ModelSpec, SystemState, Variant, energy
 
 __all__ = [
@@ -113,10 +114,10 @@ def _bisection(lo: float, hi: float, tol: float):
 
 
 def _fork_context():
-    """The fork context when a child process, the look-ahead or a sweep
-    worker, can run beside this one, else None: at least 2 usable CPUs, no
-    other thread that a fork could catch holding a lock, and not a daemonic
-    process, which may not have children."""
+    """The fork context when a child process, the look-ahead or a
+    ``_fan_out`` child, can run beside this one, else None: at least 2
+    usable CPUs, no other thread that a fork could catch holding a lock,
+    and not a daemonic process, which may not have children."""
     try:
         cpus = len(os.sched_getaffinity(0))
         ctx = multiprocessing.get_context("fork")
@@ -125,6 +126,77 @@ def _fork_context():
     if cpus < 2 or threading.active_count() > 1 or multiprocessing.current_process().daemon:
         return None
     return ctx
+
+
+def _take(fn, tasks, i, tickets) -> list:
+    """[(i, fn(tasks[i]))] for task i, then for each next task the counter
+    in the ``tickets`` file hands out, until the tasks run out."""
+    import fcntl  # here, so that importing fishbone does not load it
+    done = []
+    while i < len(tasks):
+        done.append((i, fn(tasks[i])))
+        # a record lock, unlike a semaphore, dies with a process killed holding it
+        fcntl.lockf(tickets, fcntl.LOCK_EX)
+        i = int.from_bytes(os.pread(tickets, 8, 0), "little")
+        os.pwrite(tickets, (i + 1).to_bytes(8, "little"), 0)
+        fcntl.lockf(tickets, fcntl.LOCK_UN)
+    return done
+
+
+def _run_share(reader, writer, fn, tasks, first, tickets) -> None:
+    """Child of ``_fan_out``: send its ``_take`` of the tasks, or the
+    exception of the first task that raised."""
+    # Ctrl-C reaches the whole process group; the parent kills this child
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    reader.close()  # so that the send fails once the parent is gone
+    try:
+        share = _take(fn, tasks, first, tickets)
+    except Exception as exc:
+        share = exc
+    writer.send(share)
+
+
+def _fan_out(fn, tasks, width):
+    """[fn(t) for t in tasks] on at most ``width`` processes, and no more
+    than tasks and usable CPUs: this process runs task 0 and each of width
+    - 1 forked children (``_fork_context``) task j, then each takes the
+    next task left, so a process slowed by other load runs fewer.  A
+    task's exception is raised here, this process's first, then each
+    child's in turn, and a child that died before it sent raises
+    BrokenProcessPool.  Every child is killed and reaped before this
+    returns or raises."""
+    ctx = _fork_context()
+    width = 1 if ctx is None else min(width, len(tasks), len(os.sched_getaffinity(0)))
+    if width < 2:
+        return [fn(t) for t in tasks]
+    children, tickets = [], tempfile.TemporaryFile()
+    try:
+        os.pwrite(tickets.fileno(), width.to_bytes(8, "little"), 0)
+        for j in range(1, width):
+            reader, writer = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_run_share, daemon=True,
+                                args=(reader, writer, fn, tasks, j, tickets.fileno()))
+            child.start()
+            children.append((child, reader))
+            writer.close()  # the child has its own copy, and a later child none
+        shares = [_take(fn, tasks, 0, tickets.fileno())]
+        for _, reader in children:
+            try:
+                shares.append(reader.recv())
+            except EOFError:  # the child died
+                from concurrent.futures.process import BrokenProcessPool
+                raise BrokenProcessPool("a child died before sending its results") from None
+            if isinstance(shares[-1], Exception):
+                raise shares[-1]
+    finally:
+        tickets.close()
+        for child, reader in children:
+            reader.close()
+            child.kill()
+            child.join()
+            child.close()
+    # every task's (index, result) once, in task order
+    return [result for _, result in sorted(itertools.chain(*shares), key=lambda p: p[0])]
 
 
 def _run_ahead(reader, writer, search, spec, config, onset_gain) -> None:
@@ -238,6 +310,7 @@ def find_threshold(
     min_tol = 2.0 * math.ulp(max(abs(lo), abs(hi)))
     if not min_tol <= tol < math.inf:
         raise ValueError(f"tol must be finite and at least {min_tol:.3g}")
+    _check_fixed_step(spec, config)
 
     ctx = _fork_context()
     search = _bisection(lo, hi, tol)
@@ -292,12 +365,11 @@ def sweep(
 ) -> list[SweepRow]:
     """One run per (delta, sigma) pair, rows in input (delta-major) order.
 
-    Every delta and sigma, and the runs' sample memory, are checked before
-    the first run; neither list may be empty.  Early termination of a run is
-    recorded in its row and never aborts the sweep.  When ``_fork_context``
-    allows children, the runs fan out to as many worker processes as there
-    are runs, usable CPUs, and runs the one-run sample budget holds at once,
-    with the same rows; otherwise they run here in turn.
+    Every delta and sigma, the runs' sample memory and the fixed step are
+    checked before the first run; neither list may be empty.  Early
+    termination of a run is recorded in its row and never aborts the sweep.
+    The runs fan out (``_fan_out``) to no more processes than the one-run
+    sample budget holds runs at once, with the same rows.
     """
     if not deltas or not sigmas:
         raise ValueError("deltas and sigmas must not be empty")
@@ -308,11 +380,5 @@ def sweep(
         for d, s in itertools.product(map(float, deltas), map(float, sigmas))
     ]
     in_budget = _check_sample_memory(tasks[0][2], config)
-    ctx = _fork_context()
-    workers = 1 if ctx is None else min(len(tasks), len(os.sched_getaffinity(0)), in_budget)
-    if workers > 1:
-        # a worker that dies raises BrokenProcessPool here; the exit reaps them all
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(workers, mp_context=ctx) as pool:
-            return list(pool.map(_sweep_task, tasks))
-    return [_sweep_task(t) for t in tasks]
+    _check_fixed_step(tasks[0][2], config)
+    return _fan_out(_sweep_task, tasks, in_budget)

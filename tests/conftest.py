@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 import fishbone.hill
@@ -36,3 +38,14 @@ def classify_calls(monkeypatch):
 
     monkeypatch.setattr(fishbone.hill, "classify", counting)
     return calls
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Sets how many CPUs this process may run on: 2 turns the threshold
+    look-ahead and the fan-outs on, 1 turns them off."""
+
+    def set_cpus(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+    return set_cpus

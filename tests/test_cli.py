@@ -219,6 +219,29 @@ class TestSimulate:
         assert "400 MB" in res.stderr
         assert not out.exists()
 
+    def test_unstable_fixed_step_leaves_no_file(self, tmp_path):
+        # h * sqrt(m^4 + 2) is 2.916 at m = 54, past RK4's 2 sqrt(2) = 2.828
+        # on the imaginary axis: the run would blow up on rounding error
+        out = tmp_path / "x.csv"
+        res = run_cli("simulate", "--modes", "54", "--sigma", "0.01", "--t-end", "1",
+                      "--out", str(out))
+        assert res.returncode == 2, res.stderr
+        assert "necessary, not sufficient" in res.stderr and "Traceback" not in res.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ("--modes", "53", "--t-end", "1"),
+        ("--modes", "54", "--step", "5e-4", "--t-end", "1"),
+        ("--modes", "54", "--scheme", "adaptive_embedded", "--t-end", "0.1"),
+    ], ids=["m53", "m54-half-step", "m54-adaptive"])
+    def test_stable_step_runs(self, tmp_path, flags):
+        # 2.809 at m = 53 and 1.458 at h = 5e-4, past the t=0.288 at which
+        # m = 54 at h = 1e-3 blew up; the adaptive scheme has no fixed step
+        out = tmp_path / "x.csv"
+        res = run_cli("simulate", *flags, "--sigma", "0.01", "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        assert out.exists()
+
     @pytest.mark.parametrize("scheme", ["fixed_rk4", "adaptive_embedded"])
     def test_sigma_past_the_energy_range_leaves_no_file(self, tmp_path, scheme):
         # y**4 of its initial energy overflows a double

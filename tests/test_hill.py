@@ -1,11 +1,20 @@
 import cmath
 import io
 import math
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fishbone.cli import write_chart_csv
+import fishbone.hill
+import fishbone.threshold
+from fishbone.cli import HILL_PRESETS, _parse_grid, write_chart_csv
 from fishbone.hill import (
     HARMONIC_PERIOD,
     ZHUKOVSKII_AMPLITUDE,
@@ -329,3 +338,167 @@ class TestChart:
         lines = buf.getvalue().splitlines()
         assert lines[0].endswith(",forced_bounded,growth_rate")
         assert lines[1].split(",")[6] == "true"
+
+
+# the energies of the prop2-grid preset
+PROP2_GRID = HILL_PRESETS["prop2-grid"]["grid"]
+
+
+def classified_where(monkeypatch, log, fail_at=None):
+    """Logs the pid of each energy ``classify`` sees to ``log``; at
+    ``fail_at`` it raises, naming its pid."""
+    real = fishbone.hill.classify
+    log.write_text("")
+
+    def logging(mode):
+        with open(log, "a") as fh:
+            fh.write(f"{mode.energy!r} {os.getpid()}\n")
+        if mode.energy == fail_at:
+            raise RuntimeError(f"classify failed in {os.getpid()}")
+        return real(mode)
+
+    monkeypatch.setattr(fishbone.hill, "classify", logging)
+    return lambda: {float(e): int(pid) for e, pid in
+                    (line.split() for line in log.read_text().splitlines())}
+
+
+class TestChartFanOut:
+    def test_same_rows_on_one_and_two_cpus(self, cpus):
+        energies = _parse_grid(PROP2_GRID)
+        assert len(energies) == 20
+        rows = []
+        for n in (1, 2):
+            cpus(n)
+            rows.append(stability_chart(energies, forced_delta=0.01))
+            assert multiprocessing.active_children() == []
+        # repr tells every float apart
+        assert repr(rows[0]) == repr(rows[1])
+
+    def test_energies_shared_with_a_child(self, cpus, monkeypatch, tmp_path):
+        cpus(2)
+        energies = [0.5, 1.0, 1.5, 2.0, 2.5]
+        where = classified_where(monkeypatch, tmp_path / "log")
+        rows = stability_chart(energies)
+        assert [r.energy for r in rows] == energies
+        # this process runs the first energy, one child the second, and
+        # each of the two the next one left
+        pids = where()
+        assert sorted(pids) == energies
+        assert pids[0.5] == os.getpid() != pids[1.0]
+        assert set(pids.values()) == {os.getpid(), pids[1.0]}
+        assert multiprocessing.active_children() == []
+
+    def test_a_slowed_process_runs_fewer(self, cpus, monkeypatch, tmp_path):
+        # the energies after the first two go to whichever process is free
+        cpus(2)
+        energies = [0.5 * k for k in range(1, 9)]
+        real = fishbone.hill.classify
+        here = os.getpid()
+
+        def slow_here(mode):
+            if os.getpid() == here:
+                time.sleep(0.5)
+            return real(mode)
+
+        monkeypatch.setattr(fishbone.hill, "classify", slow_here)
+        where = classified_where(monkeypatch, tmp_path / "log")
+        rows = stability_chart(energies)
+        assert [r.energy for r in rows] == energies
+        pids = where()
+        assert sorted(pids) == energies
+        assert sum(pid == here for pid in pids.values()) < len(energies) // 2
+        assert multiprocessing.active_children() == []
+
+    def test_one_energy_forks_nothing(self, cpus, monkeypatch, tmp_path):
+        cpus(2)
+
+        def refuse(self):
+            raise AssertionError("forked a child")
+
+        monkeypatch.setattr(multiprocessing.get_context("fork").Process, "start", refuse)
+        where = classified_where(monkeypatch, tmp_path / "log")
+        stability_chart([1.0], forced_delta=0.01, horizon_periods=20)
+        assert where() == {1.0: os.getpid()}
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cause", ["one-cpu", "daemonic", "threaded"])
+    def test_serial_without_a_free_cpu_or_a_safe_fork(self, cpus, monkeypatch, tmp_path,
+                                                        cause):
+        # the rule of the threshold look-ahead and the sweep, _fork_context
+        cpus(2)
+        if cause == "one-cpu":
+            cpus(1)
+        elif cause == "daemonic":
+            monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+        else:
+            monkeypatch.setattr(fishbone.threshold.threading, "active_count", lambda: 2)
+        where = classified_where(monkeypatch, tmp_path / "log")
+        stability_chart([1.0, 2.0, 3.0])
+        assert where() == {1.0: os.getpid(), 2.0: os.getpid(), 3.0: os.getpid()}
+        assert multiprocessing.active_children() == []
+
+    def test_child_exception_reaches_the_caller(self, cpus, monkeypatch, tmp_path):
+        cpus(2)
+        where = classified_where(monkeypatch, tmp_path / "log", fail_at=2.0)
+        with pytest.raises(RuntimeError, match="classify failed in") as err:
+            stability_chart([1.0, 2.0])
+        child = where()[2.0]
+        assert child != os.getpid()
+        assert str(err.value) == f"classify failed in {child}"
+        assert multiprocessing.active_children() == []
+
+    def test_own_failure_raised_first(self, cpus, monkeypatch):
+        # energy 2.0 fails in the child and 3.0 here: this process's own
+        # exception is raised, and the child is reaped all the same
+        cpus(2)
+        real = fishbone.hill.classify
+
+        def failing(mode):
+            if mode.energy in (2.0, 3.0):
+                raise RuntimeError(f"classify failed at {mode.energy!r}")
+            return real(mode)
+
+        monkeypatch.setattr(fishbone.hill, "classify", failing)
+        with pytest.raises(RuntimeError, match="failed at 3.0"):
+            stability_chart([1.0, 2.0, 3.0])
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("where", ["task", "ticket-lock"])
+    def test_dead_child_raises(self, tmp_path, where):
+        # a child killed outright, in a task or holding the lock on the task
+        # counter, raises here instead of leaving its rows out or hanging;
+        # run in a child process group, so a hang is killed with it
+        script = tmp_path / "dead_child.py"
+        script.write_text(
+            "import fcntl, multiprocessing, os, signal\n"
+            "import fishbone.hill as hill\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "here, real, lockf = os.getpid(), hill.classify, fcntl.lockf\n"
+            "def dying(mode):\n"
+            "    if os.getpid() != here:\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    return real(mode)\n"
+            "def dying_locked(fd, cmd):\n"
+            "    lockf(fd, cmd)\n"
+            "    if cmd == fcntl.LOCK_EX and os.getpid() != here:\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            f"if {where!r} == 'task':\n"
+            "    hill.classify = dying\n"
+            "else:\n"
+            "    fcntl.lockf = dying_locked\n"
+            "try:\n"
+            "    rows = hill.stability_chart([1.0, 2.0, 3.0])\n"
+            "except Exception as e:\n"
+            "    print(type(e).__name__, multiprocessing.active_children())\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(fishbone.hill.__file__).parents[1]))
+        proc = subprocess.Popen([sys.executable, str(script)], stdout=subprocess.PIPE,
+                                text=True, env=env, start_new_session=True)
+        try:
+            out, _ = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("the chart still waited on its dead child after 60 s")
+        assert proc.returncode == 0
+        assert out == "BrokenProcessPool []\n"

@@ -26,6 +26,7 @@ from fishbone.integrator import (
     Scheme,
     make_initial,
     simulate,
+    _check_fixed_step,
     _check_sample_memory,
     _Observer,
 )
@@ -187,6 +188,26 @@ class TestConfigValidation:
         monkeypatch.setattr(fishbone.integrator, "_Observer", None)
         with pytest.raises(ValueError, match="400 MB"):
             simulate(spec, make_initial(1.0, MAX_MODES), cfg(t_end=200.0))
+
+    def test_fixed_step_bound(self):
+        # h * sqrt(m^4 + 2) < 2 sqrt(2), RK4's reach on the imaginary axis:
+        # 2.809 at m = 53 and 2.916 at m = 54 for h = 1e-3
+        m53, m54 = ModelSpec(Variant.ISOLATED, m=53), ModelSpec(Variant.ISOLATED, m=54)
+        _check_fixed_step(m53, cfg())
+        with pytest.raises(ValueError, match="necessary, not sufficient"):
+            _check_fixed_step(m54, cfg())
+        _check_fixed_step(m54, cfg(h=5e-4))
+        _check_fixed_step(m54, cfg(scheme=Scheme.ADAPTIVE_EMBEDDED))
+        # m = 1: sqrt(3) h, so h = 1.6 passes and 1.7 does not
+        _check_fixed_step(ISO, cfg(h=1.6, sample_every=1.6))
+        with pytest.raises(ValueError, match="h=1.7 at m=1"):
+            _check_fixed_step(ISO, cfg(h=1.7, sample_every=1.7))
+
+    def test_simulate_rejects_unstable_fixed_step_before_running(self, monkeypatch):
+        spec = ModelSpec(Variant.ISOLATED, m=54)
+        monkeypatch.setattr(fishbone.integrator, "_Observer", None)
+        with pytest.raises(ValueError, match="necessary"):
+            simulate(spec, make_initial(0.01, 54), cfg(t_end=1.0))
 
 
 class TestSimulateBasics:

@@ -1,4 +1,3 @@
-import concurrent.futures
 import io
 import math
 import multiprocessing
@@ -21,38 +20,28 @@ ISO = ModelSpec(Variant.ISOLATED)
 
 
 @pytest.fixture
-def cpus(monkeypatch):
-    """Sets how many CPUs this process may run on: 2 turns the threshold
-    look-ahead on, 1 turns it off."""
+def widths(monkeypatch):
+    """The width of each sweep fan-out that forks: this process and the
+    children it starts."""
+    ctx = multiprocessing.get_context("fork")
+    real_fan_out, real_start = fishbone.threshold._fan_out, ctx.Process.start
+    started, recorded = [], []
 
-    def set_cpus(n):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    def start(self):
+        started.append(self)
+        real_start(self)
 
-    return set_cpus
+    def fan_out(fn, tasks, width):
+        started.clear()
+        try:
+            return real_fan_out(fn, tasks, width)
+        finally:
+            if started:
+                recorded.append(1 + len(started))
 
-
-@pytest.fixture
-def pools(monkeypatch):
-    """The worker count of each pool a sweep starts; the pool runs the
-    tasks in this process."""
-    started = []
-
-    class FakePool:
-        def __init__(self, max_workers, mp_context):
-            assert mp_context is multiprocessing.get_context("fork")
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-    return started
+    monkeypatch.setattr(ctx.Process, "start", start)
+    monkeypatch.setattr(fishbone.threshold, "_fan_out", fan_out)
+    return recorded
 
 
 class TestFindThreshold:
@@ -396,7 +385,7 @@ th.find_threshold(ModelSpec(Variant.ISOLATED), (1.5, 3.5), 0.25, IntegratorConfi
         assert err.read_text() == ""
 
 
-# (variant, deltas, sigmas, config, modes): sweeps the pool must not change
+# (variant, deltas, sigmas, config, modes): sweeps the fan-out must not change
 SWEEP_CASES = {
     "cross": (Variant.CROSS_DERIV, [0.01, 0.02], [1.4, 1.6], IntegratorConfig(t_end=5.0), 1),
     "m2": (Variant.ISOLATED, [0.0], [1.47, 16.0], IntegratorConfig(t_end=2.0), 2),
@@ -458,7 +447,8 @@ class TestSweep:
         assert rows[1].terminated_early is None
 
     def test_parallel_jobs_match_serial(self, cpus, monkeypatch, tmp_path):
-        # runs go to pool workers with 2 usable CPUs and stay here with 1
+        # runs are shared by this process and a forked child with 2 usable
+        # CPUs and stay here with 1
         log = tmp_path / "runs"
         real = fishbone.threshold.simulate
 
@@ -478,7 +468,8 @@ class TestSweep:
                 assert multiprocessing.active_children() == []
             # repr tells every float apart, and a nan energy (m=2) from no other
             assert repr(rows[0]) == repr(rows[1])
-            assert pids[0] == {os.getpid()} and os.getpid() not in pids[1]
+            assert pids[0] == {os.getpid()}
+            assert os.getpid() in pids[1] and len(pids[1]) == 2
 
     @pytest.mark.parametrize("deltas,sigmas", [
         ([0.01, -1.0], [1.0]),
@@ -504,22 +495,22 @@ class TestSweep:
         rows = sweep(Variant.ISOLATED, [0.02], [1.0], IntegratorConfig(t_end=0.1))
         assert (rows[0].delta, rows[0].sigma) == (0.02, 1.0)
 
-    def test_worker_count_capped(self, cpus, pools, monkeypatch):
-        # a pool starts all its workers at once, so there are no more than
-        # runs, usable CPUs, or runs whose samples one run's memory budget
-        # holds, and one run starts none
+    def test_worker_count_capped(self, cpus, widths, monkeypatch):
+        # each process of a fan-out holds one run's samples at a time, so
+        # there are no more than runs, usable CPUs, or runs whose samples
+        # one run's memory budget holds, and one run forks none
         config = IntegratorConfig(t_end=0.01)
         cpus(4)
         rows = sweep(Variant.CROSS_DERIV, [0.01, 0.02], [1.0, 1.1, 1.2], config)
         assert len(rows) == 6
         sweep(Variant.CROSS_DERIV, [0.01], [1.0, 1.1], config)
         sweep(Variant.CROSS_DERIV, [0.01], [1.0], config)
-        assert pools == [4, 2]
+        assert widths == [4, 2]
         for in_budget in (3, 1):
             monkeypatch.setattr(fishbone.threshold, "_check_sample_memory",
                                 lambda spec, config: in_budget)
             sweep(Variant.CROSS_DERIV, [0.01, 0.02], [1.0, 1.1, 1.2], config)
-        assert pools == [4, 2, 3]
+        assert widths == [4, 2, 3]
 
     def test_sample_memory_checked_before_first_run(self, monkeypatch):
         # 20 001 samples of 4001 doubles are more than one run may hold
@@ -529,8 +520,19 @@ class TestSweep:
             sweep(Variant.ISOLATED, [0.0], [1.0, 1.1], IntegratorConfig(), m=1000)
         assert calls == []
 
+    def test_unstable_fixed_step_checked_before_first_run(self, monkeypatch):
+        # h * sqrt(m^4 + 2) = 2.916 at m = 54, past RK4's 2 sqrt(2)
+        calls = []
+        monkeypatch.setattr(fishbone.threshold, "simulate", lambda *a, **kw: calls.append(a))
+        with pytest.raises(ValueError, match="necessary"):
+            sweep(Variant.ISOLATED, [0.0], [0.01, 0.02], IntegratorConfig(t_end=1.0), m=54)
+        with pytest.raises(ValueError, match="necessary"):
+            find_threshold(ModelSpec(Variant.ISOLATED, m=54), (0.01, 0.02), 1e-3,
+                           IntegratorConfig(t_end=1.0))
+        assert calls == []
+
     @pytest.mark.parametrize("cause", ["one-cpu", "daemonic", "threaded"])
-    def test_serial_without_a_free_cpu_or_a_safe_fork(self, cpus, pools, monkeypatch, cause):
+    def test_serial_without_a_free_cpu_or_a_safe_fork(self, cpus, widths, monkeypatch, cause):
         # the rule of the threshold look-ahead, _fork_context
         cpus(2)
         if cause == "one-cpu":
@@ -540,7 +542,30 @@ class TestSweep:
         else:
             monkeypatch.setattr(fishbone.threshold.threading, "active_count", lambda: 2)
         rows = sweep(Variant.CROSS_DERIV, [0.01], [1.0, 1.1], IntegratorConfig(t_end=0.01))
-        assert len(rows) == 2 and pools == []
+        assert len(rows) == 2 and widths == []
+        assert multiprocessing.active_children() == []
+
+    def test_two_runs_fork_one_child(self, cpus, widths, monkeypatch, tmp_path):
+        # this process runs the first row, one forked child the second
+        cpus(2)
+        log = tmp_path / "runs"
+        log.write_text("")
+        real = fishbone.threshold.simulate
+
+        def spy(spec, initial, *args, **kw):
+            with open(log, "a") as fh:
+                fh.write(f"{initial.y[0]!r} {os.getpid()}\n")
+            return real(spec, initial, *args, **kw)
+
+        monkeypatch.setattr(fishbone.threshold, "simulate", spy)
+        rows = sweep(Variant.CROSS_DERIV, [0.01], [1.0, 1.1], IntegratorConfig(t_end=0.1))
+        assert [r.sigma for r in rows] == [1.0, 1.1]
+        runs = [line.split() for line in log.read_text().splitlines()]
+        assert sorted(sigma for sigma, _ in runs) == ["1.0", "1.1"]
+        where = {sigma: int(pid) for sigma, pid in runs}
+        assert where["1.0"] == os.getpid() != where["1.1"]
+        assert widths == [2]
+        assert multiprocessing.active_children() == []
 
     def test_no_worker_outlives_the_sweep(self, cpus, monkeypatch):
         cpus(2)

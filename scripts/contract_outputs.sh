@@ -5,9 +5,10 @@
 # adaptive scheme, the adaptive scheme, a short step onto t_end, a blow-up
 # under each scheme and one at three modes, standard output), the
 # standard threshold report, threshold searches of other models, schemes
-# and invalid brackets, sweeps of the three variants, and the prop2-grid
-# chart, the cross sweep and the chart also on one CPU (taskset), each with
-# its exit code in NAME.exit.
+# and invalid brackets, sweeps of the three variants, the prop2-grid
+# chart and a chart over the longest forced horizon, the cross sweep and
+# the prop2-grid chart also on one CPU (taskset), each with its exit code
+# in NAME.exit.
 # Two checkouts give the same DIR contents exactly when their outputs agree:
 #   (cd base && scripts/contract_outputs.sh /tmp/a)
 #   (cd head && scripts/contract_outputs.sh /tmp/b) && diff -r /tmp/a /tmp/b
@@ -86,6 +87,9 @@ run sweep-crosszero.csv sweep --variant crosszero --deltas 0.01,0.05 --sigmas 1.
     --onset-gain 300 --t-end 20
 run sweep-modes2.csv sweep --variant isolated --modes 2 --deltas 0 --sigmas 1.47,4,16 --t-end 2
 run prop2-grid.csv hill --preset prop2-grid
+# the longest forced horizon, whose half periods are taken a bounded block
+# at a time, and a horizon the magnitude guard ends early (E = 6)
+run hill-long-horizon.csv hill --grid 0.5,6 --delta 0.01 --horizon-periods 100000
 # the same sweep and chart bound to one CPU, where they run serially: with
 # the runs above, both paths of each checkout are in the contract
 pin="taskset -c 0"

@@ -1,8 +1,8 @@
 """Command-line front end: experiment presets, generic runs, CSV output.
 
-Exit codes: 0 success, 2 configuration/parse error, 3 I/O error, 4 run
-terminated by blow-up (partial CSV is still written), 5 invalid threshold
-bracket.
+Exit codes: 0 success, 2 configuration/parse error, 3 I/O or system error
+(a forked child of a sweep or chart died), 4 run terminated by blow-up
+(partial CSV is still written), 5 invalid threshold bracket.
 """
 
 from __future__ import annotations
@@ -554,6 +554,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except RuntimeError as exc:
+        # imported only here: the CLI loads no concurrent.futures otherwise
+        from concurrent.futures.process import BrokenProcessPool
+
+        if not isinstance(exc, BrokenProcessPool):
+            raise
+        print(f"system error: {exc}", file=sys.stderr)
         return EXIT_IO
 
 

@@ -11,15 +11,21 @@ torsional perturbations around (ybar, 0) obey the Hill equation
     xi'' + a(t) xi = 0,    a(t) = 7 + (27/2) ybar(t)^2,
 
 and aerodynamic cross-derivative coupling turns this into the forced form
-xi'' + a(t) xi = -delta * ybar'(t).  Stability of the unforced equation is
-decided by the trace of the monodromy matrix over one period.  Boundedness
-of the forced equation is judged from the growth trend of the solution
-over a horizon of many periods, obtained from one period: the forcing
-shares the period of a(t), so the state at the start of each period
-follows the affine stroboscopic map x_{k+1} = M x_k + b, and each period's
-max |xi| is rebuilt from the one-period table of the fundamental and
-particular solutions.  The two verdicts are expected to agree away from
-the stability boundary.
+xi'' + a(t) xi = -delta * ybar'(t).  The restoring force is odd, so every
+orbit has ybar(t + T/2) = -ybar(t): a(t) has period T/2 and the forcing
+changes sign over each half period, whatever the phase of the orbit.
+
+Stability of the unforced equation is decided by the trace of the
+monodromy matrix over one period T, which is the square of the
+fundamental matrix after T/2.  Boundedness of the forced equation is
+judged from the growth trend of the solution over a horizon of many
+periods, obtained from half of one: the state at the start of half period
+j follows the affine map x_{j+1} = M_h x_j + (-1)^j b_h, and each half
+period's max |xi| is rebuilt from the half-period table of the fundamental
+and particular solutions.  The two verdicts are expected to agree away
+from the stability boundary.  The first boundary itself, the energy where
+the trace leaves 2 upward, is located from a quarter period
+(:func:`boundary_energy`).
 
 A classical sufficient condition guarantees stability for amplitudes up to
 sqrt(10/21), i.e. energies up to 235/294 (the "zhukovskii" flag).
@@ -49,6 +55,7 @@ __all__ = [
     "ZHUKOVSKII_AMPLITUDE",
     "ZHUKOVSKII_ENERGY",
     "amplitude_for_energy",
+    "boundary_energy",
     "period_for_amplitude",
     "pure_mode",
     "mode_from_energy",
@@ -77,6 +84,8 @@ FORCED_MAGNITUDE_LIMIT = 1e12
 MIN_HORIZON_PERIODS = 10
 #: Most forcing periods a forced check may cover: it keeps one float per period.
 MAX_HORIZON_PERIODS = 100_000
+#: Most values of xi a forced check holds at once, per array of a block.
+_BLOCK_VALUES = 1 << 14
 
 #: Largest energy of a pure mode.  The monodromy trace reads its large-E
 #: limit 4.6263252734 from E = 1e25 to 1e40, drifts from 1e42 (4.707 at
@@ -237,16 +246,12 @@ class HillStabilityReport:
     zhukovskii_sufficient: bool
 
 
-def monodromy_matrix(
-    mode: PureVerticalMode,
+def _fundamental_matrix(
+    mode: PureVerticalMode, t_end: float
 ) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Fundamental solution matrix of xi'' + a(t) xi = 0 after one period.
-
-    The two fundamental solutions (xi(0), xi'(0)) = (1, 0) and (0, 1) are
-    integrated together with ybar itself as one coupled system, so no
-    interpolation of a(t) enters the result.
-    """
-
+    # the two fundamental solutions (xi(0), xi'(0)) = (1, 0) and (0, 1)
+    # integrated together with ybar itself as one coupled system, so no
+    # interpolation of a(t) enters the result
     def f(t: float, u: Sequence[float]):
         y, yd, x1, x1d, x2, x2d = u
         a = 7.0 + 13.5 * y * y
@@ -259,9 +264,57 @@ def monodromy_matrix(
         _MONODROMY_RTOL,
         _MONODROMY_ATOL,
     )
-    _, u = driver.advance(mode.period)
+    _, u = driver.advance(t_end)
     _, _, x1, x1d, x2, x2d = u
     return ((x1, x2), (x1d, x2d))
+
+
+def monodromy_matrix(
+    mode: PureVerticalMode,
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Fundamental solution matrix of xi'' + a(t) xi = 0 after one period.
+
+    a(t) has period T/2 on every orbit, so the matrix after T is the square
+    of the one after T/2, which a single integration of ybar and both
+    fundamental solutions gives.
+    """
+    (a, b), (c, d) = _fundamental_matrix(mode, 0.5 * mode.period)
+    return ((a * a + b * c, a * b + b * d), (c * a + d * c, c * b + d * d))
+
+
+def boundary_energy(lo: float, hi: float, tol: float) -> float:
+    """Energy in [lo, hi] where x2(T/4) of ``mode_from_energy`` changes sign.
+
+    From a turning point a(t) is even with period T/2, so the discriminant
+    over T/2 is D = 2 + 4 x1'(T/4) x2(T/4) and the trace over T is D^2 - 2.
+    Where x2(T/4) changes sign, D crosses 2 and the odd solution x2 has
+    period T/2: an edge of an instability interval.  The first one, where
+    the trace leaves 2 upward, lies near E = 4.936.  Bisection on that sign
+    returns the midpoint of a bracket at most tol wide; x2(T/4) must have
+    opposite signs at lo and hi.
+    """
+    if not 0.0 <= lo < hi <= _MAX_ENERGY:
+        raise ValueError(f"need 0 <= lo < hi <= {_MAX_ENERGY:g}, got [{lo}, {hi}]")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be finite and positive")
+
+    def x2_quarter(e: float) -> float:
+        mode = mode_from_energy(e)
+        (_, x2), _ = _fundamental_matrix(mode, 0.25 * mode.period)
+        return x2
+
+    lo_negative = x2_quarter(lo) < 0.0
+    if lo_negative == (x2_quarter(hi) < 0.0):
+        raise ValueError(f"x2(T/4) has the same sign at {lo} and {hi}")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if (x2_quarter(mid) < 0.0) == lo_negative:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def classify(mode: PureVerticalMode) -> HillStabilityReport:
@@ -304,9 +357,9 @@ def classify(mode: PureVerticalMode) -> HillStabilityReport:
 class ForcedHillCheck:
     """Boundedness verdict for xi'' + a(t) xi = -delta ybar' from rest.
 
-    The solution over the horizon comes from iterating the one-period
-    stroboscopic map; ``sup_norm`` is the largest per-period max |xi|, each
-    taken over the accepted steps of the one-period integration.
+    The solution over the horizon comes from iterating the half-period map;
+    ``sup_norm`` is the largest per-period max |xi|, each taken over the
+    accepted steps of the half-period integration, once for each half.
     ``growth_rate`` is the least-squares slope of log(per-period max |xi|)
     against the period midpoints (k + 1/2) T; the solution is called
     bounded when the fitted rate would produce less than one decade of
@@ -336,22 +389,62 @@ def _check_horizon(horizon_periods: int) -> None:
         )
 
 
+def _period_maxima(table: np.ndarray, horizon_periods: int) -> list[float]:
+    # Per-period max |xi| from rest, up to the period that trips the guard.
+    # table holds (x1, x1', x2, x2', p, p') at the accepted steps of half a
+    # period; half period j starts from the state (xi_j, xi'_j) and gives
+    # xi = x1 xi_j + x2 xi'_j + (-1)^j p.  The states follow in scalar
+    # arithmetic, the values in numpy, a bounded block of periods at a time.
+    x1, x1d, x2, x2d, p, pd = table.T
+    m11, m21, m12, m22, b1, b2 = table[-1].tolist()
+    per_block = max(1, _BLOCK_VALUES // (2 * len(table)))
+    maxima: list[float] = []
+    xi, xid = 0.0, 0.0
+    while len(maxima) < horizon_periods:
+        starts = []
+        for _ in range(min(per_block, horizon_periods - len(maxima))):
+            starts.append((xi, xid, 1.0))
+            xi, xid = m11 * xi + m12 * xid + b1, m21 * xi + m22 * xid + b2
+            starts.append((xi, xid, -1.0))
+            xi, xid = m11 * xi + m12 * xid - b1, m21 * xi + m22 * xid - b2
+            # the same float operations as the table's last row below, so
+            # this period trips the guard there; no later state can overflow
+            if not (abs(xi) < FORCED_MAGNITUDE_LIMIT and abs(xid) < FORCED_MAGNITUDE_LIMIT):
+                break
+        s = np.array(starts)
+        xs = s[:, :1] * x1 + s[:, 1:2] * x2 + s[:, 2:] * p
+        xds = s[:, :1] * x1d + s[:, 1:2] * x2d + s[:, 2:] * pd
+        half_peaks = np.abs(xs).max(axis=1)
+        half_ok = (half_peaks < FORCED_MAGNITUDE_LIMIT) & (
+            np.abs(xds).max(axis=1) < FORCED_MAGNITUDE_LIMIT
+        )
+        peaks = np.maximum(half_peaks[0::2], half_peaks[1::2])
+        ok = half_ok[0::2] & half_ok[1::2]
+        if not ok.all():
+            # the period that trips the guard still counts
+            maxima.extend(peaks[: int(np.argmin(ok)) + 1].tolist())
+            break
+        maxima.extend(peaks.tolist())
+    return maxima
+
+
 def forced_check(
     mode: PureVerticalMode, delta: float, horizon_periods: int
 ) -> ForcedHillCheck:
-    """Judge boundedness of the forced Hill equation from one period.
+    """Judge boundedness of the forced Hill equation from half a period.
 
     The response starts from xi(0) = xi'(0) = 0, so it is entirely due to
-    the forcing.  One integration over a single period carries ybar, the
-    two fundamental solutions x1, x2 and the particular solution p from
-    rest, and tabulates (x1, x1', x2, x2', p, p') at every accepted step.
-    The forcing has the period of a(t), so the state at the start of each
-    period follows the stroboscopic map x_{k+1} = M x_k + b, with M the
-    monodromy matrix and b = (p(T), p'(T)); within period k the solution is
-    xi(kT + s) = x1(s) xi_k + x2(s) xi'_k + p(s), which gives that period's
-    max |xi| from the table.  Bounded solutions beat quasi-periodically
-    with zero trend; unstable ones grow at the dominant Floquet rate, which
-    the fitted slope recovers.
+    the forcing.  One integration over half a period carries ybar, the two
+    fundamental solutions x1, x2 and the particular solution p from rest,
+    and tabulates (x1, x1', x2, x2', p, p') at every accepted step.  a(t)
+    has period T/2 and the forcing -delta ybar' changes sign over each half
+    period, so the state at the start of half period j follows the map
+    x_{j+1} = M_h x_j + (-1)^j b_h, with M_h the fundamental matrix after
+    T/2 and b_h = (p(T/2), p'(T/2)); within half period j the solution is
+    xi(jT/2 + s) = x1(s) xi_j + x2(s) xi'_j + (-1)^j p(s).  Each period's
+    max |xi| is the larger of its two half-period maxima.  Bounded
+    solutions beat quasi-periodically with zero trend; unstable ones grow
+    at the dominant Floquet rate, which the fitted slope recovers.
     """
     _check_delta(delta)
     _check_horizon(horizon_periods)
@@ -379,23 +472,8 @@ def forced_check(
         _FORCED_RTOL,
         _FORCED_ATOL,
     )
-    driver.advance(t_period, on_step=lambda t, u: rows.append(u[2:]))
-    x1, x1d, x2, x2d, p, pd = np.array(rows).T
-
-    period_maxima: list[float] = []
-    xi, xid = 0.0, 0.0
-    for _ in range(horizon_periods):
-        xs = x1 * xi + x2 * xid + p
-        xds = x1d * xi + x2d * xid + pd
-        peak = float(np.abs(xs).max())
-        period_maxima.append(peak)
-        # the period that trips the guard still counts; NaN trips it too
-        if not (
-            peak < FORCED_MAGNITUDE_LIMIT
-            and np.abs(xds).max() < FORCED_MAGNITUDE_LIMIT
-        ):
-            break
-        xi, xid = float(xs[-1]), float(xds[-1])
+    driver.advance(0.5 * t_period, on_step=lambda t, u: rows.append(u[2:]))
+    period_maxima = _period_maxima(np.array(rows), horizon_periods)
 
     completed = len(period_maxima)
     sup_norm = max(period_maxima, default=0.0)

@@ -5,7 +5,10 @@ integration, never touching the quadrature formula it validates.  The
 m-mode oracle evaluates the Galerkin projection integrals by brute-force
 trapezoid quadrature on a dense grid instead of the exact sine-grid rule.
 The forced-Hill oracle integrates the forced equation over the whole
-horizon, period after period, instead of iterating the one-period map.
+horizon, period after period, instead of iterating the half-period map;
+the full-period reference iterates the map over whole periods, one numpy
+pass per period, as ``forced_check`` did before it used the half-period
+symmetry.
 The RK4 reference step takes its accelerations from the public
 ``rhs_one_mode`` once per stage, where the integrator inlines them.  The
 pure-mode state at time t comes from one tight integration of the
@@ -249,6 +252,64 @@ def forced_check_by_long_integration(mode, delta: float, horizon_periods: int) -
     if len(pts) >= 2:
         ts, ls = np.array(pts).T
         growth_rate = float(np.polyfit(ts, ls, 1)[0])
+    else:
+        growth_rate = 0.0
+    cutoff = math.log(10.0) / (horizon_periods * t_period)
+    return ForcedHillCheck(
+        delta=float(delta),
+        horizon_periods=horizon_periods,
+        sup_norm=max(period_maxima, default=0.0),
+        growth_rate=growth_rate,
+        bounded_verdict=growth_rate < cutoff,
+        periods_completed=len(period_maxima),
+    )
+
+
+def forced_check_full_period(mode, delta: float, horizon_periods: int) -> ForcedHillCheck:
+    """Forced Hill boundedness from the stroboscopic map over whole periods.
+
+    One integration over a whole period T tabulates the fundamental
+    solutions x1, x2 and the particular solution p from rest at every
+    accepted step, at the tolerances of the forced check; the state at the
+    start of period k+1 is M x_k + b, and period k's max |xi| comes from the
+    table.  The period in which xi or xi' reaches FORCED_MAGNITUDE_LIMIT is
+    the last one counted.  The verdict rule and the growth-rate fit are
+    those of ``forced_check``.
+    """
+    t_period = mode.period
+
+    def f(t, u):
+        y, yd, x1, x1d, x2, x2d, p, pd = u
+        a = 7.0 + 13.5 * y * y
+        return (yd, -(3.0 * y + 1.5 * y * y * y), x1d, -a * x1, x2d, -a * x2,
+                pd, -a * p - delta * yd)
+
+    rows = []
+    driver = AdaptiveDriver(
+        f, 0.0, (mode.eta0, mode.eta1, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0), 1e-10, 1e-12
+    )
+    driver.advance(t_period, on_step=lambda t, u: rows.append(u[2:]))
+    x1, x1d, x2, x2d, p, pd = np.array(rows).T
+
+    period_maxima = []
+    xi, xid = 0.0, 0.0
+    for _ in range(horizon_periods):
+        xs = x1 * xi + x2 * xid + p
+        xds = x1d * xi + x2d * xid + pd
+        peak = float(np.abs(xs).max())
+        period_maxima.append(peak)
+        if not (peak < FORCED_MAGNITUDE_LIMIT and np.abs(xds).max() < FORCED_MAGNITUDE_LIMIT):
+            break
+        xi, xid = float(xs[-1]), float(xds[-1])
+
+    pts = [((k + 0.5) * t_period, math.log(v)) for k, v in enumerate(period_maxima) if v > 0.0]
+    if len(pts) >= 2:
+        n = len(pts)
+        mean_t = _left_sum(t for t, _ in pts) / n
+        mean_l = _left_sum(l for _, l in pts) / n
+        var = _left_sum((t - mean_t) ** 2 for t, _ in pts)
+        cov = _left_sum((t - mean_t) * (l - mean_l) for t, l in pts)
+        growth_rate = cov / var
     else:
         growth_rate = 0.0
     cutoff = math.log(10.0) / (horizon_periods * t_period)

@@ -3,6 +3,7 @@ import hashlib
 import importlib
 import inspect
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -325,7 +326,7 @@ class TestHill:
             for line in out.read_text().splitlines()
         )
         assert hashlib.sha256(cols.encode()).hexdigest() == (
-            "a41551bb20cdc373f0d03cdb631c830f18a97d75c3acf6efaf9f56ea9f413b7b"
+            "0d0b7090b803708636b213de4e9ae591c6cbcf343f44d62b58b40fcd5a536059"
         )
 
     def test_first_unstable_energy_above_sufficient_bound(self, tmp_path):
@@ -475,6 +476,67 @@ class TestSweep:
         assert res.stdout.splitlines()[1] == "0,1e+100,,1e+96,nan,nan"
 
 
+class TestDeadChild:
+    # a fan-out child killed outright (the OOM killer, a signal) is a system
+    # error: exit 3 with one line on stderr, no traceback and no output file
+    @pytest.mark.parametrize("fan_out,command", [
+        ("stability_chart", ["hill", "--grid", "1,2,3"]),
+        ("sweep", ["sweep", "--deltas", "0.01", "--sigmas", "1.0,1.2", "--t-end", "1"]),
+    ], ids=["hill", "sweep"])
+    def test_broken_pool_exits_3(self, fan_out, command, monkeypatch, capsys, tmp_path):
+        from concurrent.futures.process import BrokenProcessPool
+
+        def broken(*args, **kwargs):
+            raise BrokenProcessPool("a child died before sending its results")
+
+        monkeypatch.setattr(f"fishbone.cli.{fan_out}", broken)
+        out = tmp_path / "out.csv"
+        assert main([*command, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == "system error: a child died before sending its results\n"
+        assert not out.exists()
+
+    def test_other_runtime_errors_still_raise(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise RuntimeError("not a dead child")
+
+        monkeypatch.setattr("fishbone.cli.stability_chart", failing)
+        with pytest.raises(RuntimeError, match="not a dead child"):
+            main(["hill", "--grid", "1,2", "--out", "-"])
+
+    def test_killed_chart_child_exits_3(self, tmp_path):
+        # the child is killed inside classify; run in its own process group,
+        # so a hang is killed with it
+        script = tmp_path / "dead_child.py"
+        script.write_text(
+            "import os, signal, sys\n"
+            "import fishbone.cli, fishbone.hill as hill\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "here, real = os.getpid(), hill.classify\n"
+            "def dying(mode):\n"
+            "    if os.getpid() != here:\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    return real(mode)\n"
+            "hill.classify = dying\n"
+            "sys.exit(fishbone.cli.main(sys.argv[1:]))\n"
+        )
+        out = tmp_path / "chart.csv"
+        proc = subprocess.Popen(
+            [sys.executable, str(script), "hill", "--grid", "1,2,3", "--out", str(out)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=ENV,
+            start_new_session=True,
+        )
+        try:
+            _, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("the chart still waited on its dead child after 60 s")
+        assert proc.returncode == 3, err
+        assert err == "system error: a child died before sending its results\n"
+        assert not out.exists()
+
+
 class TestOutputPins:
     # SHA-256 of every byte a writer emits: the '# key=value' headers, the
     # threshold report, a sweep with an empty t_onset, empty m > 1 energy
@@ -498,11 +560,11 @@ class TestOutputPins:
         ),
         "hill-forced": (
             ["hill", "--grid", "0.5,6", "--delta", "0.01", "--horizon-periods", "20"],
-            "be8e03e6041bf958bed287355e381e63a7dd76e3614ff4f6ced9e3d16bc5b3b2",
+            "36fd7d997892d59a86927d53d78c45068581f23398c9eb9266c11aa8ec737aba",
         ),
         "hill-plain": (
             ["hill", "--grid", "1,2"],
-            "200c552b3c02ca13671be95116642183df93ef70f66f36f827a7eff375053904",
+            "c65af7833c5fba44335c748d636a3220060a245a5b23ac14ac10b2d470b74626",
         ),
     }
 
@@ -651,9 +713,9 @@ class TestLibrarySurface:
         "fishbone.hill": [
             "ForcedHillCheck", "HARMONIC_PERIOD", "HillStabilityReport",
             "PureVerticalMode", "Stability", "ZHUKOVSKII_AMPLITUDE",
-            "ZHUKOVSKII_ENERGY", "amplitude_for_energy", "classify", "forced_check",
-            "mode_from_energy", "monodromy_matrix", "period_for_amplitude",
-            "pure_mode", "stability_chart",
+            "ZHUKOVSKII_ENERGY", "amplitude_for_energy", "boundary_energy",
+            "classify", "forced_check", "mode_from_energy", "monodromy_matrix",
+            "period_for_amplitude", "pure_mode", "stability_chart",
         ],
         "fishbone.threshold": [
             "InvalidBracketError", "SweepRow", "ThresholdResult",
@@ -716,6 +778,7 @@ class TestLibrarySurface:
             "PureVerticalMode.__init__": "(self, eta0, eta1, amplitude, energy, period)",
             "PureVerticalMode.sample_period": "(self, n)",
             "amplitude_for_energy": "(e)",
+            "boundary_energy": "(lo, hi, tol)",
             "classify": "(mode)",
             "forced_check": "(mode, delta, horizon_periods)",
             "mode_from_energy": "(e)",

@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ import fishbone.threshold
 from fishbone.cli import HILL_PRESETS, _parse_grid, write_chart_csv
 from fishbone.hill import (
     HARMONIC_PERIOD,
+    MAX_HORIZON_PERIODS,
     ZHUKOVSKII_AMPLITUDE,
     ZHUKOVSKII_ENERGY,
     Stability,
@@ -34,6 +36,7 @@ from oracles import (
     duffing_period_by_event_detection,
     duffing_state,
     forced_check_by_long_integration,
+    forced_check_full_period,
     hill_fundamental_matrix,
 )
 
@@ -248,13 +251,13 @@ class TestVerdictPins:
     """
 
     PINS = {
-        1.0: ("-0x1.1b2f080e313c4p-1", "0x1.ffffffffc8492p-1",
-              "-0x1.b3ce900263114p-20", "0x1.16c2e042d9d69p-8", 200),
-        5.0: ("0x1.0269ac88f708ep+1", "0x1.ffffffffd3a6fp-1",
-              "0x1.9ac1803bdfd83p-5", "0x1.ec62c4afb2bd8p+29", 200),
+        1.0: ("-0x1.1b2f080e304f8p-1", "0x1.ffffffffca6a5p-1",
+              "-0x1.b2d331c2e5536p-20", "0x1.16c2e0454d71bp-8", 200),
+        5.0: ("0x1.0269ac88f689ep+1", "0x1.ffffffffd0c74p-1",
+              "0x1.9ac181a35811ap-5", "0x1.ec61ec23578dfp+29", 200),
         # the forced magnitude guard ends the horizon early
-        9.5: ("0x1.6bcd36de3b9cep+1", "0x1.ffffffffd06a8p-1",
-              "0x1.77ecf13b88099p-2", "0x1.327539efc203bp+38", 37),
+        9.5: ("0x1.6bcd36de3bb0cp+1", "0x1.ffffffffd0e20p-1",
+              "0x1.77ecd6cb1b9aap-2", "0x1.3271756db44dfp+38", 37),
     }
 
     @pytest.mark.parametrize("energy", list(PINS))
@@ -301,6 +304,85 @@ class TestEquivalence:
             assert verdicts[i] == (classes[i] is Stability.STABLE), (
                 f"disagreement at E={e}: {classes[i]} vs bounded={verdicts[i]}"
             )
+
+
+PROP2_ENERGIES = [0.5 * k for k in range(1, 21)]
+
+# turning-point modes across the energy range, plus four other phases
+ORACLE_MODES = (
+    [("E", e) for e in [0.0, *PROP2_ENERGIES, 1e3, 1e10, 1e25, 1e30]]
+    + [("phase", d) for d in ((0.0, -2.0), (0.7, -0.4), (1.1, 0.3), (-0.5, 1.7))]
+)
+
+
+class TestHalfPeriod:
+    """The half-period paths against full-period integrations."""
+
+    @pytest.mark.parametrize("kind,value", ORACLE_MODES, ids=str)
+    def test_monodromy_matches_full_period_oracle(self, kind, value):
+        # measured worst case 9.1e-12 (E = 5.0), relative to max(1, |M|)
+        mode = mode_from_energy(value) if kind == "E" else pure_mode(*value)
+        got = np.array(monodromy_matrix(mode))
+        want = hill_fundamental_matrix(mode, mode.period)
+        assert np.abs(got - want).max() < 3e-11 * max(1.0, np.abs(want).max())
+
+    @pytest.mark.parametrize("delta", [0.0, 0.01, 0.05])
+    def test_forced_matches_full_period_map(self, delta):
+        # same verdicts and truncations; the per-period maxima are taken on
+        # other step grids (measured worst sup_norm deviation 8.7e-5)
+        for e in PROP2_ENERGIES:
+            mode = mode_from_energy(e)
+            got = forced_check(mode, delta, 200)
+            want = forced_check_full_period(mode, delta, 200)
+            assert got.bounded_verdict == want.bounded_verdict, e
+            assert got.periods_completed == want.periods_completed, e
+            assert got.sup_norm == pytest.approx(want.sup_norm, rel=2e-4, abs=0.0), e
+
+    def test_longest_horizon_memory(self):
+        # the per-period maxima and the fit's lists take about 15 MB at
+        # 100000 periods; the values of xi come a bounded block at a time,
+        # where a table of the whole horizon would take some 280 MB
+        mode = mode_from_energy(1.0)
+        tracemalloc.start()
+        try:
+            check = forced_check(mode, 0.01, MAX_HORIZON_PERIODS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert check.periods_completed == MAX_HORIZON_PERIODS
+        assert peak < 20e6
+
+
+class TestBoundaryEnergy:
+    @pytest.mark.parametrize("energy", [0.5, 2.0, 4.9, 4.936208213, 6.0, 9.5, 1e3])
+    def test_quarter_period_discriminant_gives_trace(self, energy):
+        # D = 2 + 4 x1'(T/4) x2(T/4), the discriminant over T/2 of an even
+        # coefficient, gives the trace over T as D^2 - 2
+        mode = mode_from_energy(energy)
+        (_, x2), (x1d, _) = fishbone.hill._fundamental_matrix(mode, 0.25 * mode.period)
+        d = 2.0 + 4.0 * x1d * x2
+        assert abs(d * d - 2.0 - classify(mode).trace) < 1e-9
+
+    def test_matches_bisection_over_classify(self):
+        lo, hi = 4.5, 5.5
+        while hi - lo > 1e-10:
+            mid = 0.5 * (lo + hi)
+            if classify(mode_from_energy(mid)).trace > 2.0:
+                hi = mid
+            else:
+                lo = mid
+        e_c = fishbone.hill.boundary_energy(4.5, 5.5, 1e-10)
+        assert abs(e_c - 0.5 * (lo + hi)) < 1e-8
+        assert e_c == pytest.approx(4.936208213, abs=1e-8)
+        assert amplitude_for_energy(e_c) == pytest.approx(1.463848320, abs=1e-8)
+
+    def test_rejects_a_bracket_without_a_sign_change(self):
+        with pytest.raises(ValueError, match="same sign"):
+            fishbone.hill.boundary_energy(1.0, 2.0, 1e-6)
+        for lo, hi, tol in ((5.5, 4.5, 1e-6), (-1.0, 5.0, 1e-6), (4.5, math.nan, 1e-6),
+                            (4.5, 1e31, 1e-6), (4.5, 5.5, 0.0), (4.5, 5.5, math.nan)):
+            with pytest.raises(ValueError):
+                fishbone.hill.boundary_energy(lo, hi, tol)
 
 
 class TestChart:

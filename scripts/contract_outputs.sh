@@ -6,9 +6,10 @@
 # under each scheme and one at three modes, standard output), the
 # standard threshold report, threshold searches of other models, schemes
 # and invalid brackets, sweeps of the three variants, the prop2-grid
-# chart and a chart over the longest forced horizon, the cross sweep and
-# the prop2-grid chart also on one CPU (taskset), each with its exit code
-# in NAME.exit.
+# chart and a chart over the longest forced horizon, the cross sweep, the
+# prop2-grid chart, an aerodynamic preset and the standard-output CSV also
+# on one CPU (taskset), each with its exit code in NAME.exit, and a run
+# whose CSV goes to a full device (/dev/full).
 # Two checkouts give the same DIR contents exactly when their outputs agree:
 #   (cd base && scripts/contract_outputs.sh /tmp/a)
 #   (cd head && scripts/contract_outputs.sh /tmp/b) && diff -r /tmp/a /tmp/b
@@ -60,6 +61,10 @@ run blowup-adaptive.csv simulate --scheme adaptive_embedded --sigma 12000 --t-en
 # the CSV on standard output, the summary on standard error
 python3 -m fishbone simulate --t-end 0.5 --out - >"$out/stdout.csv" 2>"$out/stdout.csv.stderr"
 echo $? >"$out/stdout.csv.exit"
+# a CSV that cannot be written: exit 3 with one line on standard error
+python3 -m fishbone simulate --t-end 1 --out /dev/full >"$out/full-disk.stdout" \
+    2>"$out/full-disk.stderr"
+echo $? >"$out/full-disk.exit"
 run threshold.txt threshold --bracket 1.40:1.60 --tol 1e-3
 # searches whose probes take other paths: onset already at the low end and
 # none at the high end (exit 5), the forced response crossing gain 300, two
@@ -95,3 +100,9 @@ run hill-long-horizon.csv hill --grid 0.5,6 --delta 0.01 --horizon-periods 10000
 pin="taskset -c 0"
 run sweep-cross-1cpu.csv sweep --deltas 0,0.01,0.05 --sigmas 1.2,1.47,1100 --t-end 20
 run prop2-grid-1cpu.csv hill --preset prop2-grid
+# a simulate CSV, to a file and to standard output, written in-process
+# after the run, where two CPUs let a forked child write it during the run
+run fig2-d001-1cpu.csv simulate --preset fig2-d001
+$pin python3 -m fishbone simulate --t-end 0.5 --out - >"$out/stdout-1cpu.csv" \
+    2>"$out/stdout-1cpu.csv.stderr"
+echo $? >"$out/stdout-1cpu.csv.exit"

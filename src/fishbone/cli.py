@@ -1,15 +1,18 @@
 """Command-line front end: experiment presets, generic runs, CSV output.
 
 Exit codes: 0 success, 2 configuration/parse error, 3 I/O or system error
-(a forked child of a sweep or chart died), 4 run terminated by blow-up
-(partial CSV is still written), 5 invalid threshold bracket.
+(a forked child of a sweep or chart, or the CSV writer child of a simulate
+run, died), 4 run terminated by blow-up (partial CSV is still written),
+5 invalid threshold bracket.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import signal
 import sys
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import islice
@@ -18,11 +21,13 @@ from typing import Callable, Iterable, Optional, Sequence, TextIO
 
 from .hill import ChartRow, stability_chart
 from .integrator import (
+    _CSV_CHUNK_ROWS,
     IntegratorConfig,
     Scheme,
     Trajectory,
     _check_fixed_step,
     _check_sample_memory,
+    _streaming,
     check_onset_gain,
     make_initial,
     simulate,
@@ -32,6 +37,7 @@ from .threshold import (
     InvalidBracketError,
     SweepRow,
     ThresholdResult,
+    _fork_context,
     config_fingerprint,
     find_threshold,
     sweep,
@@ -308,9 +314,6 @@ _ENERGY_COLUMNS = (
     "E_total", "E_kin_y", "E_kin_z", "E_quad", "E_coupling", "E_quartic", "E_aero",
 )
 
-#: Rows of a trajectory CSV formatted per write.
-_CSV_CHUNK_ROWS = 1024
-
 
 def _trajectory_lines(trajectory: Trajectory) -> Iterable[str]:
     """The CSV line of every sample, from the flat rows of its samples.
@@ -398,6 +401,123 @@ def format_threshold_report(result: ThresholdResult) -> str:
     return "".join(f"{key}={value}\n" for key, value in fields.items())
 
 
+# ---------------------------------------------------------------------------
+# The trajectory CSV written by a forked child while the run integrates
+
+
+class _ArrivingSamples:
+    """The samples of a run as a writer child reads them from ``conn``:
+    ``rows()`` yields the rows of each block as it arrives, until the
+    parent closes its end, and ``len`` counts the rows received so far
+    (the span that ``benchmarks/tracing.py`` puts on
+    ``write_trajectory_csv`` reads it)."""
+
+    def __init__(self, conn, stride: int):
+        self._conn = conn
+        self._stride = stride
+        self._rows = 0
+
+    def __len__(self) -> int:
+        return self._rows
+
+    def rows(self):
+        while True:
+            try:
+                block = array("d", self._conn.recv_bytes())
+            except EOFError:  # the run has ended
+                return
+            self._rows += len(block) // self._stride
+            yield from zip(*[iter(block)] * self._stride)
+
+
+def _write_arriving(rows_in, rows_out, result_in, result_out, spec, fh, header_fields):
+    """Writer child: ``write_trajectory_csv`` of the blocks arriving on
+    ``rows_in`` to ``fh``, flushed, then None or the exception it raised
+    sent on ``result_out``."""
+    # Ctrl-C reaches the whole process group; the parent kills this child
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # this process's copies of the parent's ends: with them closed, the
+    # rows end when the parent closes its end, and the parent's sends fail
+    # once this process is gone
+    rows_out.close()
+    result_in.close()
+    try:
+        samples = _ArrivingSamples(rows_in, 4 * spec.m + 1)
+        write_trajectory_csv(Trajectory(spec, samples), fh, header_fields=header_fields)
+        fh.flush()
+        error = None
+    except Exception as exc:
+        error = exc
+    try:
+        result_out.send(error)
+    except OSError:  # the parent is gone
+        pass
+
+
+def _start_writer(spec: ModelSpec, fh: TextIO, header_fields: dict[str, str]):
+    """(child, rows_out, result_in): a forked ``_write_arriving`` child and
+    the parent's ends of its two pipes, or None where no child can run
+    beside this process (``_fork_context``), ``fh`` has no file descriptor
+    that a child shares, or no descriptor or process is left to spare."""
+    ctx = _fork_context()
+    if ctx is None:
+        return None
+    try:
+        fh.fileno()
+    except (OSError, ValueError):  # an in-memory stream
+        return None
+    fh.flush()  # nothing this process holds may reach fh after the child's rows
+    pipes = []
+    try:
+        for _ in range(2):
+            pipes.extend(ctx.Pipe(duplex=False))
+        child = ctx.Process(target=_write_arriving, daemon=True,
+                            args=(*pipes, spec, fh, header_fields))
+        child.start()
+    except OSError:
+        for conn in pipes:
+            conn.close()
+        return None
+    rows_in, rows_out, result_in, result_out = pipes
+    rows_in.close()  # the child has its own copies
+    result_out.close()
+    return child, rows_out, result_in
+
+
+@contextmanager
+def _writer_beside(spec: ModelSpec, fh: TextIO, header_fields: dict[str, str]):
+    """Yield the consumer of the sample blocks of the run made inside this
+    block, which a forked child writes to ``fh`` as the trajectory CSV
+    (``_start_writer``), or None where no child can: the caller then
+    writes the CSV itself.  After the block this takes the child's report
+    and raises the exception the child sent, or OSError if it died.  The
+    child is killed and reaped before this returns or raises."""
+    started = _start_writer(spec, fh, header_fields)
+    if started is None:
+        yield None
+        return
+    child, rows_out, result_in = started
+    try:
+        try:
+            yield rows_out.send_bytes
+            rows_out.close()  # the end of the rows
+        except BrokenPipeError:  # the child stopped reading; its report says why
+            pass
+        try:
+            error = result_in.recv()
+        except EOFError:  # no report: the child died
+            child.join()
+            error = OSError(f"the CSV writer process died (exit code {child.exitcode})")
+        if error is not None:
+            raise error
+    finally:
+        rows_out.close()
+        result_in.close()
+        child.kill()
+        child.join()
+        child.close()
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _preset(PRESETS, args, _SIM_FLAGS + ("config",))
     if cfg is None:
@@ -408,10 +528,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     spec, config = cfg.spec(), cfg.integrator()
     _check_sample_memory(spec, config)
     _check_fixed_step(spec, config)
+    header = cfg.fingerprint()
     # open the output before the (possibly long) run so a bad path fails fast
-    with _open_out(args.out) as fh:
-        traj = simulate(spec, make_initial(cfg.sigma, cfg.modes), config, cfg.onset_gain)
-        write_trajectory_csv(traj, fh, header_fields=cfg.fingerprint())
+    with _open_out(args.out) as fh, _writer_beside(spec, fh, header) as consume:
+        with _streaming(consume):
+            traj = simulate(spec, make_initial(cfg.sigma, cfg.modes), config, cfg.onset_gain)
+        if consume is None:
+            write_trajectory_csv(traj, fh, header_fields=header)
     onset = "none" if traj.onset is None else format(traj.onset.t_onset, ".6g")
     final_e = traj.final_energy()
     final = "n/a" if final_e is None else format(final_e, ".12g")

@@ -36,6 +36,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
@@ -389,7 +390,7 @@ def _check_horizon(horizon_periods: int) -> None:
         )
 
 
-def _period_maxima(table: np.ndarray, horizon_periods: int) -> list[float]:
+def _period_maxima(table: np.ndarray, horizon_periods: int) -> array:
     # Per-period max |xi| from rest, up to the period that trips the guard.
     # table holds (x1, x1', x2, x2', p, p') at the accepted steps of half a
     # period; half period j starts from the state (xi_j, xi'_j) and gives
@@ -398,7 +399,7 @@ def _period_maxima(table: np.ndarray, horizon_periods: int) -> list[float]:
     x1, x1d, x2, x2d, p, pd = table.T
     m11, m21, m12, m22, b1, b2 = table[-1].tolist()
     per_block = max(1, _BLOCK_VALUES // (2 * len(table)))
-    maxima: list[float] = []
+    maxima = array("d")
     xi, xid = 0.0, 0.0
     while len(maxima) < horizon_periods:
         starts = []
@@ -478,14 +479,20 @@ def forced_check(
     completed = len(period_maxima)
     sup_norm = max(period_maxima, default=0.0)
 
-    ts = [(k + 0.5) * t_period for k in range(completed)]
-    pts = [(t, math.log(v)) for t, v in zip(ts, period_maxima) if v > 0.0]
-    if len(pts) >= 2:
-        n = len(pts)
-        mean_t = _left_sum(t for t, _ in pts) / n
-        mean_l = _left_sum(l for _, l in pts) / n
-        var = _left_sum((t - mean_t) ** 2 for t, _ in pts)
-        cov = _left_sum((t - mean_t) * (l - mean_l) for t, l in pts)
+    # the fit's points are (midpoint, log max) of the periods with a nonzero
+    # max, made afresh for each of its passes
+    def midpoints():
+        return ((k + 0.5) * t_period for k, v in enumerate(period_maxima) if v > 0.0)
+
+    def logs():
+        return (math.log(v) for v in period_maxima if v > 0.0)
+
+    n = sum(1 for v in period_maxima if v > 0.0)
+    if n >= 2:
+        mean_t = _left_sum(midpoints()) / n
+        mean_l = _left_sum(logs()) / n
+        var = _left_sum((t - mean_t) ** 2 for t in midpoints())
+        cov = _left_sum((t - mean_t) * (l - mean_l) for t, l in zip(midpoints(), logs()))
         growth_rate = cov / var
     else:
         growth_rate = 0.0

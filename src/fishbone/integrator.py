@@ -16,7 +16,8 @@ so its results are also the same on every Python version.
 
 A run keeps its samples as one flat array of doubles, 4m + 1 a sample;
 ``Trajectory.samples`` reads them as (state, energy) pairs, built only for
-the entries read.
+the entries read.  Inside ``_streaming`` a run also hands its samples on,
+a block at a time, while it records them.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import operator
 import sys
 from array import array
 from collections.abc import Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, NoReturn, Optional
 
@@ -78,6 +80,10 @@ _MIN_STEP_FACTOR = 1e-14
 
 #: Residual gap to a target time treated as already reached (roundoff).
 _TIME_SNAP = 1e-13
+
+#: Sample rows in each block a run hands on inside ``_streaming``, and in
+#: each write of the trajectory CSV writer.
+_CSV_CHUNK_ROWS = 1024
 
 
 class Scheme(enum.Enum):
@@ -646,6 +652,26 @@ class _Stopped(Exception):
     """Ends a run early; ``_Observer.stop`` has recorded why and when."""
 
 
+#: Takes the sample blocks of each run, set only inside ``_streaming``.
+_consumer: Optional[Callable[[array], None]] = None
+
+
+@contextmanager
+def _streaming(consume: Optional[Callable[[array], None]]):
+    """Within this block, each ``simulate`` run that returns has handed
+    ``consume`` all its samples in order, as flat arrays of the rows
+    (t, y..., z..., ydot..., zdot...): one block of ``_CSV_CHUNK_ROWS`` rows
+    as soon as it is recorded, and the rows left when the run ends, at
+    t_end, at a blow-up, at the onset stop or at a step-size collapse.
+    An exception ``consume`` raises ends the run.  None hands nothing on."""
+    global _consumer
+    before, _consumer = _consumer, consume
+    try:
+        yield
+    finally:
+        _consumer = before
+
+
 class _Observer:
     """Fills the Trajectory of one run: onset, running max |z1|, samples.
 
@@ -655,7 +681,9 @@ class _Observer:
     The fixed-step kernel tracks the guard, the running max and the level,
     and ``settle`` takes each kernel call's result; ``watch`` does all
     three for every accepted step of the adaptive driver.  ``record``
-    appends every sample to the flat array behind ``traj.samples``.
+    appends every sample to the flat array behind ``traj.samples`` and
+    hands each completed block on to the ``_streaming`` consumer, and
+    ``hand_on`` the rows left once the run has ended.
     Every early end of a run, a blow-up, a step-size collapse or the onset
     step under ``stop_at_onset`` (recorded as the last sample), goes
     through ``stop``, which writes ``traj.terminated_early`` and raises
@@ -671,6 +699,11 @@ class _Observer:
         self.stop_at_onset = stop_at_onset
         self.buf = array("d")
         self.traj = Trajectory(spec, _Samples(spec, self.buf), max_torsion=self.z_seed)
+        self.consume = _consumer
+        self.block = _CSV_CHUNK_ROWS * (4 * self.m + 1)
+        # doubles of buf handed on so far, and the length that completes a block
+        self.handed = 0
+        self.block_end = sys.maxsize if self.consume is None else self.block
         self.record(t0, u0)
 
     def watch(self, t: float, u: tuple[float, ...]) -> None:
@@ -702,8 +735,19 @@ class _Observer:
         raise _Stopped
 
     def record(self, t: float, u: tuple[float, ...]) -> None:
-        self.buf.append(t)
-        self.buf.extend(u)
+        buf = self.buf
+        buf.append(t)
+        buf.extend(u)
+        if len(buf) >= self.block_end:
+            self.hand_on()
+
+    def hand_on(self) -> None:
+        """Hand the consumer the rows recorded since its last block."""
+        end = len(self.buf)
+        if self.consume is not None and end > self.handed:
+            self.consume(self.buf[self.handed : end])
+            self.handed = end
+            self.block_end = end + self.block
 
 
 def check_onset_gain(onset_gain: float) -> None:
@@ -775,6 +819,7 @@ def simulate(
             _run_fixed(obs, _kernel(spec), t0, u0, config)
     except _Stopped:
         pass
+    obs.hand_on()
     return obs.traj
 
 

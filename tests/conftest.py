@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 
 import pytest
@@ -5,6 +6,20 @@ import pytest
 import fishbone.hill
 from fishbone.integrator import IntegratorConfig, make_initial, simulate
 from fishbone.model import ModelSpec
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fails a test after which a child process (a threshold look-ahead, a
+    ``_fan_out`` child, a simulate CSV writer) is still running; kills it
+    first, so that the next test starts without it."""
+    yield
+    left = multiprocessing.active_children()
+    for child in left:
+        child.kill()
+        child.join()
+    if left:
+        pytest.fail(f"child processes outlived the test: {left}")
 
 
 @pytest.fixture(scope="session")

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import fishbone.cli
 from fishbone.cli import build_parser, main
 from fishbone.model import MAX_MODES
 
@@ -535,6 +536,123 @@ class TestDeadChild:
         assert proc.returncode == 3, err
         assert err == "system error: a child died before sending its results\n"
         assert not out.exists()
+
+
+class TestWriterChild:
+    """``simulate`` writes its CSV from a forked child while the run
+    integrates, wherever ``_fork_context`` allows and the output has a file
+    descriptor, and in-process after the run elsewhere: the same bytes and
+    the same exit codes either way."""
+
+    RUNS = {
+        "isolated": ["--t-end", "12"],
+        "cross": ["--variant", "cross", "--delta", "0.01", "--t-end", "12"],
+        "crosszero": ["--variant", "crosszero", "--delta", "0.01", "--t-end", "12"],
+        "modes3": ["--modes", "3", "--t-end", "1.5", "--sample-every", "0.001"],
+        "adaptive": ["--scheme", "adaptive_embedded", "--t-end", "12"],
+        # 1795 rows up to the blow-up at t=0.00359: exit 4, partial CSV
+        "blow-up": ["--sigma", "1e4", "--t-end", "0.1", "--step", "2e-6",
+                    "--sample-every", "2e-6"],
+        # 1333 steps of 0.003, each sampled, then a short step of 0.0014
+        # onto t_end
+        "tail-step": ["--step", "0.003", "--t-end", "4.0004", "--sample-every", "0.003"],
+    }
+
+    @staticmethod
+    def _run(argv, forked, monkeypatch, cpus):
+        """main(argv) with the writer forked or not; returns its exit code."""
+        cpus(2)
+        if not forked:
+            monkeypatch.setattr("fishbone.cli._fork_context", lambda: None)
+        started = []
+        real = fishbone.cli._start_writer
+
+        def start(*args):
+            started.append(real(*args))
+            return started[-1]
+
+        monkeypatch.setattr("fishbone.cli._start_writer", start)
+        code = main(argv)
+        assert [w is not None for w in started] == [forked]
+        return code
+
+    @pytest.mark.parametrize("name", list(RUNS))
+    def test_same_bytes_on_both_paths(self, name, tmp_path, monkeypatch, cpus):
+        outs = {}
+        for forked in (True, False):
+            out = tmp_path / f"{forked}.csv"
+            argv = ["simulate", *self.RUNS[name], "--out", str(out)]
+            code = self._run(argv, forked, monkeypatch, cpus)
+            outs[forked] = code, out.read_bytes()
+            monkeypatch.undo()
+        assert outs[True] == outs[False]
+        code, data = outs[True]
+        assert code == (4 if name == "blow-up" else 0)
+        assert data.count(b"\n") > 1100  # more than one block of rows
+
+    def test_in_process_stdout(self, tmp_path, monkeypatch, cpus, capsys):
+        # capsys's stdout has no file descriptor, so no child writes it
+        argv = ["simulate", "--t-end", "12"]
+        assert self._run(argv + ["--out", "-"], False, monkeypatch, cpus) == 0
+        printed = capsys.readouterr().out
+        monkeypatch.undo()
+        out = tmp_path / "forked.csv"
+        assert self._run(argv + ["--out", str(out)], True, monkeypatch, cpus) == 0
+        assert printed.encode() == out.read_bytes()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("forked", [True, False], ids=["forked", "in-process"])
+    def test_full_disk_exits_3(self, forked, monkeypatch, cpus, capsys):
+        argv = ["simulate", "--t-end", "1", "--out", "/dev/full"]
+        assert self._run(argv, forked, monkeypatch, cpus) == 3
+        assert capsys.readouterr() == ("", "i/o error: [Errno 28] No space left on device\n")
+
+    def test_run_interrupted_kills_the_writer(self, tmp_path, monkeypatch, cpus):
+        # Ctrl-C during the run: the writer child is gone before the
+        # KeyboardInterrupt leaves main (the no_child_left fixture checks)
+        real = fishbone.cli.simulate
+
+        def interrupted(*args, **kwargs):
+            real(*args, **kwargs)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("fishbone.cli.simulate", interrupted)
+        out = tmp_path / "out.csv"
+        with pytest.raises(KeyboardInterrupt):
+            self._run(["simulate", "--t-end", "1", "--out", str(out)], True, monkeypatch, cpus)
+
+    def test_killed_writer_exits_3(self, tmp_path):
+        # the writer kills itself once it has formatted its first block; run
+        # in its own process group, so a hang is killed with it
+        script = tmp_path / "dead_writer.py"
+        script.write_text(
+            "import os, signal, sys\n"
+            "import fishbone.cli as cli\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "here, real = os.getpid(), cli._trajectory_lines\n"
+            "def dying(trajectory):\n"
+            "    for k, line in enumerate(real(trajectory)):\n"
+            "        if k == 1024 and os.getpid() != here:\n"
+            "            os.kill(os.getpid(), signal.SIGKILL)\n"
+            "        yield line\n"
+            "cli._trajectory_lines = dying\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        out = tmp_path / "out.csv"
+        proc = subprocess.Popen(
+            [sys.executable, str(script), "simulate", "--t-end", "20", "--out", str(out)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=ENV,
+            start_new_session=True,
+        )
+        try:
+            stdout, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("simulate still waited on its dead writer after 60 s")
+        assert proc.returncode == 3, err
+        assert err == "i/o error: the CSV writer process died (exit code -9)\n"
+        assert stdout == ""
 
 
 class TestOutputPins:

@@ -6,6 +6,7 @@ import math
 import signal
 import sys
 import tracemalloc
+from array import array
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,6 +19,7 @@ import fishbone.integrator
 from fishbone.cli import write_trajectory_csv
 from fishbone.hill import period_for_amplitude
 from fishbone.integrator import (
+    _CSV_CHUNK_ROWS,
     BLOWUP_LIMIT,
     MAX_SAMPLES,
     MAX_STEPS,
@@ -1120,6 +1122,54 @@ class TestTrajectoryCsvOracle:
                     e.quartic, e.aero_cross)
             got = _energy_terms(y, z, yd, zd, _aero_delta(spec))
             assert [v.hex() for v in got] == [v.hex() for v in want], (y, z, yd, zd)
+
+
+class TestStreaming:
+    """Inside ``_streaming`` a run hands on all its samples in order, in
+    blocks of ``_CSV_CHUNK_ROWS`` rows and the rows left at the end,
+    however the run ends; its own samples stay whole."""
+
+    ENDS = {
+        "t_end": (ISO, make_initial(1.47), dict(t_end=25.0), {}),
+        "t_end-adaptive": (ISO, make_initial(1.47), dict(scheme=AD, t_end=12.0), {}),
+        "t_end-m3": (ModelSpec(Variant.ISOLATED, m=3), make_initial(1.47, 3),
+                     dict(t_end=1.5, sample_every=0.001), {}),
+        # 1795 samples up to the blow-up at t=0.00359
+        "blow-up": (ISO, make_initial(1e4), dict(t_end=0.1, h=2e-6, sample_every=2e-6), {}),
+        "onset-stop": (ISO, make_initial(2.0), dict(t_end=15.0), dict(stop_at_onset=True)),
+        "step-collapse": (ISO, SystemState.single(1e9, 1.47, 1.47e-4, 0.0, 0.0),
+                          dict(scheme=AD, h=1e-6, t_end=1.0), {}),
+    }
+
+    @pytest.mark.parametrize("name", list(ENDS))
+    def test_blocks_are_the_samples(self, name):
+        spec, initial, kw, flags = self.ENDS[name]
+        blocks = []
+        with fishbone.integrator._streaming(blocks.append):
+            traj = simulate(spec, initial, cfg(**kw), **flags)
+        assert traj.terminated_early == simulate(spec, initial, cfg(**kw), **flags).terminated_early
+        stride = 4 * spec.m + 1
+        rows = [len(b) // stride for b in blocks]
+        assert all(n == _CSV_CHUNK_ROWS for n in rows[:-1]) and 0 < rows[-1] <= _CSV_CHUNK_ROWS
+        assert array("d", itertools.chain(*blocks)) == traj.samples._buf
+        assert sum(rows) == len(traj.samples)
+
+    def test_nothing_handed_on_outside(self):
+        blocks = []
+        with fishbone.integrator._streaming(blocks.append):
+            pass
+        simulate(ISO, make_initial(1.47), cfg(t_end=1.0))
+        with fishbone.integrator._streaming(None):
+            simulate(ISO, make_initial(1.47), cfg(t_end=1.0))
+        assert blocks == [] and fishbone.integrator._consumer is None
+
+    def test_consumer_error_ends_the_run(self):
+        def full(block):
+            raise OSError(28, "No space left on device")
+
+        with fishbone.integrator._streaming(full), pytest.raises(OSError, match="No space"):
+            simulate(ISO, make_initial(1.47), cfg(t_end=25.0))
+        assert fishbone.integrator._consumer is None
 
 
 def test_tracing_harness_finds_every_name_it_patches():

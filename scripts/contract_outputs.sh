@@ -2,11 +2,12 @@
 # Write the byte-level output contract of the checkout in the current
 # directory into DIR: every `simulate` preset CSV, the trajectory CSVs of
 # paths the presets do not take (three and four modes, two modes on the
-# adaptive scheme, the adaptive scheme, a short step onto t_end, a blow-up
-# under each scheme and one at three modes, standard output), the
-# standard threshold report, threshold searches of other models, schemes
-# and invalid brackets, sweeps of the three variants, the prop2-grid
-# chart and a chart over the longest forced horizon, the cross sweep, the
+# adaptive scheme, the adaptive scheme, seeds of -0.0 and -1.47 and cross
+# at delta = 0, a short step onto t_end, a blow-up under each scheme and
+# one at three modes, standard output), the standard threshold report,
+# threshold searches of other models, schemes and invalid brackets, sweeps
+# of the three variants, the prop2-grid chart and a chart over the longest
+# forced horizon, the cross sweep, the
 # prop2-grid chart, an aerodynamic preset and the standard-output CSV also
 # on one CPU (taskset), each with its exit code in NAME.exit, and a run
 # whose CSV goes to a full device (/dev/full).
@@ -54,6 +55,12 @@ run adaptive.csv simulate --scheme adaptive_embedded --t-end 5
 # 333 steps of 0.003 sampled every 3 steps, then a short step of 0.0014
 # onto t_end
 run tail-step.csv simulate --step 0.003 --t-end 1.0004
+# seeds no preset takes: -0.0 and a negative amplitude, where the signs of
+# zeros in the aerodynamic sums show, and cross at delta = 0, which runs
+# the kernel without aerodynamic terms
+run cross-sigma-neg0.csv simulate --variant cross --delta 0.01 --sigma -0.0 --t-end 1
+run crosszero-sigma-neg.csv simulate --variant crosszero --delta 0.03 --sigma -1.47 --t-end 20
+run cross-delta0.csv simulate --variant cross --delta 0 --sigma 1.47 --t-end 20
 # onset, then blow-up after three samples: exit 4, partial CSV
 run blowup.csv simulate --sigma 1100 --t-end 1
 # a blow-up on an adaptive step: exit 4 at t=4.87271e-05

@@ -7,12 +7,14 @@ plain Python floats so that results are bit-deterministic across runs: every
 driver carries the state as one flat tuple of floats (y..., z..., ydot...,
 zdot...), whatever the mode count.
 
-The fixed-step kernel, chosen by ``_kernel``, runs all the steps up to the
-next sample time in one Python frame: the blow-up guard, the running max of
-|z1| and the onset level are checked there.  The isolated 1-mode model has
-a kernel of its own, without the aerodynamic terms that are zero there.
-The Dormand-Prince driver writes each stage out as one left-to-right sum,
-so its results are also the same on every Python version.
+The fixed-step kernel, chosen by ``_kernel``, runs a whole run in one
+Python frame: it checks the blow-up guard, the running max of |z1| and the
+onset level on each step, records each sample, and returns only at the
+end, at a blow-up or at the onset step.  Every 1-mode kernel is compiled
+from one source, once per coupling shape (which aerodynamic coefficients
+are nonzero), without the products whose coefficient is zero.  The
+Dormand-Prince driver writes each stage out as one left-to-right sum, so
+its results are also the same on every Python version.
 
 A run keeps its samples as one flat array of doubles, 4m + 1 a sample;
 ``Trajectory.samples`` reads them as (state, energy) pairs, built only for
@@ -23,6 +25,7 @@ a block at a time, while it records them.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import operator
 import sys
@@ -36,7 +39,6 @@ from .model import (
     EnergyBreakdown,
     ModelSpec,
     SystemState,
-    Variant,
     _cross_coefficients,
     _m_mode_accelerations,
     energy,
@@ -263,91 +265,135 @@ def make_initial(sigma: float, m: int = 1) -> SystemState:
     return SystemState(t=0.0, y=y, z=z, ydot=zeros, zdot=zeros)
 
 
-#: ``advance(u, h, n, peak, level) -> (u, k, peak, fired)``: the fixed-step
-#: kernel.  It runs up to n RK4 steps of h from the flat state u in one
-#: frame, carrying ``peak``, the running max of |z1|, and returns after k
-#: steps: at n, after the first step whose |z1| reaches ``level`` (fired),
-#: or with u None after the step that took a component to BLOWUP_LIMIT in
-#: magnitude or to NaN.  Every earlier step stayed below level, and level =
-#: gain |z1(0)| >= |z1(0)|, so a step can first reach it only where it also
-#: reaches the running max: the kernels test level only there.  ``>=``
-#: rather than ``>`` keeps this exact even where level rounds to the max.
-_Advance = Callable[[tuple, float, int, float, float], tuple]
+#: ``advance(u, h, i, n, every, t0, peak, level, record) -> (u, i, peak,
+#: fired)``: the fixed-step kernel.  It runs the RK4 steps of h after step
+#: i up to step n from the flat state u in one frame, carrying ``peak``, the
+#: running max of |z1|, and calls ``record(t0 + i * h, u)`` after each step
+#: i that is a multiple of ``every``.  It returns after step i: at n, after
+#: the first step whose |z1| reaches ``level`` (fired, before that step is
+#: recorded), or with u None after the step that took a component to
+#: BLOWUP_LIMIT in magnitude or to NaN.  Every earlier step stayed below
+#: level, and level = gain |z1(0)| >= |z1(0)|, so a step can first reach it
+#: only where it also reaches the running max: the kernels test level only
+#: there.  ``>=`` rather than ``>`` keeps this exact even where level
+#: rounds to the max.
+_Advance = Callable[[tuple, float, int, int, int, float, float, float, Callable], tuple]
+
+#: Source of the 1-mode kernel of every coupling shape: ``_one_mode_kernel``
+#: fills in the accelerations ``{ay1}`` to ``{az4}`` of the four stages.
+_ONE_MODE_KERNEL = """
+def bind(c1, c2, c3, c4):
+    def advance(u, h, i, n, every, t0, peak, level, record):
+        y, z, yd, zd = u
+        h2 = 0.5 * h
+        h6 = h / 6.0
+        lim = BLOWUP_LIMIT
+        nlim = -lim
+        sample = i - i % every + every
+        while i < n:
+            for i in range(i + 1, (sample if sample < n else n) + 1):
+                ay1 = {ay1}
+                az1 = {az1}
+                y2 = y + h2 * yd
+                z2 = z + h2 * zd
+                yd2 = yd + h2 * ay1
+                zd2 = zd + h2 * az1
+                ay2 = {ay2}
+                az2 = {az2}
+                y3 = y + h2 * yd2
+                z3 = z + h2 * zd2
+                yd3 = yd + h2 * ay2
+                zd3 = zd + h2 * az2
+                ay3 = {ay3}
+                az3 = {az3}
+                y4 = y + h * yd3
+                z4 = z + h * zd3
+                yd4 = yd + h * ay3
+                zd4 = zd + h * az3
+                ay4 = {ay4}
+                az4 = {az4}
+                y = y + h6 * (yd + 2.0 * (yd2 + yd3) + yd4)
+                z = z + h6 * (zd + 2.0 * (zd2 + zd3) + zd4)
+                yd = yd + h6 * (ay1 + 2.0 * (ay2 + ay3) + ay4)
+                zd = zd + h6 * (az1 + 2.0 * (az2 + az3) + az4)
+                # NaN fails every comparison, so this also catches non-finite values
+                if not (
+                    nlim < y < lim and nlim < z < lim and nlim < yd < lim and nlim < zd < lim
+                ):
+                    return None, i, peak, False
+                az = abs(z)
+                if az >= peak:
+                    peak = az
+                    if az >= level:
+                        return (y, z, yd, zd), i, peak, True
+            if i == sample:
+                record(t0 + i * h, (y, z, yd, zd))
+                sample += every
+        return (y, z, yd, zd), i, peak, False
+
+    return advance
+"""
 
 
-def _advance_isolated(u, h, n, peak, level):
-    """RK4 kernel of the 1-mode isolated system: no aerodynamic terms.
+@functools.lru_cache(maxsize=None)
+def _one_mode_kernel(shape: tuple[bool, bool, bool, bool]) -> Callable[..., _Advance]:
+    """``bind(c1, c2, c3, c4) -> advance``: the 1-mode kernel compiled for
+    one coupling shape, which of the four ``_cross_coefficients`` are
+    nonzero: isolated (or delta = 0), cross or crosszero.  The coefficients
+    are bound per call, so a shape has one code object whatever its delta.
 
-    The accelerations are written as ``-3.0 * y - 1.5 * y * y * y - ...``
-    where ``one_mode_accelerations`` negates the sum ``3.0 * y + ...`` that
-    also carries four terms with coefficient 0.0.  Rounding is symmetric
-    and adding a zero product changes no nonzero sum, so the two agree bit
-    for bit except in the sign of a zero sum, which needs a stage y (or z)
-    of -0.0.  That happens only on the invariant subspaces seeded with
-    (y, ydot) = (-0.0, -0.0) or (z, zdot) = (-0.0, -0.0), where the states
-    of the two forms differ in signed zeros and are equal under ``==``.
-    ``make_initial(+-0.0)`` starts off those subspaces.
+    Each acceleration is written as ``-3.0 * y - 1.5 * y * y * y - 4.5 * y
+    * z * z - c1 * zd - c2 * z`` without the products whose coefficient is
+    0.0, where ``one_mode_accelerations`` negates the sum ``3.0 * y + ...``
+    of all of them.  Rounding is symmetric and adding a zero product
+    changes no nonzero sum, so the two forms agree bit for bit except in
+    the sign of a zero sum, and sums and products carry such a sign only
+    into other zeros: the states of the two are always equal under ``==``.
+    A sum is zero where all its products are: on the invariant subspaces
+    seeded with a pair of -0.0, such as (y, ydot) = (-0.0, -0.0) (with
+    couplings, which feed each equation from the other, only at rest), or
+    where the coupling products cancel the others exactly.
+    ``make_initial(sigma)`` starts off those subspaces.  A left-out 0.0 *
+    inf would be NaN, but a stage with an infinite value is non-finite in
+    either form, and both end the step outside the guard.
     """
-    y, z, yd, zd = u
-    h2 = 0.5 * h
-    h6 = h / 6.0
-    lim = BLOWUP_LIMIT
-    nlim = -lim
-    for k in range(1, n + 1):
-        ay1 = -3.0 * y - 1.5 * y * y * y - 4.5 * y * z * z
-        az1 = -7.0 * z - 4.5 * z * z * z - 13.5 * z * y * y
-        y2 = y + h2 * yd
-        z2 = z + h2 * zd
-        yd2 = yd + h2 * ay1
-        zd2 = zd + h2 * az1
-        ay2 = -3.0 * y2 - 1.5 * y2 * y2 * y2 - 4.5 * y2 * z2 * z2
-        az2 = -7.0 * z2 - 4.5 * z2 * z2 * z2 - 13.5 * z2 * y2 * y2
-        y3 = y + h2 * yd2
-        z3 = z + h2 * zd2
-        yd3 = yd + h2 * ay2
-        zd3 = zd + h2 * az2
-        ay3 = -3.0 * y3 - 1.5 * y3 * y3 * y3 - 4.5 * y3 * z3 * z3
-        az3 = -7.0 * z3 - 4.5 * z3 * z3 * z3 - 13.5 * z3 * y3 * y3
-        y4 = y + h * yd3
-        z4 = z + h * zd3
-        yd4 = yd + h * ay3
-        zd4 = zd + h * az3
-        ay4 = -3.0 * y4 - 1.5 * y4 * y4 * y4 - 4.5 * y4 * z4 * z4
-        az4 = -7.0 * z4 - 4.5 * z4 * z4 * z4 - 13.5 * z4 * y4 * y4
-        y = y + h6 * (yd + 2.0 * (yd2 + yd3) + yd4)
-        z = z + h6 * (zd + 2.0 * (zd2 + zd3) + zd4)
-        yd = yd + h6 * (ay1 + 2.0 * (ay2 + ay3) + ay4)
-        zd = zd + h6 * (az1 + 2.0 * (az2 + az3) + az4)
-        # NaN fails every comparison, so this also catches non-finite values
-        if not (
-            nlim < y < lim and nlim < z < lim and nlim < yd < lim and nlim < zd < lim
-        ):
-            return None, k, peak, False
-        az = abs(z)
-        if az >= peak:
-            peak = az
-            if az >= level:
-                return (y, z, yd, zd), k, peak, True
-    return (y, z, yd, zd), n, peak, False
+    on1, on2, on3, on4 = shape
+    ay = "-3.0 * {y} - 1.5 * {y} * {y} * {y} - 4.5 * {y} * {z} * {z}"
+    az = "-7.0 * {z} - 4.5 * {z} * {z} * {z} - 13.5 * {z} * {y} * {y}"
+    ay += (" - c1 * {zd}" if on1 else "") + (" - c2 * {z}" if on2 else "")
+    az += (" - c3 * {yd}" if on3 else "") + (" - c4 * {y}" if on4 else "")
+    stages = {}
+    for k, suffix in enumerate(("", "2", "3", "4"), 1):
+        names = {v: v + suffix for v in ("y", "z", "yd", "zd")}
+        stages[f"ay{k}"] = ay.format(**names)
+        stages[f"az{k}"] = az.format(**names)
+    namespace = {"BLOWUP_LIMIT": BLOWUP_LIMIT}
+    code = compile(_ONE_MODE_KERNEL.format(**stages), f"<1-mode RK4 kernel {shape}>", "exec")
+    exec(code, namespace)
+    return namespace["bind"]
 
 
 def _kernel(spec: ModelSpec) -> _Advance:
     """The fixed-step RK4 ``advance`` of one model, the one place it is chosen.
 
-    The isolated 1-mode model gets ``_advance_isolated``; the aerodynamic
-    1-mode kernel inlines ``one_mode_accelerations`` operation for
-    operation.  The m-mode kernel calls ``_rhs(spec)`` at t = 0 (the model
-    is autonomous) and forms u + (h/6) (k1 + 2 (k2 + k3) + k4) after the
-    stages u + (h/2) k and u + h k3, in the order the pinned runs check.
+    At m = 1 it is ``_one_mode_kernel`` of the model's coupling shape,
+    bound to its coefficients.  The m-mode kernel calls ``_rhs(spec)`` at
+    t = 0 (the model is autonomous) and forms u + (h/6) (k1 + 2 (k2 + k3) +
+    k4) after the stages u + (h/2) k and u + h k3, in the order the pinned
+    runs check.
     """
     m = spec.m
-    if m > 1:
-        f = _rhs(spec)
+    if m == 1:
+        c = _cross_coefficients(spec)
+        return _one_mode_kernel(tuple(v != 0.0 for v in c))(*c)
+    f = _rhs(spec)
 
-        def advance_m(u, h, n, peak, level):
-            h2 = 0.5 * h
-            h6 = h / 6.0
-            for k in range(1, n + 1):
+    def advance_m(u, h, i, n, every, t0, peak, level, record):
+        h2 = 0.5 * h
+        h6 = h / 6.0
+        sample = i - i % every + every
+        while i < n:
+            for i in range(i + 1, (sample if sample < n else n) + 1):
                 k1 = f(0.0, u)
                 k2 = f(0.0, tuple([a + h2 * b for a, b in zip(u, k1)]))
                 k3 = f(0.0, tuple([a + h2 * b for a, b in zip(u, k2)]))
@@ -357,62 +403,18 @@ def _kernel(spec: ModelSpec) -> _Advance:
                     for a, b1, b2, b3, b4 in zip(u, k1, k2, k3, k4)
                 ])
                 if not _within_guard(u):
-                    return None, k, peak, False
+                    return None, i, peak, False
                 az = abs(u[m])
                 if az >= peak:
                     peak = az
                     if az >= level:
-                        return u, k, peak, True
-            return u, n, peak, False
+                        return u, i, peak, True
+            if i == sample:
+                record(t0 + i * h, u)
+                sample += every
+        return u, i, peak, False
 
-        return advance_m
-    if spec.variant is Variant.ISOLATED:
-        return _advance_isolated
-    c1, c2, c3, c4 = _cross_coefficients(spec)
-
-    def advance(u, h, n, peak, level):
-        y, z, yd, zd = u
-        h2 = 0.5 * h
-        h6 = h / 6.0
-        lim = BLOWUP_LIMIT
-        nlim = -lim
-        for k in range(1, n + 1):
-            ay1 = -(3.0 * y + 1.5 * y * y * y + 4.5 * y * z * z + c1 * zd + c2 * z)
-            az1 = -(7.0 * z + 4.5 * z * z * z + 13.5 * z * y * y + c3 * yd + c4 * y)
-            y2 = y + h2 * yd
-            z2 = z + h2 * zd
-            yd2 = yd + h2 * ay1
-            zd2 = zd + h2 * az1
-            ay2 = -(3.0 * y2 + 1.5 * y2 * y2 * y2 + 4.5 * y2 * z2 * z2 + c1 * zd2 + c2 * z2)
-            az2 = -(7.0 * z2 + 4.5 * z2 * z2 * z2 + 13.5 * z2 * y2 * y2 + c3 * yd2 + c4 * y2)
-            y3 = y + h2 * yd2
-            z3 = z + h2 * zd2
-            yd3 = yd + h2 * ay2
-            zd3 = zd + h2 * az2
-            ay3 = -(3.0 * y3 + 1.5 * y3 * y3 * y3 + 4.5 * y3 * z3 * z3 + c1 * zd3 + c2 * z3)
-            az3 = -(7.0 * z3 + 4.5 * z3 * z3 * z3 + 13.5 * z3 * y3 * y3 + c3 * yd3 + c4 * y3)
-            y4 = y + h * yd3
-            z4 = z + h * zd3
-            yd4 = yd + h * ay3
-            zd4 = zd + h * az3
-            ay4 = -(3.0 * y4 + 1.5 * y4 * y4 * y4 + 4.5 * y4 * z4 * z4 + c1 * zd4 + c2 * z4)
-            az4 = -(7.0 * z4 + 4.5 * z4 * z4 * z4 + 13.5 * z4 * y4 * y4 + c3 * yd4 + c4 * y4)
-            y = y + h6 * (yd + 2.0 * (yd2 + yd3) + yd4)
-            z = z + h6 * (zd + 2.0 * (zd2 + zd3) + zd4)
-            yd = yd + h6 * (ay1 + 2.0 * (ay2 + ay3) + ay4)
-            zd = zd + h6 * (az1 + 2.0 * (az2 + az3) + az4)
-            if not (
-                nlim < y < lim and nlim < z < lim and nlim < yd < lim and nlim < zd < lim
-            ):
-                return None, k, peak, False
-            az = abs(z)
-            if az >= peak:
-                peak = az
-                if az >= level:
-                    return (y, z, yd, zd), k, peak, True
-        return (y, z, yd, zd), n, peak, False
-
-    return advance
+    return advance_m
 
 
 def _rhs(spec: ModelSpec) -> Callable[[float, tuple], tuple]:
@@ -678,12 +680,13 @@ class _Observer:
     Every driver hands it the flat state (y..., z..., ydot..., zdot...) as
     a tuple of floats, so z1 is ``u[m]``.  ``level`` is the |z1| at which
     the onset fires, and inf once it has fired or when the seed is zero.
-    The fixed-step kernel tracks the guard, the running max and the level,
-    and ``settle`` takes each kernel call's result; ``watch`` does all
-    three for every accepted step of the adaptive driver.  ``record``
-    appends every sample to the flat array behind ``traj.samples`` and
-    hands each completed block on to the ``_streaming`` consumer, and
-    ``hand_on`` the rows left once the run has ended.
+    The fixed-step kernel tracks the guard, the running max and the level
+    and records its samples, and ``settle`` takes each kernel call's
+    result; ``watch`` checks all three for every accepted step of the
+    adaptive driver.  ``record`` appends every sample to the flat array
+    behind ``traj.samples`` and hands each completed block on to the
+    ``_streaming`` consumer, and ``hand_on`` the rows left once the run
+    has ended.
     Every early end of a run, a blow-up, a step-size collapse or the onset
     step under ``stop_at_onset`` (recorded as the last sample), goes
     through ``stop``, which writes ``traj.terminated_early`` and raises
@@ -736,8 +739,8 @@ class _Observer:
 
     def record(self, t: float, u: tuple[float, ...]) -> None:
         buf = self.buf
-        buf.append(t)
-        buf.extend(u)
+        # one resize a row, where extend grows the array value by value
+        buf.fromlist([t, *u])
         if len(buf) >= self.block_end:
             self.hand_on()
 
@@ -828,28 +831,28 @@ def _run_fixed(
 ) -> None:
     """Fixed-step loop: n full steps of h, then a short step onto t_end.
 
-    Each kernel call runs the steps up to the next sample, every
-    ``_sample_stride`` steps, or to the onset step, and ``obs.settle``
-    takes its result; the short step onto t_end is one more call.
+    One kernel call runs the n steps and records every ``_sample_stride``-th
+    step; it returns early only at a blow-up or at the onset step, which
+    ``obs.settle`` takes before the run goes on with one more call.  The
+    short step onto t_end is one more call, and its sample is recorded at
+    t_end here.
     """
     h = config.h
-    n_sub = _sample_stride(config)
+    every = _sample_stride(config)
     n_steps, h_tail = _split_horizon(config.t_end, h)
     peak = obs.traj.max_torsion
-    i = 0
-    while i < n_steps:
-        n = min(n_sub - i % n_sub, n_steps - i)
-        u, k, peak, fired = advance(u, h, n, peak, obs.level)
-        i += k
-        t = t0 + i * h
-        obs.settle(t, u, peak, fired)
-        if i % n_sub == 0:
-            obs.record(t, u)
+    i, fired = 0, True
+    while fired:
+        u, i, peak, fired = advance(u, h, i, n_steps, every, t0, peak, obs.level, obs.record)
+        obs.settle(t0 + i * h, u, peak, fired)
+        if fired and i % every == 0:
+            obs.record(t0 + i * h, u)
     if h_tail > 0.0:
-        u, _, peak, fired = advance(u, h_tail, 1, peak, obs.level)
+        # a stride of 2 records nothing within the one step
+        u, _, peak, fired = advance(u, h_tail, 0, 1, 2, t0, peak, obs.level, obs.record)
         obs.settle(t0 + config.t_end, u, peak, fired)
         obs.record(t0 + config.t_end, u)
-    elif n_steps % n_sub:
+    elif n_steps % every:
         obs.record(t0 + n_steps * h, u)
 
 

@@ -185,7 +185,9 @@ def one_mode_accelerations(
     The structural coefficients (3, 3/2, 9/2) and (7, 9/2, 27/2) are fixed
     rationals of the 1-mode projection; the four c_* arguments carry the
     variant-dependent aerodynamic couplings (see ``_cross_coefficients``).
-    This is the integrator's hot kernel, so it takes plain floats.
+    It takes plain floats: the adaptive 1-mode right-hand side
+    (``integrator._rhs``) and ``rhs_one_mode`` call it, and the fixed-step
+    kernels write it out without its zero products.
     """
     ay = -(3.0 * y + 1.5 * y * y * y + 4.5 * y * z * z + c_v_zdot * zdot + c_v_z * z)
     az = -(7.0 * z + 4.5 * z * z * z + 13.5 * z * y * y + c_t_ydot * ydot + c_t_y * y)

@@ -160,26 +160,34 @@ def _fan_out(fn, tasks, width):
     """[fn(t) for t in tasks] on at most ``width`` processes, and no more
     than tasks and usable CPUs: this process runs task 0 and each of width
     - 1 forked children (``_fork_context``) task j, then each takes the
-    next task left, so a process slowed by other load runs fewer.  A
-    task's exception is raised here, this process's first, then each
-    child's in turn, and a child that died before it sent raises
-    BrokenProcessPool.  Every child is killed and reaped before this
-    returns or raises."""
+    next task left, so a process slowed by other load runs fewer.  Where
+    a fork fails (no descriptor or process to spare), this process also
+    runs that child's task j.  A task's exception is raised here, this
+    process's first, then each child's in turn, and a child that died
+    before it sent raises BrokenProcessPool.  Every child is killed and
+    reaped before this returns or raises."""
     ctx = _fork_context()
     width = 1 if ctx is None else min(width, len(tasks), len(os.sched_getaffinity(0)))
     if width < 2:
         return [fn(t) for t in tasks]
-    children, tickets = [], tempfile.TemporaryFile()
+    children, unstarted, tickets = [], [], tempfile.TemporaryFile()
     try:
         os.pwrite(tickets.fileno(), width.to_bytes(8, "little"), 0)
         for j in range(1, width):
-            reader, writer = ctx.Pipe(duplex=False)
-            child = ctx.Process(target=_run_share, daemon=True,
-                                args=(reader, writer, fn, tasks, j, tickets.fileno()))
-            child.start()
+            pipe = ()
+            try:
+                pipe = reader, writer = ctx.Pipe(duplex=False)
+                child = ctx.Process(target=_run_share, daemon=True,
+                                    args=(reader, writer, fn, tasks, j, tickets.fileno()))
+                child.start()
+            except OSError:  # no descriptor or process to spare: task j runs here
+                for conn in pipe:
+                    conn.close()
+                unstarted.append(j)
+                continue
             children.append((child, reader))
             writer.close()  # the child has its own copy, and a later child none
-        shares = [_take(fn, tasks, 0, tickets.fileno())]
+        shares = [_take(fn, tasks, 0, tickets.fileno()), [(j, fn(tasks[j])) for j in unstarted]]
         for _, reader in children:
             try:
                 shares.append(reader.recv())

@@ -1,3 +1,4 @@
+import errno
 import multiprocessing
 import os
 
@@ -64,3 +65,24 @@ def cpus(monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
     return set_cpus
+
+
+@pytest.fixture
+def refused_forks(monkeypatch):
+    """Makes every fork fail with EAGAIN, as where no process is left to
+    spare; returns the pipe ends made meanwhile, to check they were closed."""
+
+    def refuse(self):
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    ctx = multiprocessing.get_context("fork")
+    real_pipe, made = ctx.Pipe, []
+
+    def pipe(*args, **kwargs):
+        ends = real_pipe(*args, **kwargs)
+        made.extend(ends)
+        return ends
+
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", refuse)
+    monkeypatch.setattr(ctx, "Pipe", pipe)
+    return made

@@ -520,6 +520,19 @@ class TestChartFanOut:
         assert where() == {1.0: os.getpid(), 2.0: os.getpid(), 3.0: os.getpid()}
         assert multiprocessing.active_children() == []
 
+    def test_energy_of_a_failed_fork_runs_here(self, cpus, monkeypatch, tmp_path,
+                                               refused_forks):
+        # no process to spare: this process runs the failed child's energy
+        # too, and closes the pipe made for that child
+        cpus(1)
+        expected = repr(stability_chart([1.0, 2.0, 3.0]))
+        cpus(2)
+        where = classified_where(monkeypatch, tmp_path / "log")
+        assert repr(stability_chart([1.0, 2.0, 3.0])) == expected
+        assert where() == {1.0: os.getpid(), 2.0: os.getpid(), 3.0: os.getpid()}
+        assert refused_forks and all(conn.closed for conn in refused_forks)
+        assert multiprocessing.active_children() == []
+
     def test_child_exception_reaches_the_caller(self, cpus, monkeypatch, tmp_path):
         cpus(2)
         where = classified_where(monkeypatch, tmp_path / "log", fail_at=2.0)

@@ -31,6 +31,7 @@ from fishbone.integrator import (
     _check_fixed_step,
     _check_sample_memory,
     _Observer,
+    _kernel,
 )
 from fishbone.model import (
     MAX_MODES,
@@ -38,6 +39,7 @@ from fishbone.model import (
     SystemState,
     Variant,
     _aero_delta,
+    _cross_coefficients,
     _energy_terms,
     energy,
     rhs_one_mode,
@@ -919,6 +921,31 @@ class TestChunkBoundaries:
         short = simulate(ISO, make_initial(2.0), cfg(t_end=10.999))
         assert short.onset is None
 
+    @pytest.mark.parametrize("t_end, stop, calls", [
+        (10.0, False, 1),  # quiet: one call for the whole run
+        (15.0, True, 1),  # the run ends at the onset step
+        (15.0, False, 2),  # the run goes on after the onset
+        (15.0005, False, 3),  # and ends with a short step onto t_end
+    ])
+    def test_kernel_calls_per_run(self, monkeypatch, t_end, stop, calls):
+        made = []
+        real = fishbone.integrator._kernel
+
+        def counting(spec):
+            advance = real(spec)
+
+            def counted(*args):
+                made.append(args)
+                return advance(*args)
+
+            return counted
+
+        monkeypatch.setattr(fishbone.integrator, "_kernel", counting)
+        traj = simulate(ISO, make_initial(2.0), cfg(t_end=t_end), stop_at_onset=stop)
+        onset = None if traj.onset is None else traj.onset.t_onset
+        assert onset == (11.0 if t_end > 10.0 else None)
+        assert len(made) == calls
+
     def test_blow_up_in_mid_chunk(self):
         # onset at step 13, blow-up at step 36: neither is a sample step
         initial = make_initial(1100.0)
@@ -933,52 +960,77 @@ class TestChunkBoundaries:
         assert dense.max_torsion == max(abs(s.z[0]) for s, _ in dense.samples)
 
 
+SHAPES = {
+    "isolated": ISO,
+    "cross": ModelSpec(Variant.CROSS_DERIV, delta=0.01),
+    "crosszero": ModelSpec(Variant.CROSS_DERIV_ZERO, delta=0.02),
+    "cross-delta0": ModelSpec(Variant.CROSS_DERIV, delta=0.0),
+}
+
+
+def reference_run(spec, u, steps, h=1e-3):
+    for _ in range(steps):
+        u = rk4_1m_reference(spec, u, h)
+    return u
+
+
+def hexes(u):
+    return [v.hex() for v in u]
+
+
 class TestKernelOracle:
     # the inlined accelerations of the fixed RK4 step against one RK4 step
     # per call of the public 1-mode right-hand side: 2000 steps of 1e-3
-    @pytest.mark.parametrize("spec", [
-        ISO,
-        ModelSpec(Variant.CROSS_DERIV, delta=0.01),
-        ModelSpec(Variant.CROSS_DERIV_ZERO, delta=0.02),
-    ], ids=["isolated", "cross", "crosszero"])
+    @pytest.mark.parametrize("spec", list(SHAPES.values()), ids=list(SHAPES))
     def test_final_state_bit_identical(self, spec):
         initial = SystemState.single(0.0, 1.5, 1.1, 0.7, -0.6)
         config = cfg(t_end=2.0, sample_every=2.0)
-        traj = simulate(spec, initial, config)
-        u = initial.flat()
-        for _ in range(2000):
-            u = rk4_1m_reference(spec, u, config.h)
-        final = traj.final_state()
+        final = simulate(spec, initial, config).final_state()
         assert final.t == 2.0
-        assert [v.hex() for v in final.flat()] == [v.hex() for v in u]
+        assert hexes(final.flat()) == hexes(reference_run(spec, initial.flat(), 2000))
+
+    @staticmethod
+    def signed_zero_pair(spec, state):
+        # a kernel sum can differ in the sign of a zero only where all its
+        # products are zero: on the subspaces seeded with a pair of -0.0
+        # that the model leaves invariant, and with couplings, which feed
+        # each equation from the other, only at rest
+        neg_y, neg_z, neg_yd, neg_zd = (v == 0.0 and math.copysign(1.0, v) < 0.0 for v in state)
+        if not any(_cross_coefficients(spec)):
+            return (neg_y and neg_yd) or (neg_z and neg_zd)
+        return neg_y + neg_z + neg_yd + neg_zd >= 2 and not any(state)
 
     def test_signed_zeros(self):
-        # The isolated kernel drops the zero aerodynamic terms, so its sums
-        # can differ from the coefficient form only in the sign of a zero:
-        # on the invariant subspaces seeded with (y, ydot) = (-0, -0) or
-        # (z, zdot) = (-0, -0).  Elsewhere the two agree bit for bit.
+        # The kernels drop the zero aerodynamic terms, so their sums can
+        # differ from the coefficient form only in the sign of a zero, on
+        # the states of signed_zero_pair; elsewhere the two agree bit for bit
         config = cfg(t_end=0.01, sample_every=0.01)
         values = (0.0, -0.0, 0.5, -0.5)
-        for state in itertools.product(values, repeat=4):
-            final = simulate(ISO, SystemState.single(0.0, *state), config).final_state()
-            u = state
-            for _ in range(10):
-                u = rk4_1m_reference(ISO, u, config.h)
-            neg_y, neg_z, neg_yd, neg_zd = (
-                v == 0.0 and math.copysign(1.0, v) < 0.0 for v in state
-            )
-            if (neg_y and neg_yd) or (neg_z and neg_zd):
-                assert final.flat() == u, state
-            else:
-                assert [v.hex() for v in final.flat()] == [v.hex() for v in u], state
-        # the standard initial data never lies on those subspaces
-        for sigma in (0.0, -0.0):
-            initial = make_initial(sigma)
-            final = simulate(ISO, initial, config).final_state()
-            u = initial.flat()
-            for _ in range(10):
-                u = rk4_1m_reference(ISO, u, config.h)
-            assert [v.hex() for v in final.flat()] == [v.hex() for v in u]
+        differ = dict.fromkeys(SHAPES, 0)
+        for name, spec in SHAPES.items():
+            for state in itertools.product(values, repeat=4):
+                final = simulate(spec, SystemState.single(0.0, *state), config).final_state()
+                u = reference_run(spec, state, 10)
+                assert final.flat() == u, (name, state)
+                if hexes(final.flat()) != hexes(u):
+                    assert self.signed_zero_pair(spec, state), (name, state)
+                    differ[name] += 1
+        assert differ == {"isolated": 22, "cross": 7, "crosszero": 9, "cross-delta0": 22}
+
+    @pytest.mark.parametrize("sigma", [0.0, -0.0, 1.47, -1.47])
+    @pytest.mark.parametrize("spec", list(SHAPES.values()), ids=list(SHAPES))
+    def test_standard_seed_off_the_signed_zero_subspaces(self, spec, sigma):
+        initial = make_initial(sigma)
+        final = simulate(spec, initial, cfg(t_end=0.01, sample_every=0.01)).final_state()
+        assert hexes(final.flat()) == hexes(reference_run(spec, initial.flat(), 10))
+
+    def test_one_code_object_per_coupling_shape(self):
+        kernels = {name: _kernel(spec) for name, spec in SHAPES.items()}
+        cross_d5 = _kernel(ModelSpec(Variant.CROSS_DERIV, delta=0.05))
+        assert cross_d5 is not kernels["cross"]
+        assert cross_d5.__code__ is kernels["cross"].__code__
+        assert kernels["cross-delta0"].__code__ is kernels["isolated"].__code__
+        assert len({k.__code__ for k in kernels.values()}) == 3
 
 
 class TestColumnarSamples:

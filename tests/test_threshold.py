@@ -567,6 +567,17 @@ class TestSweep:
         assert widths == [2]
         assert multiprocessing.active_children() == []
 
+    def test_row_of_a_failed_fork_runs_here(self, cpus, refused_forks):
+        # no process to spare: this process runs the failed child's row too,
+        # and closes the pipe made for that child
+        args = (Variant.CROSS_DERIV, [0.01], [1.2, 1.47], IntegratorConfig(t_end=1.0))
+        cpus(1)
+        expected = repr(sweep(*args))
+        cpus(2)
+        assert repr(sweep(*args)) == expected
+        assert refused_forks and all(conn.closed for conn in refused_forks)
+        assert multiprocessing.active_children() == []
+
     def test_no_worker_outlives_the_sweep(self, cpus, monkeypatch):
         cpus(2)
         config = IntegratorConfig(t_end=0.1)

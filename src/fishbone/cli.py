@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import signal
 import sys
 from array import array
 from contextlib import contextmanager
@@ -19,6 +18,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence, TextIO
 
+from ._fork import _child, _fork_context
 from .hill import ChartRow, stability_chart
 from .integrator import (
     _CSV_CHUNK_ROWS,
@@ -37,7 +37,6 @@ from .threshold import (
     InvalidBracketError,
     SweepRow,
     ThresholdResult,
-    _fork_context,
     config_fingerprint,
     find_threshold,
     sweep,
@@ -430,17 +429,10 @@ class _ArrivingSamples:
             yield from zip(*[iter(block)] * self._stride)
 
 
-def _write_arriving(rows_in, rows_out, result_in, result_out, spec, fh, header_fields):
+def _write_arriving(spec, fh, header_fields, rows_in, result_out):
     """Writer child: ``write_trajectory_csv`` of the blocks arriving on
     ``rows_in`` to ``fh``, flushed, then None or the exception it raised
     sent on ``result_out``."""
-    # Ctrl-C reaches the whole process group; the parent kills this child
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    # this process's copies of the parent's ends: with them closed, the
-    # rows end when the parent closes its end, and the parent's sends fail
-    # once this process is gone
-    rows_out.close()
-    result_in.close()
     try:
         samples = _ArrivingSamples(rows_in, 4 * spec.m + 1)
         write_trajectory_csv(Trajectory(spec, samples), fh, header_fields=header_fields)
@@ -454,50 +446,27 @@ def _write_arriving(rows_in, rows_out, result_in, result_out, spec, fh, header_f
         pass
 
 
-def _start_writer(spec: ModelSpec, fh: TextIO, header_fields: dict[str, str]):
-    """(child, rows_out, result_in): a forked ``_write_arriving`` child and
-    the parent's ends of its two pipes, or None where no child can run
-    beside this process (``_fork_context``), ``fh`` has no file descriptor
-    that a child shares, or no descriptor or process is left to spare."""
-    ctx = _fork_context()
-    if ctx is None:
-        return None
-    try:
-        fh.fileno()
-    except (OSError, ValueError):  # an in-memory stream
-        return None
-    fh.flush()  # nothing this process holds may reach fh after the child's rows
-    pipes = []
-    try:
-        for _ in range(2):
-            pipes.extend(ctx.Pipe(duplex=False))
-        child = ctx.Process(target=_write_arriving, daemon=True,
-                            args=(*pipes, spec, fh, header_fields))
-        child.start()
-    except OSError:
-        for conn in pipes:
-            conn.close()
-        return None
-    rows_in, rows_out, result_in, result_out = pipes
-    rows_in.close()  # the child has its own copies
-    result_out.close()
-    return child, rows_out, result_in
-
-
 @contextmanager
 def _writer_beside(spec: ModelSpec, fh: TextIO, header_fields: dict[str, str]):
     """Yield the consumer of the sample blocks of the run made inside this
-    block, which a forked child writes to ``fh`` as the trajectory CSV
-    (``_start_writer``), or None where no child can: the caller then
-    writes the CSV itself.  After the block this takes the child's report
-    and raises the exception the child sent, or OSError if it died.  The
-    child is killed and reaped before this returns or raises."""
-    started = _start_writer(spec, fh, header_fields)
-    if started is None:
-        yield None
-        return
-    child, rows_out, result_in = started
+    block, which a forked ``_write_arriving`` child (``_child``) writes to
+    ``fh`` as the trajectory CSV, or None where no child can: no child may
+    run beside this process (``_fork_context``), ``fh`` has no file
+    descriptor that a child shares, or no descriptor or process is left
+    to spare.  The caller then writes the CSV itself.  After the block
+    this takes the child's report and raises the exception the child
+    sent, or OSError if it died."""
+    ctx = _fork_context()
     try:
+        fh.fileno()
+    except (OSError, ValueError):  # an in-memory stream
+        ctx = None
+    fh.flush()  # nothing this process holds may reach fh after the child's rows
+    with _child(ctx, _write_arriving, (spec, fh, header_fields), down=1) as forked:
+        if forked is None:
+            yield None
+            return
+        child, rows_out, result_in = forked
         try:
             yield rows_out.send_bytes
             rows_out.close()  # the end of the rows
@@ -510,12 +479,6 @@ def _writer_beside(spec: ModelSpec, fh: TextIO, header_fields: dict[str, str]):
             error = OSError(f"the CSV writer process died (exit code {child.exitcode})")
         if error is not None:
             raise error
-    finally:
-        rows_out.close()
-        result_in.close()
-        child.kill()
-        child.join()
-        child.close()
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

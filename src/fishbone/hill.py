@@ -43,9 +43,9 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from ._fork import _fan_out
 from .integrator import AdaptiveDriver
 from .model import vertical_mode_energy
-from .threshold import _fan_out
 
 __all__ = [
     "Stability",
@@ -533,7 +533,7 @@ def stability_chart(
     Every energy, the horizon and the forcing are checked before the first
     is classified; the horizon is checked with or without forcing.  The
     energies are independent, so they fan out over the usable CPUs
-    (``threshold._fan_out``), with the same rows.
+    (``_fork._fan_out``), with the same rows.
     """
     if not all(0.0 < e <= _MAX_ENERGY for e in energies):
         raise ValueError(f"chart energies must be positive and at most {_MAX_ENERGY:g}")

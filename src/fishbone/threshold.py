@@ -12,14 +12,10 @@ from __future__ import annotations
 
 import itertools
 import math
-import multiprocessing
-import os
-import signal
-import tempfile
-import threading
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
+from ._fork import _child, _fan_out, _fork_context
 from .integrator import (IntegratorConfig, OnsetEvent, Scheme, _check_fixed_step,
                          _check_sample_memory, make_initial, simulate)
 from .model import ModelSpec, SystemState, Variant, energy
@@ -113,111 +109,12 @@ def _bisection(lo: float, hi: float, tol: float):
     return lo, hi, onset_hi
 
 
-def _fork_context():
-    """The fork context when a child process, the look-ahead or a
-    ``_fan_out`` child, can run beside this one, else None: at least 2
-    usable CPUs, no other thread that a fork could catch holding a lock,
-    and not a daemonic process, which may not have children."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-        ctx = multiprocessing.get_context("fork")
-    except (AttributeError, ValueError):  # no affinity mask or no fork here
-        return None
-    if cpus < 2 or threading.active_count() > 1 or multiprocessing.current_process().daemon:
-        return None
-    return ctx
-
-
-def _take(fn, tasks, i, tickets) -> list:
-    """[(i, fn(tasks[i]))] for task i, then for each next task the counter
-    in the ``tickets`` file hands out, until the tasks run out."""
-    import fcntl  # here, so that importing fishbone does not load it
-    done = []
-    while i < len(tasks):
-        done.append((i, fn(tasks[i])))
-        # a record lock, unlike a semaphore, dies with a process killed holding it
-        fcntl.lockf(tickets, fcntl.LOCK_EX)
-        i = int.from_bytes(os.pread(tickets, 8, 0), "little")
-        os.pwrite(tickets, (i + 1).to_bytes(8, "little"), 0)
-        fcntl.lockf(tickets, fcntl.LOCK_UN)
-    return done
-
-
-def _run_share(reader, writer, fn, tasks, first, tickets) -> None:
-    """Child of ``_fan_out``: send its ``_take`` of the tasks, or the
-    exception of the first task that raised."""
-    # Ctrl-C reaches the whole process group; the parent kills this child
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    reader.close()  # so that the send fails once the parent is gone
-    try:
-        share = _take(fn, tasks, first, tickets)
-    except Exception as exc:
-        share = exc
-    writer.send(share)
-
-
-def _fan_out(fn, tasks, width):
-    """[fn(t) for t in tasks] on at most ``width`` processes, and no more
-    than tasks and usable CPUs: this process runs task 0 and each of width
-    - 1 forked children (``_fork_context``) task j, then each takes the
-    next task left, so a process slowed by other load runs fewer.  Where
-    a fork fails (no descriptor or process to spare), this process also
-    runs that child's task j.  A task's exception is raised here, this
-    process's first, then each child's in turn, and a child that died
-    before it sent raises BrokenProcessPool.  Every child is killed and
-    reaped before this returns or raises."""
-    ctx = _fork_context()
-    width = 1 if ctx is None else min(width, len(tasks), len(os.sched_getaffinity(0)))
-    if width < 2:
-        return [fn(t) for t in tasks]
-    children, unstarted, tickets = [], [], tempfile.TemporaryFile()
-    try:
-        os.pwrite(tickets.fileno(), width.to_bytes(8, "little"), 0)
-        for j in range(1, width):
-            pipe = ()
-            try:
-                pipe = reader, writer = ctx.Pipe(duplex=False)
-                child = ctx.Process(target=_run_share, daemon=True,
-                                    args=(reader, writer, fn, tasks, j, tickets.fileno()))
-                child.start()
-            except OSError:  # no descriptor or process to spare: task j runs here
-                for conn in pipe:
-                    conn.close()
-                unstarted.append(j)
-                continue
-            children.append((child, reader))
-            writer.close()  # the child has its own copy, and a later child none
-        shares = [_take(fn, tasks, 0, tickets.fileno()), [(j, fn(tasks[j])) for j in unstarted]]
-        for _, reader in children:
-            try:
-                shares.append(reader.recv())
-            except EOFError:  # the child died
-                from concurrent.futures.process import BrokenProcessPool
-                raise BrokenProcessPool("a child died before sending its results") from None
-            if isinstance(shares[-1], Exception):
-                raise shares[-1]
-    finally:
-        tickets.close()
-        for child, reader in children:
-            reader.close()
-            child.kill()
-            child.join()
-            child.close()
-    # every task's (index, result) once, in task order
-    return [result for _, result in sorted(itertools.chain(*shares), key=lambda p: p[0])]
-
-
-def _run_ahead(reader, writer, search, spec, config, onset_gain) -> None:
+def _run_ahead(search, spec, config, onset_gain, writer) -> None:
     """Child: go on with the parent's search as if its probe came out quiet,
     and send each (sigma, onset) to ``writer`` as soon as that probe
     finishes.  It stops once its probes have run t_end of model time, as
     far as the parent's quiet probe runs, so how many it runs depends on
     their onsets alone and not on how fast either process is."""
-    # Ctrl-C reaches the whole process group; the parent kills this child
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    # with the parent's reading end closed here too, a send fails once the
-    # parent is gone
-    reader.close()
     onset, spent = None, 0.0
     try:
         while spent < config.t_end:
@@ -230,47 +127,25 @@ def _run_ahead(reader, writer, search, spec, config, onset_gain) -> None:
         # is gone (BrokenPipeError at a send), or a probe raised; the parent
         # runs that probe again itself if the serial search reaches it
         pass
-    finally:
-        writer.close()  # the parent's reader sees EOF
 
 
 def _probe_ahead(ctx, search, spec, sigma, config, onset_gain):
-    """Probe sigma here while a forked child runs the serial search ahead.
+    """Probe sigma here while a forked child (``_child``) runs the serial
+    search ahead.
 
     Returns [(sigma, onset)] and, if sigma is quiet, every (sigma, onset)
-    pair the child sent after it, in serial order.  The child is killed and
-    reaped before this returns or raises.
+    pair the child sent after it, in serial order.
     """
-    if ctx is None:
-        return [(sigma, _probe(spec, sigma, config, onset_gain))]
-    try:
-        reader, writer = ctx.Pipe(duplex=False)
-    except OSError:  # no file descriptor to spare: this probe runs alone
-        return [(sigma, _probe(spec, sigma, config, onset_gain))]
-    child = ctx.Process(
-        target=_run_ahead, args=(reader, writer, search, spec, config, onset_gain), daemon=True
-    )
-    try:
-        child.start()
-    except OSError:  # no process to spare: the reader sees EOF, this probe runs alone
-        child = None
-    writer.close()  # the child has its own copy
-    try:
+    with _child(ctx, _run_ahead, (search, spec, config, onset_gain)) as forked:
         onset = _probe(spec, sigma, config, onset_gain)
         probes = [(sigma, onset)]
-        if onset is None:
+        if onset is None and forked is not None:
             try:
                 while True:
-                    probes.append(reader.recv())
+                    probes.append(forked[1].recv())
             except EOFError:  # the child stopped, its search ended, or a probe raised
                 pass
         return probes
-    finally:
-        reader.close()
-        if child is not None:
-            child.kill()
-            child.join()
-            child.close()
 
 
 def find_threshold(
@@ -305,7 +180,7 @@ def find_threshold(
     reaches it, so only such a probe's exception is raised.  The
     look-ahead is off, and the loop serial, unless the process may run on
     at least 2 CPUs, has no other thread and is not daemonic (see
-    ``_fork_context``).
+    ``_fork._fork_context``).
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     # checked before tol: the ulp of an infinite endpoint is infinite
@@ -376,7 +251,7 @@ def sweep(
     Every delta and sigma, the runs' sample memory and the fixed step are
     checked before the first run; neither list may be empty.  Early
     termination of a run is recorded in its row and never aborts the sweep.
-    The runs fan out (``_fan_out``) to no more processes than the one-run
+    The runs fan out (``_fork._fan_out``) to no more processes than the one-run
     sample budget holds runs at once, with the same rows.
     """
     if not deltas or not sigmas:

@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -565,13 +566,15 @@ class TestWriterChild:
         if not forked:
             monkeypatch.setattr("fishbone.cli._fork_context", lambda: None)
         started = []
-        real = fishbone.cli._start_writer
+        real = fishbone.cli._child
 
-        def start(*args):
-            started.append(real(*args))
-            return started[-1]
+        @contextmanager
+        def start(*args, **kwargs):
+            with real(*args, **kwargs) as forked:
+                started.append(forked)
+                yield forked
 
-        monkeypatch.setattr("fishbone.cli._start_writer", start)
+        monkeypatch.setattr("fishbone.cli._child", start)
         code = main(argv)
         assert [w is not None for w in started] == [forked]
         return code
@@ -620,6 +623,27 @@ class TestWriterChild:
         out = tmp_path / "out.csv"
         with pytest.raises(KeyboardInterrupt):
             self._run(["simulate", "--t-end", "1", "--out", str(out)], True, monkeypatch, cpus)
+
+    @pytest.mark.parametrize("name", ["isolated", "blow-up"])
+    def test_no_child_to_spare(self, name, tmp_path, cpus, refused_forks):
+        # no process for the writer: the CSV is written here after the run,
+        # and the pipes made for the child are closed
+        outs = []
+        for n in (1, 2):
+            cpus(n)
+            out = tmp_path / f"{n}.csv"
+            outs.append((main(["simulate", *self.RUNS[name], "--out", str(out)]),
+                         out.read_bytes()))
+        assert outs[0] == outs[1]
+        assert outs[0][0] == (4 if name == "blow-up" else 0)
+        assert refused_forks and all(conn.closed for conn in refused_forks)
+
+    def test_ctrl_c(self, ctrl_c, tmp_path):
+        # Ctrl-C during the run, the writer child up: only this process reports it
+        code, err = ctrl_c("fishbone.cli.simulate", "simulate", "--t-end", "1",
+                           "--out", str(tmp_path / "out.csv"))
+        assert code == -signal.SIGINT
+        assert err.count("Traceback") == 1 and err.endswith("KeyboardInterrupt\n"), err
 
     def test_killed_writer_exits_3(self, tmp_path):
         # the writer kills itself once it has formatted its first block; run

@@ -13,8 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fishbone._fork
 import fishbone.hill
-import fishbone.threshold
 from fishbone.cli import HILL_PRESETS, _parse_grid, write_chart_csv
 from fishbone.hill import (
     HARMONIC_PERIOD,
@@ -514,7 +514,7 @@ class TestChartFanOut:
         elif cause == "daemonic":
             monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
         else:
-            monkeypatch.setattr(fishbone.threshold.threading, "active_count", lambda: 2)
+            monkeypatch.setattr(fishbone._fork.threading, "active_count", lambda: 2)
         where = classified_where(monkeypatch, tmp_path / "log")
         stability_chart([1.0, 2.0, 3.0])
         assert where() == {1.0: os.getpid(), 2.0: os.getpid(), 3.0: os.getpid()}
@@ -532,6 +532,13 @@ class TestChartFanOut:
         assert where() == {1.0: os.getpid(), 2.0: os.getpid(), 3.0: os.getpid()}
         assert refused_forks and all(conn.closed for conn in refused_forks)
         assert multiprocessing.active_children() == []
+
+    def test_ctrl_c(self, ctrl_c, tmp_path):
+        # Ctrl-C while a child classifies: only this process reports it
+        code, err = ctrl_c("fishbone.hill.classify", "hill", "--grid", "1,2,3",
+                           "--out", str(tmp_path / "chart.csv"))
+        assert code == -signal.SIGINT
+        assert err.count("Traceback") == 1 and err.endswith("KeyboardInterrupt\n"), err
 
     def test_child_exception_reaches_the_caller(self, cpus, monkeypatch, tmp_path):
         cpus(2)

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import fishbone._fork
 import fishbone.threshold
 from fishbone.cli import format_threshold_report, write_sweep_csv
 from fishbone.integrator import IntegratorConfig, Scheme, make_initial, simulate
@@ -248,12 +249,12 @@ class TestLookAhead:
         assert here[0] == [sigma for sigma in path if sigma in here[0]]
 
     @pytest.mark.parametrize("failure", ["pipe", "fork"])
-    def test_no_child_to_spare(self, cpus, monkeypatch, failure):
+    def test_no_child_to_spare(self, cpus, monkeypatch, refused_forks, failure):
         # without a pipe or a process for the child, each probe runs alone
         cpus(1)
         expected = repr(find_threshold(*SHORT))
         cpus(2)
-        ctx = fishbone.threshold._fork_context()
+        ctx = fishbone._fork._fork_context()
 
         def refuse(*args, **kwargs):
             raise OSError(24, "Too many open files")
@@ -263,19 +264,29 @@ class TestLookAhead:
         else:
             monkeypatch.setattr(ctx.Process, "start", refuse)
         assert repr(find_threshold(*SHORT)) == expected
+        # a refused pipe makes no end; a refused fork closes those it made
+        assert bool(refused_forks) == (failure == "fork")
+        assert all(conn.closed for conn in refused_forks)
         assert multiprocessing.active_children() == []
+
+    def test_ctrl_c(self, ctrl_c, tmp_path):
+        # Ctrl-C while the child probes ahead: only this process reports it
+        code, err = ctrl_c("fishbone.threshold._probe", "threshold", "--bracket", "1.40:1.55",
+                           "--tol", "0.02", "--t-end", "50", "--out", str(tmp_path / "thr"))
+        assert code == -signal.SIGINT
+        assert err.count("Traceback") == 1 and err.endswith("KeyboardInterrupt\n"), err
 
     @pytest.mark.parametrize("cause", ["one-cpu", "daemonic", "threaded"])
     def test_off(self, cpus, monkeypatch, cause):
         cpus(2)
-        assert fishbone.threshold._fork_context() is not None
+        assert fishbone._fork._fork_context() is not None
         if cause == "one-cpu":
             cpus(1)
         elif cause == "daemonic":
             monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
         else:
-            monkeypatch.setattr(fishbone.threshold.threading, "active_count", lambda: 2)
-        assert fishbone.threshold._fork_context() is None
+            monkeypatch.setattr(fishbone._fork.threading, "active_count", lambda: 2)
+        assert fishbone._fork._fork_context() is None
 
     @pytest.mark.parametrize("failure", ["raise", "hang"])
     def test_failure_off_the_serial_path_changes_nothing(self, cpus, monkeypatch, tmp_path,
@@ -540,7 +551,7 @@ class TestSweep:
         elif cause == "daemonic":
             monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
         else:
-            monkeypatch.setattr(fishbone.threshold.threading, "active_count", lambda: 2)
+            monkeypatch.setattr(fishbone._fork.threading, "active_count", lambda: 2)
         rows = sweep(Variant.CROSS_DERIV, [0.01], [1.0, 1.1], IntegratorConfig(t_end=0.01))
         assert len(rows) == 2 and widths == []
         assert multiprocessing.active_children() == []

@@ -6,8 +6,8 @@
 # at delta = 0, a short step onto t_end, a blow-up under each scheme and
 # one at three modes, standard output), the standard threshold report,
 # threshold searches of other models, schemes and invalid brackets, sweeps
-# of the three variants, the prop2-grid chart and a chart over the longest
-# forced horizon, the cross sweep, the
+# of the three variants, the prop2-grid chart, a chart over the longest
+# forced horizon and one at extreme energies, the cross sweep, the
 # prop2-grid chart, an aerodynamic preset and the standard-output CSV also
 # on one CPU (taskset), each with its exit code in NAME.exit, and a run
 # whose CSV goes to a full device (/dev/full).
@@ -102,6 +102,8 @@ run prop2-grid.csv hill --preset prop2-grid
 # the longest forced horizon, whose half periods are taken a bounded block
 # at a time, and a horizon the magnitude guard ends early (E = 6)
 run hill-long-horizon.csv hill --grid 0.5,6 --delta 0.01 --horizon-periods 100000
+# extreme energies: tiny Dormand-Prince steps and many rejected ones
+run hill-extreme.csv hill --grid 1e3,1e12,1e30 --delta 0.01 --horizon-periods 10
 # the same sweep and chart bound to one CPU, where they run serially: with
 # the runs above, both paths of each checkout are in the contract
 pin="taskset -c 0"

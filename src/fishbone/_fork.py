@@ -10,7 +10,7 @@ import os
 import signal
 import tempfile
 import threading
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, contextmanager, suppress
 
 
 def _fork_context():
@@ -96,12 +96,14 @@ def _take(fn, tasks, i, tickets) -> list:
 
 def _run_share(fn, tasks, first, tickets, writer) -> None:
     """Child of ``_fan_out``: send its ``_take`` of the tasks, or the
-    exception of the first task that raised."""
+    exception of the first task that raised.  A parent that is gone (killed)
+    leaves nobody to send to, and the child ends quietly."""
     try:
         share = _take(fn, tasks, first, tickets)
     except Exception as exc:
         share = exc
-    writer.send(share)
+    with suppress(BrokenPipeError):
+        writer.send(share)
 
 
 def _fan_out(fn, tasks, width):

@@ -540,6 +540,56 @@ class TestChartFanOut:
         assert code == -signal.SIGINT
         assert err.count("Traceback") == 1 and err.endswith("KeyboardInterrupt\n"), err
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc")
+    def test_orphaned_child_exits_quietly(self, tmp_path):
+        # the parent hangs in its first energy and is killed while the child
+        # classifies its own: the child's send then finds no reader, and it
+        # must end there, classify no other energy, and print nothing
+        log = tmp_path / "child-energies"
+        script = f"""
+import os, sys, time
+sys.path.insert(0, {str(Path(fishbone.hill.__file__).parents[1])!r})
+import fishbone.hill as hill
+parent, real = os.getpid(), hill.classify
+def classify(mode):
+    if os.getpid() == parent:
+        time.sleep(60)
+    with open({str(log)!r}, "a") as fh:
+        fh.write(f"{{os.getpid()}} {{mode.energy!r}}\\n")
+    time.sleep(1.0)
+    return real(mode)
+hill.classify = classify
+os.sched_getaffinity = lambda pid: {{0, 1}}
+hill.stability_chart([1.0, 2.0])
+"""
+        err = tmp_path / "stderr"
+        with open(err, "w") as fh:
+            parent = subprocess.Popen([sys.executable, "-c", script], stderr=fh)
+        try:
+            deadline = time.monotonic() + 30
+            while not (log.exists() and log.read_text()) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            child = int(log.read_text().split()[0])
+        finally:
+            parent.kill()
+            parent.wait()
+
+        def running():
+            try:
+                stat = Path(f"/proc/{child}/stat").read_text()
+            except FileNotFoundError:
+                return False
+            return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+        deadline = time.monotonic() + 30
+        while running() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        if running():
+            os.kill(child, signal.SIGKILL)
+            pytest.fail("the orphaned child kept running")
+        assert log.read_text().split()[1:] == ["2.0"]
+        assert err.read_text() == ""
+
     def test_child_exception_reaches_the_caller(self, cpus, monkeypatch, tmp_path):
         cpus(2)
         where = classified_where(monkeypatch, tmp_path / "log", fail_at=2.0)

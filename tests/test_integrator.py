@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import importlib.util
 import io
@@ -26,6 +27,7 @@ from fishbone.integrator import (
     AdaptiveDriver,
     IntegratorConfig,
     Scheme,
+    StepSizeCollapseError,
     make_initial,
     simulate,
     _check_fixed_step,
@@ -646,6 +648,172 @@ def test_adaptive_step_matches_tableau_loop(f, n):
         assert stages == ref_stages, u0
         assert [v.hex() for v in driver.u] == [v.hex() for v in u], u0
         assert driver.h.hex() == (h * factor).hex(), u0
+
+
+class _Halt(Exception):
+    """Raised by the test right-hand sides and step callbacks below."""
+
+
+def _coupled(t, u):
+    # a ring of cubic oscillators with a time-dependent drive
+    n = len(u)
+    return tuple([0.1 * math.sin(t) + u[(i + 1) % n] - 0.5 * u[i] * u[i] * u[i] for i in range(n)])
+
+
+def _turns(value, after):
+    """_coupled, whose first component is ``value`` past t = ``after``."""
+
+    def f(t, u):
+        k = _coupled(t, u)
+        return k if t <= after else (value,) + k[1:]
+
+    return f
+
+
+def _raises_at_call(calls):
+    """_coupled, which raises at its ``calls``-th evaluation."""
+    count = itertools.count(1)
+
+    def f(t, u):
+        if next(count) == calls:
+            raise _Halt
+        return _coupled(t, u)
+
+    return f
+
+
+def _run_path(advance, f, n, targets, watch=True, halt_at_step=None, **kw):
+    """Hex log of one driver run by ``advance(driver, target, on_step)``:
+    every right-hand side call, and t, u, h and the FSAL derivative of the
+    driver at every on_step call (if ``watch``), after each target and
+    after the exception that ends the run, if one does."""
+    log = []
+
+    def hexes(values):
+        return None if values is None else [v.hex() for v in values]
+
+    def state():
+        return [driver.t.hex(), hexes(driver.u), driver.h.hex(), hexes(driver._k1)]
+
+    def logged(t, u):
+        log.append(("f", t.hex(), hexes(u)))
+        return f(t, u)
+
+    def on_step(t, u):
+        log.append(("step", t.hex(), hexes(u), state()))
+        if sum(entry[0] == "step" for entry in log) == halt_at_step:
+            raise _Halt
+
+    u0 = tuple(0.3 + 0.1 * i * (-1) ** i for i in range(n))
+    driver = AdaptiveDriver(logged, 0.0, u0, **kw)
+    for target in targets:
+        try:
+            returned = advance(driver, target, on_step if watch else None)
+        except (StepSizeCollapseError, _Halt) as exc:
+            log.append(("raised", type(exc).__name__))
+            returned = None
+        log.append(("state", state(), returned == (driver.t, driver.u)))
+        if returned is None:
+            break
+    return log
+
+
+def _steps(log):
+    return [entry for entry in log if entry[0] == "step"]
+
+
+# (right-hand side maker, targets, keywords): runs of the generated steps
+# that must equal the tuple loop's, bit for bit
+GENERATED_CASES = {
+    # targets closer than the step: FSAL across calls and capped growth
+    "consecutive": (lambda: _coupled, [0.05 * k for k in range(1, 41)], {}),
+    # a target within the time snap, a target equal to t, then a step on
+    "snap": (lambda: _coupled, [1.0, 1.0 + 5e-14, 1.0 + 5e-14, 1.5], {}),
+    # a first step far too long for the tolerances: rejections
+    "rejected": (lambda: _coupled, [3.0], dict(h0=1.0, rel_tol=1e-12, abs_tol=1e-14)),
+    # non-finite stage derivatives past t = 0.5: rejections down to the
+    # collapse, with the driver left at the last accepted step
+    "inf-collapse": (lambda: _turns(math.inf, 0.5), [1.0], {}),
+    "nan-collapse": (lambda: _turns(math.nan, 0.5), [1.0], {}),
+    # finite derivatives whose stage sums overflow: the error norm is 0
+    # and only the finite test of the new state rejects the step
+    "overflow-collapse": (lambda: _turns(1.7e308, 0.5), [1.0], {}),
+    # an exception of the right-hand side, in a stage of the first step
+    # and in one of a later call
+    "rhs-raises-first": (lambda: _raises_at_call(3), [0.5], {}),
+    "rhs-raises-later": (lambda: _raises_at_call(100), [0.5, 1.0, 2.0], {}),
+}
+
+
+class TestGeneratedAdvance:
+    """``_dp_advance(n)`` against ``AdaptiveDriver._advance_tuples``."""
+
+    @pytest.mark.parametrize("watch", [True, False], ids=["on_step", "no-on_step"])
+    @pytest.mark.parametrize("case", list(GENERATED_CASES))
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_bit_identical_to_tuple_loop(self, n, case, watch):
+        make_f, targets, kw = GENERATED_CASES[case]
+        run = functools.partial(_run_path, n=n, targets=targets, watch=watch, **kw)
+        tuples = run(AdaptiveDriver._advance_tuples, make_f())
+        assert run(fishbone.integrator._dp_advance(n), make_f()) == tuples
+        if watch and case != "rhs-raises-first":
+            steps = len(_steps(tuples))
+            assert steps > 0
+            if case == "rejected" or case.endswith("collapse"):
+                # one call at the start and six a tried step
+                assert sum(entry[0] == "f" for entry in tuples) > 1 + 6 * steps
+        if case.endswith("collapse"):
+            assert tuples[-2] == ("raised", "StepSizeCollapseError")
+            if watch:
+                # the driver stays at its last accepted step
+                assert tuples[-1][1] == _steps(tuples)[-1][3]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_on_step_raising_leaves_the_step(self, n):
+        # simulate's _Stopped ends a run from on_step: the driver is at the
+        # step on_step was given, with the FSAL derivative of that step
+        run = functools.partial(_run_path, f=_coupled, n=n, targets=[1.0, 2.0], halt_at_step=7)
+        tuples = run(AdaptiveDriver._advance_tuples)
+        assert run(fishbone.integrator._dp_advance(n)) == tuples
+        assert tuples[-2] == ("raised", "_Halt")
+        _, t, u, at_step = tuples[-3]
+        assert tuples[-1][1] == at_step
+        assert at_step[:2] == [t, u]
+        # the derivative there is the step's last call (FSAL)
+        assert at_step[3] == [v.hex() for v in _coupled(
+            float.fromhex(t), tuple(map(float.fromhex, u)))]
+
+    def test_advance_takes_generated_steps_up_to_eight(self, monkeypatch):
+        taken = []
+        real = fishbone.integrator._dp_advance
+
+        def spy(n):
+            taken.append(n)
+            return real(n)
+
+        monkeypatch.setattr(fishbone.integrator, "_dp_advance", spy)
+        for n in (1, 8, 9):
+            AdaptiveDriver(_coupled, 0.0, (0.5,) * n).advance(0.1)
+        assert taken == [1, 8]
+
+
+class TestRhsLength:
+    @pytest.mark.parametrize("n", [2, 10], ids=["generated", "tuples"])
+    @pytest.mark.parametrize("extra", [-1, 1])
+    @pytest.mark.parametrize("at_call", [1, 4, 7], ids=["first", "stage", "fsal"])
+    def test_rejects_a_result_of_another_length(self, n, extra, at_call):
+        # zip would drop the values past the shorter of state and result
+        count = itertools.count(1)
+
+        def f(t, u):
+            k = _oscillators(t, u)
+            if next(count) == at_call:
+                return k[:-1] if extra < 0 else k + (0.0,)
+            return k
+
+        driver = AdaptiveDriver(f, 0.0, (1.0,) * n)
+        with pytest.raises(ValueError, match=f"returned {n + extra} values for a state of {n}"):
+            driver.advance(1.0)
 
 
 class TestPinnedPaths:

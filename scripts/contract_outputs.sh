@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Write the byte-level output contract of the checkout in the current
 # directory into DIR: every `simulate` preset CSV, the trajectory CSVs of
-# paths the presets do not take (three and four modes, two modes on the
-# adaptive scheme, the adaptive scheme, seeds of -0.0 and -1.47 and cross
+# paths the presets do not take (three and four modes, two and three modes
+# on the adaptive scheme, the adaptive scheme, seeds of -0.0 and -1.47 and cross
 # at delta = 0, a short step onto t_end, a blow-up under each scheme and
 # one at three modes, standard output), the standard threshold report,
 # threshold searches of other models, schemes and invalid brackets, sweeps
@@ -47,9 +47,11 @@ for p in $presets; do
 done
 run modes3.csv simulate --modes 3 --t-end 1
 # the m-mode right-hand side under both schemes: the mmode benchmark
-# item, the adaptive driver at two modes, and a three-mode blow-up (exit 4)
+# item, the adaptive driver at two modes (generated stages) and at three
+# (12 components: tuple stages), and a three-mode blow-up (exit 4)
 run modes4.csv simulate --modes 4 --t-end 2
 run modes2-adaptive.csv simulate --modes 2 --scheme adaptive_embedded --t-end 1
+run modes3-adaptive.csv simulate --modes 3 --scheme adaptive_embedded --t-end 1
 run blowup-modes3.csv simulate --modes 3 --sigma 1100 --t-end 1
 run adaptive.csv simulate --scheme adaptive_embedded --t-end 5
 # 333 steps of 0.003 sampled every 3 steps, then a short step of 0.0014

@@ -114,7 +114,7 @@ def _fan_out(fn, tasks, width):
     fails (no descriptor or process to spare), this process also runs
     that child's task j.  A task's exception is raised here, this
     process's first, then each child's in turn, and a child that died
-    before it sent raises BrokenProcessPool."""
+    before it sent raises ChildProcessError."""
     ctx = _fork_context()
     width = 1 if ctx is None else min(width, len(tasks), len(os.sched_getaffinity(0)))
     if width < 2:
@@ -130,8 +130,7 @@ def _fan_out(fn, tasks, width):
             try:
                 shares.append(reader.recv())
             except EOFError:  # the child died
-                from concurrent.futures.process import BrokenProcessPool
-                raise BrokenProcessPool("a child died before sending its results") from None
+                raise ChildProcessError("a child died before sending its results") from None
             if isinstance(shares[-1], Exception):
                 raise shares[-1]
     # every task's (index, result) once, in task order

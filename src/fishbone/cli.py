@@ -639,15 +639,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
+        # also ChildProcessError, a fan-out child that died
         print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except RuntimeError as exc:
-        # imported only here: the CLI loads no concurrent.futures otherwise
-        from concurrent.futures.process import BrokenProcessPool
-
-        if not isinstance(exc, BrokenProcessPool):
-            raise
-        print(f"system error: {exc}", file=sys.stderr)
         return EXIT_IO
 
 

@@ -13,10 +13,10 @@ onset level on each step, records each sample, and returns only at the
 end, at a blow-up or at the onset step.  Every 1-mode kernel is compiled
 from one source, once per coupling shape (which aerodynamic coefficients
 are nonzero), without the products whose coefficient is zero.  The
-Dormand-Prince driver writes each stage out as one left-to-right sum, so
-its results are also the same on every Python version; on states of up to
-8 components it runs steps compiled once per state size from one source,
-``_DP_KERNEL``, with the same float operations.
+Dormand-Prince driver controls its step size in one plain loop and writes
+each stage out as one left-to-right sum, so its results are also the same
+on every Python version; on states of up to 8 components the stages of a
+step are compiled once per state size, with the same float operations.
 
 A run keeps its samples as one flat array of doubles, 4m + 1 a sample;
 ``Trajectory.samples`` reads them as (state, energy) pairs, built only for
@@ -471,7 +471,7 @@ _DP_E = (
     -1.0 / 40.0,
 )
 
-# the tableau unpacked once for the written-out stages of AdaptiveDriver.advance
+# the tableau unpacked once for the written-out stages of _tuple_stages
 _, _C1, _C2, _C3, _C4, _, _ = _DP_C
 (
     _,
@@ -483,6 +483,11 @@ _, _C1, _C2, _C3, _C4, _, _ = _DP_C
     (_A60, _A61, _A62, _A63, _A64, _A65),
 ) = _DP_A
 _E0, _E1, _E2, _E3, _E4, _E5, _E6 = _DP_E
+
+#: ``stages(f, t, u, k0, h, rtol, atol) -> (unew, k6, err)``: one tried
+#: Dormand-Prince step of h from (t, u), whose derivative there is k0: the
+#: 5th-order solution, its derivative (FSAL) and the error norm.
+_Stages = Callable[..., tuple[tuple[float, ...], tuple[float, ...], float]]
 
 
 class AdaptiveDriver:
@@ -503,16 +508,14 @@ class AdaptiveDriver:
     finite is accepted; how large a state may grow is the caller's rule,
     which ``simulate`` applies to each accepted step through ``on_step``.
 
-    A state of at most ``_DP_SCALAR_MAX`` = 8 components (every Hill
-    system, adaptive ``simulate`` at m <= 2) steps through
-    ``_dp_advance(n)``, generated source with each component in a local
-    of its own, which takes about a third off a Hill integration, where
-    the driver's own work cost more than ``f``.  A larger state steps
-    through ``_advance_tuples``, with the same floats: there the m-mode
+    ``advance`` controls the step size; each tried step is one call of a
+    stage function.  A state of at most ``_DP_SCALAR_MAX`` = 8 components
+    (every Hill system, adaptive ``simulate`` at m <= 2) takes
+    ``_dp_stages(n)``, generated source with each component in a local of
+    its own, where the driver's own work costs more than ``f``.  A larger
+    state takes ``_tuple_stages``, with the same floats: there the m-mode
     right-hand side costs most of a step, while the generated source, and
     its compile time, grow with n (0.2 s and 30 MB at n = 400).
-    ``on_step`` must not change the driver, whose t, u, h and FSAL
-    derivative the generated steps keep in locals between its calls.
     """
 
     def __init__(
@@ -553,22 +556,11 @@ class AdaptiveDriver:
         """
         if not self.t <= t_target < math.inf:
             raise ValueError("targets must be finite and nondecreasing")
-        n = len(self.u)
-        if n <= _DP_SCALAR_MAX:
-            return _dp_advance(n)(self, t_target, on_step)
-        return self._advance_tuples(t_target, on_step)
-
-    def _advance_tuples(
-        self,
-        t_target: float,
-        on_step: Optional[Callable[[float, tuple[float, ...]], None]],
-    ) -> tuple[float, tuple[float, ...]]:
-        """``advance`` over tuple states, for any state size: the steps of
-        ``_dp_advance`` with the same float operations in the same order."""
         f = self.f
         rtol = self.rel_tol
         atol = self.abs_tol
         n = len(self.u)
+        stages = _dp_stages(n) if n <= _DP_SCALAR_MAX else _tuple_stages
         while self.t < t_target:
             t = self.t
             # a sub-roundoff residual gap would shrink h below the collapse
@@ -585,56 +577,8 @@ class AdaptiveDriver:
             while True:
                 if h < _MIN_STEP_FACTOR * max(1.0, abs(t)):
                     raise StepSizeCollapseError(t)
-                # Each stage state is ui + h * sum(a_j * k_j[i]) written out
-                # as a left-to-right sum from the int 0, the float operations
-                # of sum() up to Python 3.11 (3.12 compensates sum(), which
-                # would tie the bits to the Python version).  The 0 turns a
-                # -0.0 first term into 0.0, and the zero coefficients stay
-                # because 0.0 * k carries a NaN or inf in k and the sign of a
-                # zero.  Stage states stay tuples, which f may slice and
-                # concatenate.  c = 1 for the last two stages.
-                us = tuple([ui + h * (0 + _A10 * a) for ui, a in zip(u, k0)])
-                k1 = _rhs_values(f(t + _C1 * h, us), n)
-                us = tuple([
-                    ui + h * (0 + _A20 * a + _A21 * b)
-                    for ui, a, b in zip(u, k0, k1)
-                ])
-                k2 = _rhs_values(f(t + _C2 * h, us), n)
-                us = tuple([
-                    ui + h * (0 + _A30 * a + _A31 * b + _A32 * c)
-                    for ui, a, b, c in zip(u, k0, k1, k2)
-                ])
-                k3 = _rhs_values(f(t + _C3 * h, us), n)
-                us = tuple([
-                    ui + h * (0 + _A40 * a + _A41 * b + _A42 * c + _A43 * d)
-                    for ui, a, b, c, d in zip(u, k0, k1, k2, k3)
-                ])
-                k4 = _rhs_values(f(t + _C4 * h, us), n)
-                us = tuple([
-                    ui + h * (0 + _A50 * a + _A51 * b + _A52 * c + _A53 * d + _A54 * e)
-                    for ui, a, b, c, d, e in zip(u, k0, k1, k2, k3, k4)
-                ])
-                k5 = _rhs_values(f(t + h, us), n)
-                # the last stage state is the 5th-order solution (FSAL)
-                unew = tuple([
-                    ui + h * (
-                        0 + _A60 * a + _A61 * b + _A62 * c + _A63 * d + _A64 * e
-                        + _A65 * g
-                    )
-                    for ui, a, b, c, d, e, g in zip(u, k0, k1, k2, k3, k4, k5)
-                ])
-                k6 = _rhs_values(f(t + h, unew), n)
-                err = 0.0
-                for ui, vi, a, b, c, d, e, g, q in zip(
-                    u, unew, k0, k1, k2, k3, k4, k5, k6
-                ):
-                    r = h * (
-                        0 + _E0 * a + _E1 * b + _E2 * c + _E3 * d + _E4 * e
-                        + _E5 * g + _E6 * q
-                    ) / (atol + rtol * max(abs(ui), abs(vi)))
-                    err += r * r
-                err = math.sqrt(err / n)
-                if err <= 1.0 and all(math.isfinite(v) for v in unew):
+                unew, k6, err = stages(f, t, u, k0, h, rtol, atol)
+                if err <= 1.0 and all(map(math.isfinite, unew)):
                     break
                 shrink = 0.9 * err**-0.2 if (err > 0.0 and math.isfinite(err)) else 0.1
                 h *= max(0.1, min(0.9, shrink))
@@ -664,81 +608,76 @@ def _rhs_values(k: Sequence[float], n: int) -> tuple[float, ...]:
     return k
 
 
+def _tuple_stages(f, t, u, k0, h, rtol, atol):
+    """The stage function of ``AdaptiveDriver.advance`` for any state size,
+    over tuples (see ``_Stages``)."""
+    n = len(u)
+    # Each stage state is ui + h * sum(a_j * k_j[i]) written out as a
+    # left-to-right sum from the int 0, the float operations of sum() up
+    # to Python 3.11 (3.12 compensates sum(), which would tie the bits to
+    # the Python version).  The 0 turns a -0.0 first term into 0.0, and
+    # the zero coefficients stay because 0.0 * k carries a NaN or inf in k
+    # and the sign of a zero.  Stage states stay tuples, which f may slice
+    # and concatenate.  c = 1 for the last two stages.
+    us = tuple([ui + h * (0 + _A10 * a) for ui, a in zip(u, k0)])
+    k1 = _rhs_values(f(t + _C1 * h, us), n)
+    us = tuple([
+        ui + h * (0 + _A20 * a + _A21 * b)
+        for ui, a, b in zip(u, k0, k1)
+    ])
+    k2 = _rhs_values(f(t + _C2 * h, us), n)
+    us = tuple([
+        ui + h * (0 + _A30 * a + _A31 * b + _A32 * c)
+        for ui, a, b, c in zip(u, k0, k1, k2)
+    ])
+    k3 = _rhs_values(f(t + _C3 * h, us), n)
+    us = tuple([
+        ui + h * (0 + _A40 * a + _A41 * b + _A42 * c + _A43 * d)
+        for ui, a, b, c, d in zip(u, k0, k1, k2, k3)
+    ])
+    k4 = _rhs_values(f(t + _C4 * h, us), n)
+    us = tuple([
+        ui + h * (0 + _A50 * a + _A51 * b + _A52 * c + _A53 * d + _A54 * e)
+        for ui, a, b, c, d, e in zip(u, k0, k1, k2, k3, k4)
+    ])
+    k5 = _rhs_values(f(t + h, us), n)
+    # the last stage state is the 5th-order solution (FSAL)
+    unew = tuple([
+        ui + h * (
+            0 + _A60 * a + _A61 * b + _A62 * c + _A63 * d + _A64 * e
+            + _A65 * g
+        )
+        for ui, a, b, c, d, e, g in zip(u, k0, k1, k2, k3, k4, k5)
+    ])
+    k6 = _rhs_values(f(t + h, unew), n)
+    err = 0.0
+    for ui, vi, a, b, c, d, e, g, q in zip(
+        u, unew, k0, k1, k2, k3, k4, k5, k6
+    ):
+        r = h * (
+            0 + _E0 * a + _E1 * b + _E2 * c + _E3 * d + _E4 * e
+            + _E5 * g + _E6 * q
+        ) / (atol + rtol * max(abs(ui), abs(vi)))
+        err += r * r
+    return unew, k6, math.sqrt(err / n)
+
+
 #: Largest state size whose steps ``AdaptiveDriver.advance`` takes through
-#: ``_dp_advance``: every Hill system (2, 6 and 8) and adaptive ``simulate``
+#: ``_dp_stages``: every Hill system (2, 6 and 8) and adaptive ``simulate``
 #: at m <= 2.
 _DP_SCALAR_MAX = 8
 
-#: Source of ``_dp_advance(n)``: the steps of ``AdaptiveDriver._advance_tuples``
-#: with each component in a local of its own.  ``{u}`` is the state ``u0,
-#: u1, ...``, ``{a}`` the FSAL derivative, ``{stages}`` the stages and the
-#: error norm, and ``{finite}`` the finite test of the new state ``v0, v1,
-#: ...``.
-_DP_KERNEL = """
-def advance(self, t_target, on_step):
-    f = self.f
-    rtol = self.rel_tol
-    atol = self.abs_tol
-    t = self.t
-    u = self.u
-    hs = self.h
-    k = self._k1
-    {u} = u
-    if k is not None:
-        {a} = k
-    try:
-        while t < t_target:
-            if t_target - t <= _TIME_SNAP * max(1.0, abs(t)):
-                t = t_target
-                break
-            if k is None:
-                k = _rhs_values(f(t, u), {n})
-                {a} = k
-            h = min(hs, t_target - t)
-            capped = h < hs
-            while True:
-                if h < _MIN_STEP_FACTOR * max(1.0, abs(t)):
-                    raise StepSizeCollapseError(t)
-{stages}
-                if err <= 1.0 and {finite}:
-                    break
-                shrink = 0.9 * err**-0.2 if (err > 0.0 and isfinite(err)) else 0.1
-                h *= max(0.1, min(0.9, shrink))
-            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2))
-            if not capped or h * factor < hs:
-                hs = h * factor
-            t = t + h
-            u = unew
-            k = kq
-            {u} = u
-            {a} = k
-            if on_step is not None:
-                self.t = t
-                self.u = u
-                self.h = hs
-                self._k1 = k
-                on_step(t, u)
-    finally:
-        self.t = t
-        self.u = u
-        self.h = hs
-        self._k1 = k
-    return t, u
-"""
-
 
 @functools.lru_cache(maxsize=None)
-def _dp_advance(n: int) -> Callable[..., tuple[float, tuple[float, ...]]]:
-    """``advance(driver, t_target, on_step) -> (t, u)``: the steps of
-    ``AdaptiveDriver._advance_tuples`` compiled for states of n components,
-    each stage state, stage derivative and error term in a local of its
-    own.  The float operations and their order are those of the tuple loop,
-    so the two agree bit for bit.  It reads t, u, h and the FSAL derivative
-    from the driver, and writes them back before each ``on_step`` and when
-    it returns or raises; ``on_step`` must not change the driver.
+def _dp_stages(n: int) -> _Stages:
+    """The stage function of ``AdaptiveDriver.advance`` for states of n
+    components: ``_tuple_stages`` compiled with each stage state, stage
+    derivative and error term in a local of its own.  The float operations
+    and their order are those of ``_tuple_stages``, so the two agree bit
+    for bit.
 
-    The source grows with n, and so does its compile time: 4 ms at n = 8,
-    the largest ``advance`` generates, but 0.2 s and 30 MB at n = 400.
+    The source grows with n, and so does its compile time: about 4 ms at
+    n = 8, the largest ``advance`` generates, but 0.2 s and 30 MB at n = 400.
     """
     stage_names = "abcdegq"
 
@@ -748,7 +687,7 @@ def _dp_advance(n: int) -> Callable[..., tuple[float, tuple[float, ...]]]:
     def combination(coefficients, i: int) -> str:
         return "0" + "".join(f" + {c!r} * {stage_names[j]}{i}" for j, c in enumerate(coefficients))
 
-    lines = []
+    lines = [f"{seq('u')} = u", f"{seq('a')} = k0"]
     for s in range(1, 7):
         state = "v" if s == 6 else "s"
         lines += [f"{state}{i} = u{i} + h * ({combination(_DP_A[s], i)})" for i in range(n)]
@@ -770,22 +709,11 @@ def _dp_advance(n: int) -> Callable[..., tuple[float, tuple[float, ...]]]:
         for i in range(n)
     ]
     lines.append(f"err = sqrt((0.0{''.join(f' + r{i} * r{i}' for i in range(n))}) / {n})")
-    source = _DP_KERNEL.format(
-        n=n, u=seq("u"), a=seq("a"),
-        stages="\n".join(" " * 16 + line for line in lines),
-        finite=" and ".join(f"isfinite(v{i})" for i in range(n)),
-    )
-    namespace = {
-        "StepSizeCollapseError": StepSizeCollapseError,
-        "_length_error": _length_error,
-        "_rhs_values": _rhs_values,
-        "_MIN_STEP_FACTOR": _MIN_STEP_FACTOR,
-        "_TIME_SNAP": _TIME_SNAP,
-        "isfinite": math.isfinite,
-        "sqrt": math.sqrt,
-    }
-    exec(compile(source, f"<Dormand-Prince advance n={n}>", "exec"), namespace)
-    return namespace["advance"]
+    lines.append("return unew, kq, err")
+    source = "def stages(f, t, u, k0, h, rtol, atol):\n" + "".join(f"    {x}\n" for x in lines)
+    namespace = {"_length_error": _length_error, "sqrt": math.sqrt}
+    exec(compile(source, f"<Dormand-Prince stages n={n}>", "exec"), namespace)
+    return namespace["stages"]
 
 
 # ---------------------------------------------------------------------------

@@ -479,23 +479,22 @@ class TestSweep:
 
 
 class TestDeadChild:
-    # a fan-out child killed outright (the OOM killer, a signal) is a system
-    # error: exit 3 with one line on stderr, no traceback and no output file
+    # a fan-out child killed outright (the OOM killer, a signal) raises
+    # ChildProcessError, an OSError: exit 3 with one line on stderr, no
+    # traceback and no output file
     @pytest.mark.parametrize("fan_out,command", [
         ("stability_chart", ["hill", "--grid", "1,2,3"]),
         ("sweep", ["sweep", "--deltas", "0.01", "--sigmas", "1.0,1.2", "--t-end", "1"]),
     ], ids=["hill", "sweep"])
     def test_broken_pool_exits_3(self, fan_out, command, monkeypatch, capsys, tmp_path):
-        from concurrent.futures.process import BrokenProcessPool
-
         def broken(*args, **kwargs):
-            raise BrokenProcessPool("a child died before sending its results")
+            raise ChildProcessError("a child died before sending its results")
 
         monkeypatch.setattr(f"fishbone.cli.{fan_out}", broken)
         out = tmp_path / "out.csv"
         assert main([*command, "--out", str(out)]) == 3
         err = capsys.readouterr().err
-        assert err == "system error: a child died before sending its results\n"
+        assert err == "i/o error: a child died before sending its results\n"
         assert not out.exists()
 
     def test_other_runtime_errors_still_raise(self, monkeypatch):
@@ -535,7 +534,7 @@ class TestDeadChild:
             proc.communicate()
             pytest.fail("the chart still waited on its dead child after 60 s")
         assert proc.returncode == 3, err
-        assert err == "system error: a child died before sending its results\n"
+        assert err == "i/o error: a child died before sending its results\n"
         assert not out.exists()
 
 

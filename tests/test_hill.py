@@ -654,4 +654,4 @@ hill.stability_chart([1.0, 2.0])
             proc.communicate()
             pytest.fail("the chart still waited on its dead child after 60 s")
         assert proc.returncode == 0
-        assert out == "BrokenProcessPool []\n"
+        assert out == "ChildProcessError []\n"

@@ -616,6 +616,12 @@ def test_adaptive_driver_passes_float_tuples(n):
         assert {type(v) for v in u} == {float}
 
 
+def _coupled(t, u):
+    # a ring of cubic oscillators with a time-dependent drive
+    n = len(u)
+    return tuple([0.1 * math.sin(t) + u[(i + 1) % n] - 0.5 * u[i] * u[i] * u[i] for i in range(n)])
+
+
 def _isolated_rhs(t, u):
     return (u[2], u[3], *rhs_one_mode(ISO, SystemState.single(t, *u)))
 
@@ -630,15 +636,30 @@ def _logged(f, log):
     return g
 
 
-@pytest.mark.parametrize("f, n", [(_oscillators, 2), (_isolated_rhs, 4)],
-                         ids=["oscillators", "isolated"])
-def test_adaptive_step_matches_tableau_loop(f, n):
+_SIGNED = (0.0, -0.0, 0.5, -0.5)
+
+# a handful of 9-component states, which take the tuple stages, with zeros
+# of both signs
+_NINE = [tuple(_SIGNED[(i + shift) % 4] for i in range(9)) for shift in range(4)] + [
+    (0.0,) * 9, (-0.0,) * 9, (-0.5,) * 9, (0.5,) * 8 + (-0.0,)]
+
+
+# _coupled makes every zero derivative +0.0 at t = 0; _oscillators keeps
+# the signs of zeros, which the int start of the stage sums turns to +0.0
+@pytest.mark.parametrize("f, states", [
+    (_oscillators, list(itertools.product(_SIGNED, repeat=2))),
+    (_isolated_rhs, list(itertools.product(_SIGNED, repeat=4))),
+    (_oscillators, _NINE),
+    (_coupled, _NINE),
+], ids=["oscillators", "isolated", "tuples-oscillators", "tuples-coupled"])
+def test_adaptive_step_matches_tableau_loop(f, states):
     # the written-out stages against a loop over the tableau, bit for bit:
-    # one accepted step of 1/64 from every state of {0, -0, +-0.5}^n.  The
-    # stage states are compared too, because a stage's sign of zero (the
-    # int start of the sums turns -0.0 into 0.0) rarely reaches the result.
+    # one accepted step of 1/64 from each state, every state of
+    # {0, -0, +-0.5}^n for the generated stages.  The stage states are
+    # compared too, because a stage's sign of zero (the int start of the
+    # sums turns -0.0 into 0.0) rarely reaches the result.
     h = 2.0**-6
-    for u0 in itertools.product((0.0, -0.0, 0.5, -0.5), repeat=n):
+    for u0 in states:
         stages, ref_stages = [], []
         driver = AdaptiveDriver(_logged(f, stages), 0.0, u0, 1e-3, 1e-6, h0=h)
         driver.advance(h)
@@ -652,12 +673,6 @@ def test_adaptive_step_matches_tableau_loop(f, n):
 
 class _Halt(Exception):
     """Raised by the test right-hand sides and step callbacks below."""
-
-
-def _coupled(t, u):
-    # a ring of cubic oscillators with a time-dependent drive
-    n = len(u)
-    return tuple([0.1 * math.sin(t) + u[(i + 1) % n] - 0.5 * u[i] * u[i] * u[i] for i in range(n)])
 
 
 def _turns(value, after):
@@ -722,8 +737,12 @@ def _steps(log):
     return [entry for entry in log if entry[0] == "step"]
 
 
-# (right-hand side maker, targets, keywords): runs of the generated steps
-# that must equal the tuple loop's, bit for bit
+def _advance(driver, target, on_step):
+    return driver.advance(target, on_step)
+
+
+# (right-hand side maker, targets, keywords): runs of the generated stages
+# that must equal those of the tuple stages, bit for bit
 GENERATED_CASES = {
     # targets closer than the step: FSAL across calls and capped growth
     "consecutive": (lambda: _coupled, [0.05 * k for k in range(1, 41)], {}),
@@ -746,16 +765,20 @@ GENERATED_CASES = {
 
 
 class TestGeneratedAdvance:
-    """``_dp_advance(n)`` against ``AdaptiveDriver._advance_tuples``."""
+    """``AdaptiveDriver.advance`` on ``_dp_stages(n)`` against the same
+    driver on ``_tuple_stages``."""
 
     @pytest.mark.parametrize("watch", [True, False], ids=["on_step", "no-on_step"])
     @pytest.mark.parametrize("case", list(GENERATED_CASES))
     @pytest.mark.parametrize("n", range(1, 9))
-    def test_bit_identical_to_tuple_loop(self, n, case, watch):
+    def test_bit_identical_to_tuple_loop(self, n, case, watch, monkeypatch):
         make_f, targets, kw = GENERATED_CASES[case]
-        run = functools.partial(_run_path, n=n, targets=targets, watch=watch, **kw)
-        tuples = run(AdaptiveDriver._advance_tuples, make_f())
-        assert run(fishbone.integrator._dp_advance(n), make_f()) == tuples
+        run = functools.partial(_run_path, _advance, n=n, targets=targets, watch=watch, **kw)
+        generated = run(make_f())
+        # every size takes the tuple stages
+        monkeypatch.setattr(fishbone.integrator, "_DP_SCALAR_MAX", 0)
+        tuples = run(make_f())
+        assert generated == tuples
         if watch and case != "rhs-raises-first":
             steps = len(_steps(tuples))
             assert steps > 0
@@ -769,12 +792,15 @@ class TestGeneratedAdvance:
                 assert tuples[-1][1] == _steps(tuples)[-1][3]
 
     @pytest.mark.parametrize("n", range(1, 9))
-    def test_on_step_raising_leaves_the_step(self, n):
+    def test_on_step_raising_leaves_the_step(self, n, monkeypatch):
         # simulate's _Stopped ends a run from on_step: the driver is at the
         # step on_step was given, with the FSAL derivative of that step
-        run = functools.partial(_run_path, f=_coupled, n=n, targets=[1.0, 2.0], halt_at_step=7)
-        tuples = run(AdaptiveDriver._advance_tuples)
-        assert run(fishbone.integrator._dp_advance(n)) == tuples
+        run = functools.partial(_run_path, _advance, _coupled, n, [1.0, 2.0], halt_at_step=7)
+        generated = run()
+        # every size takes the tuple stages
+        monkeypatch.setattr(fishbone.integrator, "_DP_SCALAR_MAX", 0)
+        tuples = run()
+        assert generated == tuples
         assert tuples[-2] == ("raised", "_Halt")
         _, t, u, at_step = tuples[-3]
         assert tuples[-1][1] == at_step
@@ -785,13 +811,13 @@ class TestGeneratedAdvance:
 
     def test_advance_takes_generated_steps_up_to_eight(self, monkeypatch):
         taken = []
-        real = fishbone.integrator._dp_advance
+        real = fishbone.integrator._dp_stages
 
         def spy(n):
             taken.append(n)
             return real(n)
 
-        monkeypatch.setattr(fishbone.integrator, "_dp_advance", spy)
+        monkeypatch.setattr(fishbone.integrator, "_dp_stages", spy)
         for n in (1, 8, 9):
             AdaptiveDriver(_coupled, 0.0, (0.5,) * n).advance(0.1)
         assert taken == [1, 8]

@@ -639,7 +639,7 @@ class TestSweep:
             proc.communicate()
             pytest.fail("the sweep still waited on its dead worker after 60 s")
         assert proc.returncode == 0
-        assert out == "BrokenProcessPool []\n"
+        assert out == "ChildProcessError []\n"
 
     def test_csv_with_empty_onset_field(self):
         config = IntegratorConfig(t_end=5.0)

@@ -15,8 +15,14 @@ from one source, once per coupling shape (which aerodynamic coefficients
 are nonzero), without the products whose coefficient is zero.  The
 Dormand-Prince driver controls its step size in one plain loop and writes
 each stage out as one left-to-right sum, so its results are also the same
-on every Python version; on states of up to 8 components the stages of a
-step are compiled once per state size, with the same float operations.
+on every Python version.  Each sum starts from 0.0 rather than sum()'s int
+0: Python adds an int to a float as that int converted, so both give the
+same bits (-0.0 + 0.0 is 0.0), and the float start skips the slower
+mixed-type add.  On states of up to 8 components the stages of a step are
+compiled once per state size, with the same float operations; there each
+stage result is unpacked straight into locals.  The error norm of those
+stages and the step control take their minima and maxima by comparisons,
+with the values of the builtin calls they replace.
 
 A run keeps its samples as one flat array of doubles, 4m + 1 a sample;
 ``Trajectory.samples`` reads them as (state, energy) pairs, built only for
@@ -32,7 +38,7 @@ import math
 import operator
 import sys
 from array import array
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, NoReturn, Optional
@@ -493,18 +499,18 @@ _Stages = Callable[..., tuple[tuple[float, ...], tuple[float, ...], float]]
 class AdaptiveDriver:
     """Embedded Dormand-Prince 5(4) integrator over tuple-of-float states.
 
-    The right-hand side ``f(t, u)`` takes a tuple of floats and returns a
-    sequence of floats.  The driver owns (t, u, h) and advances to requested
-    target times; the first-same-as-last property is used to save one
-    evaluation per step.
+    The right-hand side ``f(t, u)`` takes a tuple of floats and returns an
+    iterable of floats, a generator too.  The driver owns (t, u, h) and
+    advances to requested target times; the first-same-as-last property is
+    used to save one evaluation per step.
 
     ``on_step(t, u)`` callbacks fire after every accepted step, which is how
     callers track onset events, running maxima, or dense output.
 
     ``t0`` and every component of ``u0`` must be finite, ``u0`` non-empty,
     and ``h0`` and both tolerances finite and positive; a ValueError says
-    which is not, and ``advance`` raises one when ``f`` returns a sequence
-    of another length than the state.  Only a step with every component
+    which is not, and ``advance`` raises one when ``f`` returns another
+    number of values than the state has.  Only a step with every component
     finite is accepted; how large a state may grow is the caller's rule,
     which ``simulate`` applies to each accepted step through ``on_step``.
 
@@ -520,7 +526,7 @@ class AdaptiveDriver:
 
     def __init__(
         self,
-        f: Callable[[float, Sequence[float]], Sequence[float]],
+        f: Callable[[float, tuple[float, ...]], Iterable[float]],
         t0: float,
         u0: Sequence[float],
         rel_tol: float = 1e-10,
@@ -563,28 +569,42 @@ class AdaptiveDriver:
         stages = _dp_stages(n) if n <= _DP_SCALAR_MAX else _tuple_stages
         while self.t < t_target:
             t = self.t
+            # max(1.0, abs(t)), the time scale of the snap and the floor
+            scale = t if t > 1.0 else -t if t < -1.0 else 1.0
             # a sub-roundoff residual gap would shrink h below the collapse
             # floor; snap onto the target instead
-            if t_target - t <= _TIME_SNAP * max(1.0, abs(t)):
+            gap = t_target - t
+            if gap <= _TIME_SNAP * scale:
                 self.t = t_target
                 break
             u = self.u
             if self._k1 is None:
                 self._k1 = _rhs_values(f(t, u), n)
             k0 = self._k1
-            h = min(self.h, t_target - t)
-            capped = h < self.h
+            # min(self.h, gap)
+            h = self.h
+            capped = gap < h
+            if capped:
+                h = gap
+            floor = _MIN_STEP_FACTOR * scale
             while True:
-                if h < _MIN_STEP_FACTOR * max(1.0, abs(t)):
+                if h < floor:
                     raise StepSizeCollapseError(t)
                 unew, k6, err = stages(f, t, u, k0, h, rtol, atol)
                 if err <= 1.0 and all(map(math.isfinite, unew)):
                     break
-                shrink = 0.9 * err**-0.2 if (err > 0.0 and math.isfinite(err)) else 0.1
-                h *= max(0.1, min(0.9, shrink))
-            # accept
+                # max(0.1, min(0.9, 0.9 err^-0.2)) for a finite err > 0, else 0.1
+                if 0.0 < err < math.inf:
+                    shrink = 0.9 * err**-0.2
+                    h *= 0.9 if shrink > 0.9 else shrink if shrink > 0.1 else 0.1
+                else:
+                    h *= 0.1
+            # accept; err lies in [0, 1], where 0.9 err^-0.2 >= 0.9, so of
+            # min(5.0, max(0.2, 0.9 err^-0.2)) only the cap of 5 can bind
             tnew = t + h
-            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2))
+            factor = 0.9 * err**-0.2 if err > 0.0 else 5.0
+            if factor > 5.0:
+                factor = 5.0
             if not capped or h * factor < self.h:
                 self.h = h * factor
             self.t = tnew
@@ -608,43 +628,56 @@ def _rhs_values(k: Sequence[float], n: int) -> tuple[float, ...]:
     return k
 
 
+def _unpacking_failed(k: Sequence[float], n: int) -> NoReturn:
+    """Raise, in the handler of the ValueError that unpacking the stage
+    result k into n locals raised, ``_length_error`` for a result of
+    another length, else that ValueError again: an iterator's length is
+    lost once it is consumed, and a result of n values raised it itself."""
+    if hasattr(k, "__len__") and len(k) != n:
+        raise _length_error(len(k), n) from None
+    raise
+
+
 def _tuple_stages(f, t, u, k0, h, rtol, atol):
     """The stage function of ``AdaptiveDriver.advance`` for any state size,
     over tuples (see ``_Stages``)."""
     n = len(u)
     # Each stage state is ui + h * sum(a_j * k_j[i]) written out as a
-    # left-to-right sum from the int 0, the float operations of sum() up
-    # to Python 3.11 (3.12 compensates sum(), which would tie the bits to
-    # the Python version).  The 0 turns a -0.0 first term into 0.0, and
-    # the zero coefficients stay because 0.0 * k carries a NaN or inf in k
-    # and the sign of a zero.  Stage states stay tuples, which f may slice
-    # and concatenate.  c = 1 for the last two stages.
-    us = tuple([ui + h * (0 + _A10 * a) for ui, a in zip(u, k0)])
+    # left-to-right sum from 0.0, the float operations of sum() up to
+    # Python 3.11 (3.12 compensates sum(), which would tie the bits to the
+    # Python version).  sum() starts from the int 0, but Python adds an int
+    # to a float as that int converted, so 0 + x is 0.0 + x bit for bit;
+    # the float start only skips the mixed-type add.  The 0.0 turns a -0.0
+    # first term into 0.0, and the zero coefficients stay because 0.0 * k
+    # carries a NaN or inf in k and the sign of a zero.  Stage states stay
+    # tuples, which f may slice and concatenate.  c = 1 for the last two
+    # stages.
+    us = tuple([ui + h * (0.0 + _A10 * a) for ui, a in zip(u, k0)])
     k1 = _rhs_values(f(t + _C1 * h, us), n)
     us = tuple([
-        ui + h * (0 + _A20 * a + _A21 * b)
+        ui + h * (0.0 + _A20 * a + _A21 * b)
         for ui, a, b in zip(u, k0, k1)
     ])
     k2 = _rhs_values(f(t + _C2 * h, us), n)
     us = tuple([
-        ui + h * (0 + _A30 * a + _A31 * b + _A32 * c)
+        ui + h * (0.0 + _A30 * a + _A31 * b + _A32 * c)
         for ui, a, b, c in zip(u, k0, k1, k2)
     ])
     k3 = _rhs_values(f(t + _C3 * h, us), n)
     us = tuple([
-        ui + h * (0 + _A40 * a + _A41 * b + _A42 * c + _A43 * d)
+        ui + h * (0.0 + _A40 * a + _A41 * b + _A42 * c + _A43 * d)
         for ui, a, b, c, d in zip(u, k0, k1, k2, k3)
     ])
     k4 = _rhs_values(f(t + _C4 * h, us), n)
     us = tuple([
-        ui + h * (0 + _A50 * a + _A51 * b + _A52 * c + _A53 * d + _A54 * e)
+        ui + h * (0.0 + _A50 * a + _A51 * b + _A52 * c + _A53 * d + _A54 * e)
         for ui, a, b, c, d, e in zip(u, k0, k1, k2, k3, k4)
     ])
     k5 = _rhs_values(f(t + h, us), n)
     # the last stage state is the 5th-order solution (FSAL)
     unew = tuple([
         ui + h * (
-            0 + _A60 * a + _A61 * b + _A62 * c + _A63 * d + _A64 * e
+            0.0 + _A60 * a + _A61 * b + _A62 * c + _A63 * d + _A64 * e
             + _A65 * g
         )
         for ui, a, b, c, d, e, g in zip(u, k0, k1, k2, k3, k4, k5)
@@ -655,7 +688,7 @@ def _tuple_stages(f, t, u, k0, h, rtol, atol):
         u, unew, k0, k1, k2, k3, k4, k5, k6
     ):
         r = h * (
-            0 + _E0 * a + _E1 * b + _E2 * c + _E3 * d + _E4 * e
+            0.0 + _E0 * a + _E1 * b + _E2 * c + _E3 * d + _E4 * e
             + _E5 * g + _E6 * q
         ) / (atol + rtol * max(abs(ui), abs(vi)))
         err += r * r
@@ -673,8 +706,12 @@ def _dp_stages(n: int) -> _Stages:
     """The stage function of ``AdaptiveDriver.advance`` for states of n
     components: ``_tuple_stages`` compiled with each stage state, stage
     derivative and error term in a local of its own.  The float operations
-    and their order are those of ``_tuple_stages``, so the two agree bit
-    for bit.
+    and their order are those of ``_tuple_stages``, the 0.0 start of every
+    sum included, so the two agree bit for bit.  Each stage result is
+    unpacked straight into its locals, a generator's too, and the FSAL
+    derivative is built from them; the scale max(abs(ui), abs(vi)) of the
+    error norm is taken by comparisons, with max()'s value for a finite ui
+    and any vi.
 
     The source grows with n, and so does its compile time: about 4 ms at
     n = 8, the largest ``advance`` generates, but 0.2 s and 30 MB at n = 400.
@@ -685,7 +722,7 @@ def _dp_stages(n: int) -> _Stages:
         return ", ".join(f"{p}{i}" for i in range(n)) + ("," if n == 1 else "")
 
     def combination(coefficients, i: int) -> str:
-        return "0" + "".join(f" + {c!r} * {stage_names[j]}{i}" for j, c in enumerate(coefficients))
+        return "0.0" + "".join(f" + {c!r} * {stage_names[j]}{i}" for j, c in enumerate(coefficients))
 
     lines = [f"{seq('u')} = u", f"{seq('a')} = k0"]
     for s in range(1, 7):
@@ -694,24 +731,27 @@ def _dp_stages(n: int) -> _Stages:
         node = "t + h" if _DP_C[s] == 1.0 else f"t + {_DP_C[s]!r} * h"
         if s < 6:
             lines.append(f"ks = f({node}, ({seq('s')}))")
-            result = "ks"
         else:
-            lines.append(f"unew = ({seq('v')})")
-            lines.append(f"kq = tuple(f({node}, unew))")
-            result = "kq"
+            lines += [f"unew = ({seq('v')})", f"ks = f({node}, unew)"]
         lines += [
-            f"if len({result}) != {n}:",
-            f"    raise _length_error(len({result}), {n})",
-            f"{seq(stage_names[s])} = {result}",
+            "try:",
+            f"    {seq(stage_names[s])} = ks",
+            "except ValueError:",
+            f"    _unpacking_failed(ks, {n})",
         ]
-    lines += [
-        f"r{i} = h * ({combination(_DP_E, i)}) / (atol + rtol * max(abs(u{i}), abs(v{i})))"
-        for i in range(n)
-    ]
+    # max(abs(ui), abs(vi)) by comparisons: w is abs(ui) (0.0 - ui turns
+    # -0.0 into 0.0), and vi or -vi replaces it only where larger, as in
+    # max(), so a NaN vi leaves w
+    for i in range(n):
+        scale = f"(v{i} if v{i} > w else -v{i} if -v{i} > w else w)"
+        lines += [
+            f"w = u{i} if u{i} > 0.0 else 0.0 - u{i}",
+            f"r{i} = h * ({combination(_DP_E, i)}) / (atol + rtol * {scale})",
+        ]
     lines.append(f"err = sqrt((0.0{''.join(f' + r{i} * r{i}' for i in range(n))}) / {n})")
-    lines.append("return unew, kq, err")
+    lines.append(f"return unew, ({seq('q')}), err")
     source = "def stages(f, t, u, k0, h, rtol, atol):\n" + "".join(f"    {x}\n" for x in lines)
-    namespace = {"_length_error": _length_error, "sqrt": math.sqrt}
+    namespace = {"_unpacking_failed": _unpacking_failed, "sqrt": math.sqrt}
     exec(compile(source, f"<Dormand-Prince stages n={n}>", "exec"), namespace)
     return namespace["stages"]
 
@@ -858,9 +898,12 @@ def _check_sample_memory(spec: ModelSpec, config: IntegratorConfig) -> int:
 
     A sample is 4m + 1 doubles, so at m = 1 this is the check that
     ``IntegratorConfig`` makes, on the same ``_sample_count``, and at
-    m = 1000 it admits about 12 500 samples.
+    m = 1000 it admits about 12 500 samples.  It counts at least one
+    sample, as a run always records its seed: a horizon far below the
+    sample interval (t_end = 1e-320) would otherwise leave a subnormal count
+    and an infinite budget.
     """
-    doubles = _sample_count(config) * (4 * spec.m + 1)
+    doubles = max(1.0, _sample_count(config)) * (4 * spec.m + 1)
     if doubles > 5 * MAX_SAMPLES:
         raise ValueError(
             f"samples would hold {doubles:.3g} doubles (the sample count "

@@ -180,6 +180,20 @@ class TestSimulate:
         assert "must be finite" in res.stderr
         assert not out.exists()
 
+    # t_end / (h * stride) is subnormal: the sample memory budget counts the
+    # seed, so it stays finite, and each command runs on the seed alone
+    @pytest.mark.parametrize("args,code,line", [
+        (["simulate"], 0, "onset=none"),
+        (["sweep", "--deltas", "0", "--sigmas", "1.5"], 0, "rows=1"),
+        (["threshold", "--bracket", "1.4:1.6"], 5, "no onset detected at sigma_hi"),
+    ], ids=["simulate", "sweep", "threshold"])
+    def test_subnormal_horizon_runs(self, args, code, line):
+        res = run_cli(*args, "--t-end", "1e-320", "--out", "-")
+        assert res.returncode == code, res.stderr
+        assert line in res.stderr and "Traceback" not in res.stderr
+        if args[0] == "sweep":
+            assert len(res.stdout.splitlines()) == 2
+
     # a finite count above the cap would run for days or exhaust memory
     @pytest.mark.parametrize("flags,what", [
         (["--t-end", "1e300"], "steps"),

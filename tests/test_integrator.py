@@ -32,8 +32,10 @@ from fishbone.integrator import (
     simulate,
     _check_fixed_step,
     _check_sample_memory,
+    _dp_stages,
     _Observer,
     _kernel,
+    _tuple_stages,
 )
 from fishbone.model import (
     MAX_MODES,
@@ -840,6 +842,74 @@ class TestRhsLength:
         driver = AdaptiveDriver(f, 0.0, (1.0,) * n)
         with pytest.raises(ValueError, match=f"returned {n + extra} values for a state of {n}"):
             driver.advance(1.0)
+
+
+@pytest.mark.parametrize("n", [2, 10], ids=["generated", "tuples"])
+def test_iterator_rhs_takes_the_same_steps(n):
+    # f may return any iterable of floats, a generator too
+    def iterating(t, u):
+        return (v for v in _coupled(t, u))
+
+    run = functools.partial(_run_path, _advance, n=n, targets=[0.5, 1.0, 2.0])
+    assert run(iterating) == run(_coupled)
+    # an iterator of another length in a stage is refused too
+    count = itertools.count(1)
+
+    def short_at_stage(t, u):
+        k = _coupled(t, u)
+        return iter(k[:-1] if next(count) == 4 else k)
+
+    with pytest.raises(ValueError, match="values"):
+        AdaptiveDriver(short_at_stage, 0.0, (0.5,) * n).advance(1.0)
+
+
+def _rotated(t, u):
+    # (u1, ..., u_{n-1}, -u0): for any n, keeps the signs of zeros
+    return u[1:] + (-u[0],)
+
+
+def _signs(t, u):
+    # +-0.25 by the sign of each component, of a zero too: the sign of a
+    # zero in a stage state shows in the step
+    return tuple([math.copysign(0.25, v) for v in u])
+
+
+def _first(value):
+    """_rotated with ``value`` as its first component."""
+    return lambda t, u: (value,) + _rotated(t, u)[1:]
+
+
+class TestStageFunctions:
+    """One tried step of ``_dp_stages(n)`` against one of ``_tuple_stages``:
+    the new state, its derivative (FSAL) and the error norm, bit for bit,
+    with a NaN error norm equal to a NaN one."""
+
+    @staticmethod
+    def _bits(step):
+        unew, k6, err = step
+        return array("d", unew + k6).tobytes(), "nan" if err != err else err.hex()
+
+    # the derivative at u is _rotated's, with zeros of both signs; the
+    # right-hand sides past _signs make the step non-finite (inf, NaN) or
+    # overflow its stage sums from finite derivatives (1.7e308), each with
+    # both signs where a sign exists
+    @pytest.mark.parametrize("f", [
+        _rotated, _signs, _first(math.inf), _first(-math.inf), _first(math.nan),
+        _first(1.7e308), _first(-1.7e308),
+    ], ids=["rotated", "signs", "inf", "-inf", "nan", "huge", "-huge"])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_same_step_as_tuple_stages(self, n, f):
+        # states of {0, -0, +-0.5}^n: all of them up to n = 6, and every
+        # (4^(n-6) + 1)-th above, about 4000, an odd stride that meets every
+        # value in every component.  A step of 1/4 moves the state far
+        # enough that |new u| exceeds |u| in either sign.
+        grid = itertools.product(_SIGNED, repeat=n)
+        stages = _dp_stages(n)
+        h = 0.25
+        for u in itertools.islice(grid, 0, None, 1 if n <= 6 else 4 ** (n - 6) + 1):
+            k0 = _rotated(0.0, u)
+            generated = self._bits(stages(f, 0.0, u, k0, h, 1e-3, 1e-6))
+            assert generated == self._bits(_tuple_stages(f, 0.0, u, k0, h, 1e-3, 1e-6)), u
 
 
 class TestPinnedPaths:

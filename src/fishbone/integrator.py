@@ -10,9 +10,12 @@ zdot...), whatever the mode count.
 The fixed-step kernel, chosen by ``_kernel``, runs a whole run in one
 Python frame: it checks the blow-up guard, the running max of |z1| and the
 onset level on each step, records each sample, and returns only at the
-end, at a blow-up or at the onset step.  Every 1-mode kernel is compiled
-from one source, once per coupling shape (which aerodynamic coefficients
-are nonzero), without the products whose coefficient is zero.  The
+end, at a blow-up or at the onset step.  Up to 8 modes every kernel is
+compiled from one source, once per mode count and coupling shape (which
+aerodynamic coefficients are nonzero), with each state component in a
+local of its own: at m = 1 without the products whose coefficient is
+zero, at m > 1 over the m-mode accelerations written out on floats with
+numpy's bits.  Above 8 modes the kernel is a closure over tuples.  The
 Dormand-Prince driver controls its step size in one plain loop and writes
 each stage out as one left-to-right sum, so its results are also the same
 on every Python version.  Each sum starts from 0.0 rather than sum()'s int
@@ -49,6 +52,8 @@ from .model import (
     SystemState,
     _cross_coefficients,
     _m_mode_accelerations,
+    _quiet_floats,
+    _scalar_accelerations,
     energy,
     one_mode_accelerations,
     rhs_m_mode,  # not called here: benchmarks/tracing.py patches it on this module
@@ -287,12 +292,22 @@ def make_initial(sigma: float, m: int = 1) -> SystemState:
 #: rounds to the max.
 _Advance = Callable[[tuple, float, int, int, int, float, float, float, Callable], tuple]
 
-#: Source of the 1-mode kernel of every coupling shape: ``_one_mode_kernel``
-#: fills in the accelerations ``{ay1}`` to ``{az4}`` of the four stages.
-_ONE_MODE_KERNEL = """
+#: Largest mode count whose fixed RK4 steps ``_kernel`` and whose
+#: right-hand side ``_rhs`` write out on scalar locals, through
+#: ``_scalar_accelerations``; above it both stay on tuples and on numpy's
+#: ``_m_mode_accelerations``.  Against the tuple step, the generated one
+#: is 2.0-2.3 times as fast at m = 2 and 3, 1.6-1.8 at m = 4 and 1.2-1.4 at
+#: m = 8 (34 against 55 us a step at m = 4), but within 15% either way at
+#: m = 9 and 10 and slower from m = 11 on, while its compile time grows.
+_SCALAR_MAX_MODES = 8
+
+#: Frame of every generated RK4 kernel: ``_rk4_kernel`` fills in the state
+#: names ``{state}``, the blow-up guard ``{guard}`` and the statements of one
+#: step ``{step}``, in the 16-space indent of the inner loop.
+_RK4_KERNEL = """
 def bind(c1, c2, c3, c4):
     def advance(u, h, i, n, every, t0, peak, level, record):
-        y, z, yd, zd = u
+        {state} = u
         h2 = 0.5 * h
         h6 = h / 6.0
         lim = BLOWUP_LIMIT
@@ -300,57 +315,39 @@ def bind(c1, c2, c3, c4):
         sample = i - i % every + every
         while i < n:
             for i in range(i + 1, (sample if sample < n else n) + 1):
-                ay1 = {ay1}
-                az1 = {az1}
-                y2 = y + h2 * yd
-                z2 = z + h2 * zd
-                yd2 = yd + h2 * ay1
-                zd2 = zd + h2 * az1
-                ay2 = {ay2}
-                az2 = {az2}
-                y3 = y + h2 * yd2
-                z3 = z + h2 * zd2
-                yd3 = yd + h2 * ay2
-                zd3 = zd + h2 * az2
-                ay3 = {ay3}
-                az3 = {az3}
-                y4 = y + h * yd3
-                z4 = z + h * zd3
-                yd4 = yd + h * ay3
-                zd4 = zd + h * az3
-                ay4 = {ay4}
-                az4 = {az4}
-                y = y + h6 * (yd + 2.0 * (yd2 + yd3) + yd4)
-                z = z + h6 * (zd + 2.0 * (zd2 + zd3) + zd4)
-                yd = yd + h6 * (ay1 + 2.0 * (ay2 + ay3) + ay4)
-                zd = zd + h6 * (az1 + 2.0 * (az2 + az3) + az4)
+{step}
                 # NaN fails every comparison, so this also catches non-finite values
-                if not (
-                    nlim < y < lim and nlim < z < lim and nlim < yd < lim and nlim < zd < lim
-                ):
+                if not ({guard}):
                     return None, i, peak, False
-                az = abs(z)
+                az = abs(z1)
                 if az >= peak:
                     peak = az
                     if az >= level:
-                        return (y, z, yd, zd), i, peak, True
+                        return ({state}), i, peak, True
             if i == sample:
-                record(t0 + i * h, (y, z, yd, zd))
+                record(t0 + i * h, ({state}))
                 sample += every
-        return (y, z, yd, zd), i, peak, False
+        return ({state}), i, peak, False
 
     return advance
 """
 
 
 @functools.lru_cache(maxsize=None)
-def _one_mode_kernel(shape: tuple[bool, bool, bool, bool]) -> Callable[..., _Advance]:
-    """``bind(c1, c2, c3, c4) -> advance``: the 1-mode kernel compiled for
-    one coupling shape, which of the four ``_cross_coefficients`` are
-    nonzero: isolated (or delta = 0), cross or crosszero.  The coefficients
-    are bound per call, so a shape has one code object whatever its delta.
+def _rk4_kernel(m: int, shape: tuple[bool, bool, bool, bool]) -> Callable[..., _Advance]:
+    """``bind(c1, c2, c3, c4) -> advance``: the RK4 kernel of m modes with
+    every state component in a local of its own, compiled for one coupling
+    shape, which of the four ``_cross_coefficients`` are nonzero: isolated
+    (or delta = 0), cross or crosszero at m = 1, isolated at m > 1.  The
+    coefficients are bound per call, so a shape has one code object
+    whatever its delta.
 
-    Each acceleration is written as ``-3.0 * y - 1.5 * y * y * y - 4.5 * y
+    Each stage forms u + (h/2) k (then u + h k3) component by component and
+    the step u + (h/6) (k1 + 2 (k2 + k3) + k4), the float operations of
+    the tuple kernel ``_kernel`` runs above ``_SCALAR_MAX_MODES``.  At m > 1
+    each stage unpacks one call of ``_scalar_accelerations(m)`` into its
+    accelerations, which gives the bits of ``_rhs``'s numpy core.  At m = 1
+    each acceleration is written as ``-3.0 * y - 1.5 * y * y * y - 4.5 * y
     * z * z - c1 * zd - c2 * z`` without the products whose coefficient is
     0.0, where ``one_mode_accelerations`` negates the sum ``3.0 * y + ...``
     of all of them.  Rounding is symmetric and adding a zero product
@@ -364,36 +361,69 @@ def _one_mode_kernel(shape: tuple[bool, bool, bool, bool]) -> Callable[..., _Adv
     ``make_initial(sigma)`` starts off those subspaces.  A left-out 0.0 *
     inf would be NaN, but a stage with an infinite value is non-finite in
     either form, and both end the step outside the guard.
+
+    The source grows with m: about 1 ms of compile at m = 1, 2 ms at m = 4
+    and 3 ms at m = 8, besides the accelerations'.
     """
+    modes = range(1, m + 1)
+    components = [(v, j) for v in ("y", "z", "yd", "zd") for j in modes]
+
+    def name(v: str, j: int, k: int = 1) -> str:
+        # the component v_j of stage k's state; stage 1's is u's
+        return f"{v}{j}" if k == 1 else f"{v}{j}_{k}"
+
+    def slope(v: str, j: int, k: int) -> str:
+        # its derivative at stage k: a velocity, or an acceleration
+        return name(v + "d", j, k) if v in ("y", "z") else f"a{v[0]}{j}_{k}"
+
     on1, on2, on3, on4 = shape
-    ay = "-3.0 * {y} - 1.5 * {y} * {y} * {y} - 4.5 * {y} * {z} * {z}"
-    az = "-7.0 * {z} - 4.5 * {z} * {z} * {z} - 13.5 * {z} * {y} * {y}"
-    ay += (" - c1 * {zd}" if on1 else "") + (" - c2 * {z}" if on2 else "")
-    az += (" - c3 * {yd}" if on3 else "") + (" - c4 * {y}" if on4 else "")
-    stages = {}
-    for k, suffix in enumerate(("", "2", "3", "4"), 1):
-        names = {v: v + suffix for v in ("y", "z", "yd", "zd")}
-        stages[f"ay{k}"] = ay.format(**names)
-        stages[f"az{k}"] = az.format(**names)
+    step = []
+    for k in range(1, 5):
+        if k > 1:
+            c = "h" if k == 4 else "h2"
+            step += [f"{name(v, j, k)} = {name(v, j)} + {c} * {slope(v, j, k - 1)}"
+                     for v, j in components]
+        if m == 1:
+            y, z, yd, zd = (name(v, 1, k) for v in ("y", "z", "yd", "zd"))
+            ay = f"-3.0 * {y} - 1.5 * {y} * {y} * {y} - 4.5 * {y} * {z} * {z}"
+            az = f"-7.0 * {z} - 4.5 * {z} * {z} * {z} - 13.5 * {z} * {y} * {y}"
+            ay += (f" - c1 * {zd}" if on1 else "") + (f" - c2 * {z}" if on2 else "")
+            az += (f" - c3 * {yd}" if on3 else "") + (f" - c4 * {y}" if on4 else "")
+            step += [f"ay1_{k} = {ay}", f"az1_{k} = {az}"]
+        else:
+            accelerations = ", ".join(slope(v, j, k) for v, j in components[2 * m :])
+            positions = ", ".join(name(v, j, k) for v, j in components[: 2 * m])
+            step.append(f"{accelerations} = acc({positions})")
+    for v, j in components:
+        k1, k2, k3, k4 = (slope(v, j, k) for k in range(1, 5))
+        step.append(f"{name(v, j)} = {name(v, j)} + h6 * ({k1} + 2.0 * ({k2} + {k3}) + {k4})")
+    state = [name(v, j) for v, j in components]
+    source = _RK4_KERNEL.format(
+        state=", ".join(state),
+        step="\n".join(" " * 16 + x for x in step),
+        guard=" and ".join(f"nlim < {v} < lim" for v in state),
+    )
     namespace = {"BLOWUP_LIMIT": BLOWUP_LIMIT}
-    code = compile(_ONE_MODE_KERNEL.format(**stages), f"<1-mode RK4 kernel {shape}>", "exec")
-    exec(code, namespace)
+    if m > 1:
+        namespace["acc"] = _scalar_accelerations(m)
+    exec(compile(source, f"<{m}-mode RK4 kernel {shape}>", "exec"), namespace)
     return namespace["bind"]
 
 
 def _kernel(spec: ModelSpec) -> _Advance:
     """The fixed-step RK4 ``advance`` of one model, the one place it is chosen.
 
-    At m = 1 it is ``_one_mode_kernel`` of the model's coupling shape,
-    bound to its coefficients.  The m-mode kernel calls ``_rhs(spec)`` at
-    t = 0 (the model is autonomous) and forms u + (h/6) (k1 + 2 (k2 + k3) +
-    k4) after the stages u + (h/2) k and u + h k3, in the order the pinned
-    runs check.
+    Up to ``_SCALAR_MAX_MODES`` modes it is ``_rk4_kernel`` of the model's
+    coupling shape, bound to its coefficients.  Above, it is a closure over
+    tuples that calls ``_rhs(spec)`` at t = 0 (the model is autonomous) and
+    forms u + (h/6) (k1 + 2 (k2 + k3) + k4) after the stages u + (h/2) k
+    and u + h k3, in the order the pinned runs check; the generated
+    kernels do the same float operations.
     """
     m = spec.m
-    if m == 1:
+    if m <= _SCALAR_MAX_MODES:
         c = _cross_coefficients(spec)
-        return _one_mode_kernel(tuple(v != 0.0 for v in c))(*c)
+        return _rk4_kernel(m, tuple(v != 0.0 for v in c))(*c)
     f = _rhs(spec)
 
     def advance_m(u, h, i, n, every, t0, peak, level, record):
@@ -427,8 +457,10 @@ def _kernel(spec: ModelSpec) -> _Advance:
 
 def _rhs(spec: ModelSpec) -> Callable[[float, tuple], tuple]:
     """The right-hand side ``f(t, u)`` of the model on the flat state tuple:
-    ``one_mode_accelerations`` at m = 1, else the m-mode core that
-    ``rhs_m_mode`` calls.  ``AdaptiveDriver`` and the m-mode kernel take it.
+    ``one_mode_accelerations`` at m = 1, up to ``_SCALAR_MAX_MODES`` modes
+    ``_scalar_accelerations``, and above them the numpy core that
+    ``rhs_m_mode`` calls, which gives the same bits.  ``AdaptiveDriver``
+    and the tuple kernel take it.
     """
     m = spec.m
     if m == 1:
@@ -440,6 +472,14 @@ def _rhs(spec: ModelSpec) -> Callable[[float, tuple], tuple]:
             return (yd, zd, ay, az)
 
         return f1
+
+    if m <= _SCALAR_MAX_MODES:
+        scalar = _scalar_accelerations(m)
+
+        def fs(t, u):
+            return u[2 * m :] + scalar(*u[: 2 * m])
+
+        return fs
 
     accelerations = _m_mode_accelerations(m)
 
@@ -520,8 +560,10 @@ class AdaptiveDriver:
     ``_dp_stages(n)``, generated source with each component in a local of
     its own, where the driver's own work costs more than ``f``.  A larger
     state takes ``_tuple_stages``, with the same floats: there the m-mode
-    right-hand side costs most of a step, while the generated source, and
-    its compile time, grow with n (0.2 s and 30 MB at n = 400).
+    right-hand side costs most of a step, 5-8 us a call even where ``_rhs``
+    writes it out on floats (m <= 8, as the fixed-step kernels), while the
+    generated source, and its compile time, grow with n (0.2 s and 30 MB
+    at n = 400).
     """
 
     def __init__(
@@ -951,10 +993,11 @@ def simulate(
     try:
         if not _within_guard(u0):
             obs.stop(t0, _BLOWUP_REASON)
-        if config.scheme is Scheme.ADAPTIVE_EMBEDDED:
-            _run_adaptive(obs, t0, u0, config)
-        else:
-            _run_fixed(obs, _kernel(spec), t0, u0, config)
+        with _quiet_floats():
+            if config.scheme is Scheme.ADAPTIVE_EMBEDDED:
+                _run_adaptive(obs, t0, u0, config)
+            else:
+                _run_fixed(obs, _kernel(spec), t0, u0, config)
     except _Stopped:
         pass
     obs.hand_on()

@@ -287,6 +287,21 @@ class TestSimulate:
         assert res.returncode == 4, res.stderr
         assert "blow-up" in res.stderr
 
+    # the m-mode accelerations overflow to inf and NaN in the tried steps
+    # of the adaptive runs, on scalar locals at m = 2 and on numpy at m = 9;
+    # standard error carries the summary and the early end, no RuntimeWarning
+    @pytest.mark.parametrize("scheme", ["fixed_rk4", "adaptive_embedded"])
+    @pytest.mark.parametrize("modes", ["2", "9"])
+    def test_m_mode_overflow_writes_only_the_summary(self, modes, scheme):
+        res = run_cli(
+            "simulate", "--modes", modes, "--sigma", "5e7", "--t-end", "0.01",
+            "--scheme", scheme, "--out", "-",
+        )
+        assert res.returncode in (0, 4), res.stderr
+        summary, end = res.stderr.splitlines()
+        assert summary.startswith("onset=none final_energy=n/a max_torsion=")
+        assert end.startswith("terminated_early at t=")
+
 
 class TestHill:
     def test_single_energy(self):

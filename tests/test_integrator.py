@@ -21,6 +21,7 @@ from fishbone.cli import write_trajectory_csv
 from fishbone.hill import period_for_amplitude
 from fishbone.integrator import (
     _CSV_CHUNK_ROWS,
+    _SCALAR_MAX_MODES,
     BLOWUP_LIMIT,
     MAX_SAMPLES,
     MAX_STEPS,
@@ -1295,6 +1296,69 @@ class TestKernelOracle:
         assert cross_d5.__code__ is kernels["cross"].__code__
         assert kernels["cross-delta0"].__code__ is kernels["isolated"].__code__
         assert len({k.__code__ for k in kernels.values()}) == 3
+
+
+def _every_mode_state(m):
+    # every y_j and z_j nonzero, so every column of both sine projections
+    # carries a value
+    return SystemState(
+        0.0,
+        tuple(0.9 / j * (-1) ** j for j in range(1, m + 1)),
+        tuple(0.6 / (j + 1) for j in range(1, m + 1)),
+        tuple(0.1 * (-1) ** j for j in range(1, m + 1)),
+        tuple(-0.05 * j for j in range(1, m + 1)),
+    )
+
+
+class TestScalarModes:
+    """Runs of m = 2 up to ``_SCALAR_MAX_MODES`` on the generated kernels
+    and right-hand sides against the tuple closure over numpy's m-mode core,
+    which runs above that cap: every sample, the onset, the early end and
+    max |z1| bit for bit."""
+
+    CASES = {
+        "every-mode": (_every_mode_state, 0.2, 100.0),
+        # z1 moves at once, so gain 2 fires early and the run goes on
+        "onset": (
+            lambda m: replace(make_initial(1.47, m), zdot=(0.01,) + (0.0,) * (m - 1)),
+            0.3, 2.0,
+        ),
+        # onset, then a blow-up; fixed RK4 only, as the adaptive driver
+        # takes thousands of steps to the onset
+        "blow-up": (lambda m: make_initial(1100.0, m), 0.04, 100.0),
+    }
+
+    @staticmethod
+    def record(traj):
+        return (
+            [hexes(row) for row in traj.samples.rows()],
+            traj.onset and (traj.onset.t_onset.hex(), traj.onset.gain.hex()),
+            traj.terminated_early and (traj.terminated_early[0].hex(), traj.terminated_early[1]),
+            traj.max_torsion.hex(),
+        )
+
+    @pytest.mark.parametrize("case, scheme", [
+        (case, scheme) for case in CASES for scheme in Scheme
+        if case != "blow-up" or scheme is Scheme.FIXED_RK4
+    ])
+    @pytest.mark.parametrize("m", range(2, _SCALAR_MAX_MODES + 1))
+    def test_bit_identical_to_tuple_closure(self, m, case, scheme, monkeypatch):
+        make, t_end, gain = self.CASES[case]
+        spec = ModelSpec(Variant.ISOLATED, m=m)
+        config = cfg(scheme=scheme, t_end=t_end)
+
+        def run():
+            return self.record(simulate(spec, make(m), config, onset_gain=gain))
+
+        assert _kernel(spec).__name__ == "advance"
+        generated = run()
+        monkeypatch.setattr(fishbone.integrator, "_SCALAR_MAX_MODES", 1)
+        assert _kernel(spec).__name__ == "advance_m"
+        assert generated == run()
+        if case != "every-mode":
+            assert generated[1] is not None
+        if case == "blow-up":
+            assert generated[2][1] == BLOWUP
 
 
 class TestColumnarSamples:

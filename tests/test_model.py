@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from fishbone.integrator import _rhs
+from fishbone.integrator import _SCALAR_MAX_MODES, _rhs
 from fishbone.model import (
     MAX_MODES,
     ModelSpec,
     SystemState,
     Variant,
+    _m_mode_accelerations,
+    _scalar_accelerations,
     energy,
     rhs_m_mode,
     rhs_one_mode,
@@ -218,3 +220,23 @@ def test_integrator_rhs_is_rhs_m_mode(m):
         state = SystemState(0.0, u[:m], u[m : 2 * m], u[2 * m : 3 * m], u[3 * m :])
         ydd, zdd = rhs_m_mode(spec, state)
         assert f(0.0, u) == u[2 * m :] + tuple(ydd.tolist()) + tuple(zdd.tolist())
+
+
+@pytest.mark.parametrize("m", range(2, _SCALAR_MAX_MODES + 1))
+def test_scalar_accelerations_are_the_numpy_core(m):
+    # the written-out float operations give the numpy core's bits, also on
+    # signed zeros, infinities, NaN and values whose cubes overflow
+    rng = np.random.default_rng(100 + m)
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e200, -1e200]
+    scalar, core = _scalar_accelerations(m), _m_mode_accelerations(m)
+    for k in range(600):
+        u = (rng.uniform(-3.0, 3.0, 2 * m) * 10.0 ** rng.integers(-3, 3, 2 * m)).tolist()
+        if k % 2:
+            for i in rng.choice(2 * m, size=rng.integers(1, 4), replace=False):
+                u[i] = special[rng.integers(len(special))]
+        # the products with the sine table warn of a NaN, as numpy's do
+        with np.errstate(all="ignore"):
+            ydd, zdd = core(tuple(u))
+            got = scalar(*u)
+        assert all(type(v) is float for v in got)
+        assert [v.hex() for v in got] == [v.hex() for v in ydd.tolist() + zdd.tolist()], u

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Write the byte-level output contract of the checkout in the current
 # directory into DIR: every `simulate` preset CSV, the trajectory CSVs of
-# paths the presets do not take (three and four modes, two and three modes
-# on the adaptive scheme, the adaptive scheme, seeds of -0.0 and -1.47 and cross
-# at delta = 0, a short step onto t_end, a blow-up under each scheme and
+# paths the presets do not take (three, four and nine modes, two, three and
+# nine modes on the adaptive scheme, the adaptive scheme, seeds of -0.0 and
+# -1.47 and cross at delta = 0, a short step onto t_end, a blow-up under each scheme and
 # one at three modes, standard output), the standard threshold report,
 # threshold searches of other models, schemes and invalid brackets, sweeps
 # of the three variants, the prop2-grid chart, a chart over the longest
@@ -53,6 +53,10 @@ run modes4.csv simulate --modes 4 --t-end 2
 run modes2-adaptive.csv simulate --modes 2 --scheme adaptive_embedded --t-end 1
 run modes3-adaptive.csv simulate --modes 3 --scheme adaptive_embedded --t-end 1
 run blowup-modes3.csv simulate --modes 3 --sigma 1100 --t-end 1
+# nine modes, above the caps of the scalar RK4 kernels and of the scalar
+# Dormand-Prince stages (36 components)
+run modes9.csv simulate --modes 9 --t-end 1
+run modes9-adaptive.csv simulate --modes 9 --scheme adaptive_embedded --t-end 1
 run adaptive.csv simulate --scheme adaptive_embedded --t-end 5
 # 333 steps of 0.003 sampled every 3 steps, then a short step of 0.0014
 # onto t_end

@@ -1022,6 +1022,20 @@ class TestPinnedPaths:
             ("0x1.89374bc6a7efap-8", "0x1.f947cb6d5e875p+10"),
             ("0x1.ba5e353f7ced9p-6", BLOWUP), "0x1.4146133278da0p+9",
         ),
+        # above the caps of the scalar kernels and stages: nine modes under
+        # fixed RK4 and 36 components under Dormand-Prince
+        "fixed-m9": (
+            ModelSpec(Variant.ISOLATED, m=9), make_initial(1.47, m=9),
+            dict(t_end=0.2),
+            "85437d7ef3085c11712f743ecc3e535cac8f336beecdafe3ad6640d9ee7bac6c",
+            None, None, "0x1.344806290eed0p-13",
+        ),
+        "adaptive-m9": (
+            ModelSpec(Variant.ISOLATED, m=9), make_initial(1.47, m=9),
+            dict(scheme=AD, t_end=0.05),
+            "d15a3d95f75bf5f8ed7c50ddefc1e7cd727b9d323698df31fba7c2f09578a9a8",
+            None, None, "0x1.344806290eed0p-13",
+        ),
     }
 
     @pytest.mark.parametrize("name", list(CASES))

@@ -10,22 +10,23 @@ zdot...), whatever the mode count.
 The fixed-step kernel, chosen by ``_kernel``, runs a whole run in one
 Python frame: it checks the blow-up guard, the running max of |z1| and the
 onset level on each step, records each sample, and returns only at the
-end, at a blow-up or at the onset step.  Up to 8 modes every kernel is
-compiled from one source, once per mode count and coupling shape (which
-aerodynamic coefficients are nonzero), with each state component in a
-local of its own: at m = 1 without the products whose coefficient is
-zero, at m > 1 over the m-mode accelerations written out on floats with
-numpy's bits.  Above 8 modes the kernel is a closure over tuples.  The
-Dormand-Prince driver controls its step size in one plain loop and writes
+end, at a blow-up or at the onset step.  Every kernel is compiled from one
+source, once per mode count: up to 8 modes once per coupling shape (which
+aerodynamic coefficients are nonzero) with each state component in a local
+of its own, at m = 1 without the products whose coefficient is zero, at
+m > 1 over the m-mode accelerations written out on floats with numpy's
+bits; above 8 modes over tuples and ``_rhs``, with the same float
+operations.  The Dormand-Prince driver controls its step size in one plain loop and writes
 each stage out as one left-to-right sum, so its results are also the same
 on every Python version.  Each sum starts from 0.0 rather than sum()'s int
 0: Python adds an int to a float as that int converted, so both give the
 same bits (-0.0 + 0.0 is 0.0), and the float start skips the slower
-mixed-type add.  On states of up to 8 components the stages of a step are
-compiled once per state size, with the same float operations; there each
-stage result is unpacked straight into locals.  The error norm of those
-stages and the step control take their minima and maxima by comparisons,
-with the values of the builtin calls they replace.
+mixed-type add.  Its stages are compiled from one source once per state
+size, with the same float operations at every size: up to 8 components
+each stage result is unpacked straight into locals, above they stay
+tuples.  The error norm of the stages and the step control take their
+minima and maxima by comparisons, with the values of the builtin calls
+they replace.
 
 A run keeps its samples as one flat array of doubles, 4m + 1 a sample;
 ``Trajectory.samples`` reads them as (state, energy) pairs, built only for
@@ -295,17 +296,18 @@ _Advance = Callable[[tuple, float, int, int, int, float, float, float, Callable]
 #: Largest mode count whose fixed RK4 steps ``_kernel`` and whose
 #: right-hand side ``_rhs`` write out on scalar locals, through
 #: ``_scalar_accelerations``; above it both stay on tuples and on numpy's
-#: ``_m_mode_accelerations``.  Against the tuple step, the generated one
-#: is 2.0-2.3 times as fast at m = 2 and 3, 1.6-1.8 at m = 4 and 1.2-1.4 at
+#: ``_m_mode_accelerations``.  Against the tuple layout's step, the scalar
+#: one is 2.0-2.3 times as fast at m = 2 and 3, 1.6-1.8 at m = 4 and 1.2-1.4 at
 #: m = 8 (34 against 55 us a step at m = 4), but within 15% either way at
 #: m = 9 and 10 and slower from m = 11 on, while its compile time grows.
 _SCALAR_MAX_MODES = 8
 
-#: Frame of every generated RK4 kernel: ``_rk4_kernel`` fills in the state
-#: names ``{state}``, the blow-up guard ``{guard}`` and the statements of one
-#: step ``{step}``, in the 16-space indent of the inner loop.
+#: Frame of every RK4 kernel: ``_rk4_kernel`` fills in the parameters
+#: ``{bound}`` of bind, the state names ``{state}``, the blow-up guard
+#: ``{guard}`` and the statements of one step ``{step}``, which set z1, in
+#: the 16-space indent of the inner loop.
 _RK4_KERNEL = """
-def bind(c1, c2, c3, c4):
+def bind({bound}):
     def advance(u, h, i, n, every, t0, peak, level, record):
         {state} = u
         h2 = 0.5 * h
@@ -319,7 +321,8 @@ def bind(c1, c2, c3, c4):
                 # NaN fails every comparison, so this also catches non-finite values
                 if not ({guard}):
                     return None, i, peak, False
-                az = abs(z1)
+                # abs(z1) of a finite z1: 0.0 - z1 turns -0.0 into 0.0
+                az = z1 if z1 > 0.0 else 0.0 - z1
                 if az >= peak:
                     peak = az
                     if az >= level:
@@ -334,34 +337,37 @@ def bind(c1, c2, c3, c4):
 
 
 @functools.lru_cache(maxsize=None)
-def _rk4_kernel(m: int, shape: tuple[bool, bool, bool, bool]) -> Callable[..., _Advance]:
-    """``bind(c1, c2, c3, c4) -> advance``: the RK4 kernel of m modes with
-    every state component in a local of its own, compiled for one coupling
-    shape, which of the four ``_cross_coefficients`` are nonzero: isolated
-    (or delta = 0), cross or crosszero at m = 1, isolated at m > 1.  The
-    coefficients are bound per call, so a shape has one code object
-    whatever its delta.
+def _rk4_kernel(m: int, shape: tuple[bool, ...], scalar: bool) -> Callable[..., _Advance]:
+    """``bind(...) -> advance``: the RK4 kernel of m modes in the layout
+    that ``_kernel`` chooses.  Both layouts form each stage state u + (h/2)
+    k (then u + h k3) and the step u + (h/6) (k1 + 2 (k2 + k3) + k4)
+    component by component from the same two expressions, so they do the
+    same float operations.  The tuple layout, ``bind(f)``, keeps the state
+    and the stage derivatives in tuples and calls ``f(0.0, u)`` of ``_rhs``
+    each stage (the model is autonomous); the shape plays no part in it,
+    and its source does not grow with m.
 
-    Each stage forms u + (h/2) k (then u + h k3) component by component and
-    the step u + (h/6) (k1 + 2 (k2 + k3) + k4), the float operations of
-    the tuple kernel ``_kernel`` runs above ``_SCALAR_MAX_MODES``.  At m > 1
-    each stage unpacks one call of ``_scalar_accelerations(m)`` into its
-    accelerations, which gives the bits of ``_rhs``'s numpy core.  At m = 1
-    each acceleration is written as ``-3.0 * y - 1.5 * y * y * y - 4.5 * y
-    * z * z - c1 * zd - c2 * z`` without the products whose coefficient is
-    0.0, where ``one_mode_accelerations`` negates the sum ``3.0 * y + ...``
-    of all of them.  Rounding is symmetric and adding a zero product
-    changes no nonzero sum, so the two forms agree bit for bit except in
-    the sign of a zero sum, and sums and products carry such a sign only
-    into other zeros: the states of the two are always equal under ``==``.
-    A sum is zero where all its products are: on the invariant subspaces
-    seeded with a pair of -0.0, such as (y, ydot) = (-0.0, -0.0) (with
-    couplings, which feed each equation from the other, only at rest), or
-    where the coupling products cancel the others exactly.
-    ``make_initial(sigma)`` starts off those subspaces.  A left-out 0.0 *
-    inf would be NaN, but a stage with an infinite value is non-finite in
-    either form, and both end the step outside the guard.
-
+    The scalar layout, ``bind(c1, c2, c3, c4)``, has every state component
+    in a local of its own and is compiled for one coupling shape, which of
+    the four ``_cross_coefficients`` are nonzero: isolated (or delta = 0),
+    cross or crosszero at m = 1, isolated at m > 1.  The coefficients are
+    bound per call, so a shape has one code object whatever its delta.  At
+    m > 1 each stage unpacks one call of ``_scalar_accelerations(m)`` into
+    its accelerations, which gives the bits of ``_rhs``'s numpy core.  At
+    m = 1 each acceleration is written as ``-3.0 * y - 1.5 * y * y * y -
+    4.5 * y * z * z - c1 * zd - c2 * z`` without the products whose
+    coefficient is 0.0, where ``one_mode_accelerations`` negates the sum
+    ``3.0 * y + ...`` of all of them.  Rounding is symmetric and adding a
+    zero product changes no nonzero sum, so the two forms agree bit for bit
+    except in the sign of a zero sum, and sums and products carry such a
+    sign only into other zeros: the states of the two are always equal
+    under ``==``.  A sum is zero where all its products are: on the
+    invariant subspaces seeded with a pair of -0.0, such as (y, ydot) =
+    (-0.0, -0.0) (with couplings, which feed each equation from the other,
+    only at rest), or where the coupling products cancel the others
+    exactly.  ``make_initial(sigma)`` starts off those subspaces.  A
+    left-out 0.0 * inf would be NaN, but a stage with an infinite value is
+    non-finite in either form, and both end the step outside the guard.
     The source grows with m: about 1 ms of compile at m = 1, 2 ms at m = 4
     and 3 ms at m = 8, besides the accelerations'.
     """
@@ -376,12 +382,23 @@ def _rk4_kernel(m: int, shape: tuple[bool, bool, bool, bool]) -> Callable[..., _
         # its derivative at stage k: a velocity, or an acceleration
         return name(v + "d", j, k) if v in ("y", "z") else f"a{v[0]}{j}_{k}"
 
+    def stage(x: str, k: int, dx: str) -> str:
+        # a component of stage k's state, from x along stage k - 1's slope dx
+        return f"{x} + {'h' if k == 4 else 'h2'} * {dx}"
+
+    def update(x: str, k1: str, k2: str, k3: str, k4: str) -> str:
+        return f"{x} + h6 * ({k1} + 2.0 * ({k2} + {k3}) + {k4})"
+
     on1, on2, on3, on4 = shape
     step = []
     for k in range(1, 5):
+        if not scalar:
+            # a and b are components of u and of the stage derivatives k1-k4
+            at = "u" if k == 1 else f"tuple([{stage('a', k, 'b')} for a, b in zip(u, k{k - 1})])"
+            step.append(f"k{k} = f(0.0, {at})")
+            continue
         if k > 1:
-            c = "h" if k == 4 else "h2"
-            step += [f"{name(v, j, k)} = {name(v, j)} + {c} * {slope(v, j, k - 1)}"
+            step += [f"{name(v, j, k)} = {stage(name(v, j), k, slope(v, j, k - 1))}"
                      for v, j in components]
         if m == 1:
             y, z, yd, zd = (name(v, 1, k) for v in ("y", "z", "yd", "zd"))
@@ -394,65 +411,37 @@ def _rk4_kernel(m: int, shape: tuple[bool, bool, bool, bool]) -> Callable[..., _
             accelerations = ", ".join(slope(v, j, k) for v, j in components[2 * m :])
             positions = ", ".join(name(v, j, k) for v, j in components[: 2 * m])
             step.append(f"{accelerations} = acc({positions})")
-    for v, j in components:
-        k1, k2, k3, k4 = (slope(v, j, k) for k in range(1, 5))
-        step.append(f"{name(v, j)} = {name(v, j)} + h6 * ({k1} + 2.0 * ({k2} + {k3}) + {k4})")
-    state = [name(v, j) for v, j in components]
-    source = _RK4_KERNEL.format(
-        state=", ".join(state),
-        step="\n".join(" " * 16 + x for x in step),
-        guard=" and ".join(f"nlim < {v} < lim" for v in state),
-    )
     namespace = {"BLOWUP_LIMIT": BLOWUP_LIMIT}
-    if m > 1:
-        namespace["acc"] = _scalar_accelerations(m)
-    exec(compile(source, f"<{m}-mode RK4 kernel {shape}>", "exec"), namespace)
+    if scalar:
+        step += [f"{name(v, j)} = {update(name(v, j), *(slope(v, j, k) for k in range(1, 5)))}"
+                 for v, j in components]
+        state = [name(v, j) for v, j in components]
+        bound, guard = "c1, c2, c3, c4", " and ".join(f"nlim < {v} < lim" for v in state)
+        if m > 1:
+            namespace["acc"] = _scalar_accelerations(m)
+    else:
+        step += [f"u = tuple([{update('a', 'b1', 'b2', 'b3', 'b4')}"
+                 " for a, b1, b2, b3, b4 in zip(u, k1, k2, k3, k4)])", f"z1 = u[{m}]"]
+        state, bound, guard = ["u"], "f", "all([nlim < v < lim for v in u])"
+    source = _RK4_KERNEL.format(bound=bound, state=", ".join(state), guard=guard,
+                                step="\n".join(" " * 16 + x for x in step))
+    exec(compile(source, f"<{m}-mode RK4 kernel {shape if scalar else 'on tuples'}>", "exec"),
+         namespace)
     return namespace["bind"]
 
 
 def _kernel(spec: ModelSpec) -> _Advance:
-    """The fixed-step RK4 ``advance`` of one model, the one place it is chosen.
-
-    Up to ``_SCALAR_MAX_MODES`` modes it is ``_rk4_kernel`` of the model's
-    coupling shape, bound to its coefficients.  Above, it is a closure over
-    tuples that calls ``_rhs(spec)`` at t = 0 (the model is autonomous) and
-    forms u + (h/6) (k1 + 2 (k2 + k3) + k4) after the stages u + (h/2) k
-    and u + h k3, in the order the pinned runs check; the generated
-    kernels do the same float operations.
+    """The fixed-step RK4 ``advance`` of one model, the one place its layout
+    is chosen: up to ``_SCALAR_MAX_MODES`` modes ``_rk4_kernel``'s scalar
+    layout of the model's coupling shape, bound to its coefficients, and
+    above them its tuple layout, bound to ``_rhs(spec)``.  Both take the
+    stages in the order the pinned runs check.
     """
-    m = spec.m
-    if m <= _SCALAR_MAX_MODES:
-        c = _cross_coefficients(spec)
-        return _rk4_kernel(m, tuple(v != 0.0 for v in c))(*c)
-    f = _rhs(spec)
-
-    def advance_m(u, h, i, n, every, t0, peak, level, record):
-        h2 = 0.5 * h
-        h6 = h / 6.0
-        sample = i - i % every + every
-        while i < n:
-            for i in range(i + 1, (sample if sample < n else n) + 1):
-                k1 = f(0.0, u)
-                k2 = f(0.0, tuple([a + h2 * b for a, b in zip(u, k1)]))
-                k3 = f(0.0, tuple([a + h2 * b for a, b in zip(u, k2)]))
-                k4 = f(0.0, tuple([a + h * b for a, b in zip(u, k3)]))
-                u = tuple([
-                    a + h6 * (b1 + 2.0 * (b2 + b3) + b4)
-                    for a, b1, b2, b3, b4 in zip(u, k1, k2, k3, k4)
-                ])
-                if not _within_guard(u):
-                    return None, i, peak, False
-                az = abs(u[m])
-                if az >= peak:
-                    peak = az
-                    if az >= level:
-                        return u, i, peak, True
-            if i == sample:
-                record(t0 + i * h, u)
-                sample += every
-        return u, i, peak, False
-
-    return advance_m
+    c = _cross_coefficients(spec)
+    shape = tuple(v != 0.0 for v in c)
+    if spec.m <= _SCALAR_MAX_MODES:
+        return _rk4_kernel(spec.m, shape, True)(*c)
+    return _rk4_kernel(spec.m, shape, False)(_rhs(spec))
 
 
 def _rhs(spec: ModelSpec) -> Callable[[float, tuple], tuple]:
@@ -460,7 +449,7 @@ def _rhs(spec: ModelSpec) -> Callable[[float, tuple], tuple]:
     ``one_mode_accelerations`` at m = 1, up to ``_SCALAR_MAX_MODES`` modes
     ``_scalar_accelerations``, and above them the numpy core that
     ``rhs_m_mode`` calls, which gives the same bits.  ``AdaptiveDriver``
-    and the tuple kernel take it.
+    and the tuple layout of the RK4 kernel take it.
     """
     m = spec.m
     if m == 1:
@@ -517,23 +506,11 @@ _DP_E = (
     -1.0 / 40.0,
 )
 
-# the tableau unpacked once for the written-out stages of _tuple_stages
-_, _C1, _C2, _C3, _C4, _, _ = _DP_C
-(
-    _,
-    (_A10,),
-    (_A20, _A21),
-    (_A30, _A31, _A32),
-    (_A40, _A41, _A42, _A43),
-    (_A50, _A51, _A52, _A53, _A54),
-    (_A60, _A61, _A62, _A63, _A64, _A65),
-) = _DP_A
-_E0, _E1, _E2, _E3, _E4, _E5, _E6 = _DP_E
-
-#: ``stages(f, t, u, k0, h, rtol, atol) -> (unew, k6, err)``: one tried
-#: Dormand-Prince step of h from (t, u), whose derivative there is k0: the
-#: 5th-order solution, its derivative (FSAL) and the error norm.
-_Stages = Callable[..., tuple[tuple[float, ...], tuple[float, ...], float]]
+#: ``stages(f, t, u, k0, h, rtol, atol) -> (unew, k6, err, finite)``: one
+#: tried Dormand-Prince step of h from (t, u), whose derivative there is k0:
+#: the 5th-order solution, its derivative (FSAL), the error norm and whether
+#: every component of the solution is finite.
+_Stages = Callable[..., tuple[tuple[float, ...], tuple[float, ...], float, bool]]
 
 
 class AdaptiveDriver:
@@ -554,16 +531,15 @@ class AdaptiveDriver:
     finite is accepted; how large a state may grow is the caller's rule,
     which ``simulate`` applies to each accepted step through ``on_step``.
 
-    ``advance`` controls the step size; each tried step is one call of a
-    stage function.  A state of at most ``_DP_SCALAR_MAX`` = 8 components
-    (every Hill system, adaptive ``simulate`` at m <= 2) takes
-    ``_dp_stages(n)``, generated source with each component in a local of
-    its own, where the driver's own work costs more than ``f``.  A larger
-    state takes ``_tuple_stages``, with the same floats: there the m-mode
-    right-hand side costs most of a step, 5-8 us a call even where ``_rhs``
-    writes it out on floats (m <= 8, as the fixed-step kernels), while the
-    generated source, and its compile time, grow with n (0.2 s and 30 MB
-    at n = 400).
+    ``advance`` controls the step size; each tried step is one call of the
+    stage function ``_dp_stages``.  A state of at most ``_DP_SCALAR_MAX`` =
+    8 components (every Hill system, adaptive ``simulate`` at m <= 2) takes
+    its scalar layout, with each component in a local of its own, where the
+    driver's own work costs more than ``f``.  A larger state takes its
+    tuple layout, with the same floats: there the m-mode right-hand side
+    costs most of a step, 5-8 us a call even where ``_rhs`` writes it out
+    on floats (m <= 8, as the fixed-step kernels), while the scalar
+    source, and its compile time, grow with n (0.2 s and 30 MB at n = 400).
     """
 
     def __init__(
@@ -608,7 +584,7 @@ class AdaptiveDriver:
         rtol = self.rel_tol
         atol = self.abs_tol
         n = len(self.u)
-        stages = _dp_stages(n) if n <= _DP_SCALAR_MAX else _tuple_stages
+        stages = _dp_stages(n, n <= _DP_SCALAR_MAX)
         while self.t < t_target:
             t = self.t
             # max(1.0, abs(t)), the time scale of the snap and the floor
@@ -632,8 +608,8 @@ class AdaptiveDriver:
             while True:
                 if h < floor:
                     raise StepSizeCollapseError(t)
-                unew, k6, err = stages(f, t, u, k0, h, rtol, atol)
-                if err <= 1.0 and all(map(math.isfinite, unew)):
+                unew, k6, err, finite = stages(f, t, u, k0, h, rtol, atol)
+                if err <= 1.0 and finite:
                     break
                 # max(0.1, min(0.9, 0.9 err^-0.2)) for a finite err > 0, else 0.1
                 if 0.0 < err < math.inf:
@@ -680,97 +656,69 @@ def _unpacking_failed(k: Sequence[float], n: int) -> NoReturn:
     raise
 
 
-def _tuple_stages(f, t, u, k0, h, rtol, atol):
-    """The stage function of ``AdaptiveDriver.advance`` for any state size,
-    over tuples (see ``_Stages``)."""
-    n = len(u)
-    # Each stage state is ui + h * sum(a_j * k_j[i]) written out as a
-    # left-to-right sum from 0.0, the float operations of sum() up to
-    # Python 3.11 (3.12 compensates sum(), which would tie the bits to the
-    # Python version).  sum() starts from the int 0, but Python adds an int
-    # to a float as that int converted, so 0 + x is 0.0 + x bit for bit;
-    # the float start only skips the mixed-type add.  The 0.0 turns a -0.0
-    # first term into 0.0, and the zero coefficients stay because 0.0 * k
-    # carries a NaN or inf in k and the sign of a zero.  Stage states stay
-    # tuples, which f may slice and concatenate.  c = 1 for the last two
-    # stages.
-    us = tuple([ui + h * (0.0 + _A10 * a) for ui, a in zip(u, k0)])
-    k1 = _rhs_values(f(t + _C1 * h, us), n)
-    us = tuple([
-        ui + h * (0.0 + _A20 * a + _A21 * b)
-        for ui, a, b in zip(u, k0, k1)
-    ])
-    k2 = _rhs_values(f(t + _C2 * h, us), n)
-    us = tuple([
-        ui + h * (0.0 + _A30 * a + _A31 * b + _A32 * c)
-        for ui, a, b, c in zip(u, k0, k1, k2)
-    ])
-    k3 = _rhs_values(f(t + _C3 * h, us), n)
-    us = tuple([
-        ui + h * (0.0 + _A40 * a + _A41 * b + _A42 * c + _A43 * d)
-        for ui, a, b, c, d in zip(u, k0, k1, k2, k3)
-    ])
-    k4 = _rhs_values(f(t + _C4 * h, us), n)
-    us = tuple([
-        ui + h * (0.0 + _A50 * a + _A51 * b + _A52 * c + _A53 * d + _A54 * e)
-        for ui, a, b, c, d, e in zip(u, k0, k1, k2, k3, k4)
-    ])
-    k5 = _rhs_values(f(t + h, us), n)
-    # the last stage state is the 5th-order solution (FSAL)
-    unew = tuple([
-        ui + h * (
-            0.0 + _A60 * a + _A61 * b + _A62 * c + _A63 * d + _A64 * e
-            + _A65 * g
-        )
-        for ui, a, b, c, d, e, g in zip(u, k0, k1, k2, k3, k4, k5)
-    ])
-    k6 = _rhs_values(f(t + h, unew), n)
-    err = 0.0
-    for ui, vi, a, b, c, d, e, g, q in zip(
-        u, unew, k0, k1, k2, k3, k4, k5, k6
-    ):
-        r = h * (
-            0.0 + _E0 * a + _E1 * b + _E2 * c + _E3 * d + _E4 * e
-            + _E5 * g + _E6 * q
-        ) / (atol + rtol * max(abs(ui), abs(vi)))
-        err += r * r
-    return unew, k6, math.sqrt(err / n)
-
-
 #: Largest state size whose steps ``AdaptiveDriver.advance`` takes through
-#: ``_dp_stages``: every Hill system (2, 6 and 8) and adaptive ``simulate``
-#: at m <= 2.
+#: the scalar layout of ``_dp_stages``: every Hill system (2, 6 and 8) and
+#: adaptive ``simulate`` at m <= 2.
 _DP_SCALAR_MAX = 8
 
 
 @functools.lru_cache(maxsize=None)
-def _dp_stages(n: int) -> _Stages:
+def _dp_stages(n: int, scalar: bool) -> _Stages:
     """The stage function of ``AdaptiveDriver.advance`` for states of n
-    components: ``_tuple_stages`` compiled with each stage state, stage
-    derivative and error term in a local of its own.  The float operations
-    and their order are those of ``_tuple_stages``, the 0.0 start of every
-    sum included, so the two agree bit for bit.  Each stage result is
-    unpacked straight into its locals, a generator's too, and the FSAL
-    derivative is built from them; the scale max(abs(ui), abs(vi)) of the
-    error norm is taken by comparisons, with max()'s value for a finite ui
-    and any vi.
+    components, in the layout that ``advance`` chooses.
 
-    The source grows with n, and so does its compile time: about 4 ms at
-    n = 8, the largest ``advance`` generates, but 0.2 s and 30 MB at n = 400.
+    Each stage state is ui + h * sum(a_j * k_j[i]), written out as a
+    left-to-right sum from 0.0: the float operations of sum() up to Python
+    3.11 (3.12 compensates sum(), which would tie the bits to the Python
+    version).  The 0.0 start gives the bits of sum()'s int 0, as Python
+    adds an int to a float as that int converted, and turns a -0.0 first
+    term into 0.0; the zero coefficients stay because 0.0 * k carries a NaN
+    or inf in k and the sign of a zero.  The scale max(abs(ui), abs(vi)) of
+    the error norm is taken by comparisons, with max()'s value for a finite
+    ui and any vi.  Both layouts write these sums and error terms from the
+    same expressions, in the same order, so they agree bit for bit.
+
+    The scalar layout has each stage state, stage derivative and error term
+    in a local of its own.  Each stage result is unpacked straight into its
+    locals, a generator's too, and the FSAL derivative is built from them;
+    a component v of the solution is finite where v - v == 0.0.  Its source
+    grows with n, and so does its compile time: about 4 ms at n = 8, the
+    largest ``advance`` compiles it for, but 0.2 s and 30 MB at n = 400.
+    The tuple layout keeps them in tuples, which f may slice and
+    concatenate, and its source does not grow with n.
     """
     stage_names = "abcdegq"
+
+    def combination(coefficients, i: str) -> str:
+        return "0.0" + "".join(f" + {c!r} * {stage_names[j]}{i}" for j, c in enumerate(coefficients))
+
+    def stage(s: int, i: str) -> str:
+        return f"u{i} + h * ({combination(_DP_A[s], i)})"
+
+    def error(i: str) -> list[str]:
+        # max(abs(ui), abs(vi)) by comparisons: w is abs(ui) (0.0 - ui turns
+        # -0.0 into 0.0), and vi or -vi replaces it only where larger, as in
+        # max(), so a NaN vi leaves w
+        scale = f"(v{i} if v{i} > w else -v{i} if -v{i} > w else w)"
+        return [f"w = u{i} if u{i} > 0.0 else 0.0 - u{i}",
+                f"r{i} = h * ({combination(_DP_E, i)}) / (atol + rtol * {scale})"]
 
     def seq(p: str) -> str:
         return ", ".join(f"{p}{i}" for i in range(n)) + ("," if n == 1 else "")
 
-    def combination(coefficients, i: int) -> str:
-        return "0.0" + "".join(f" + {c!r} * {stage_names[j]}{i}" for j, c in enumerate(coefficients))
-
-    lines = [f"{seq('u')} = u", f"{seq('a')} = k0"]
+    lines = [f"{seq('u')} = u", f"{seq('a')} = k0"] if scalar else []
     for s in range(1, 7):
-        state = "v" if s == 6 else "s"
-        lines += [f"{state}{i} = u{i} + h * ({combination(_DP_A[s], i)})" for i in range(n)]
         node = "t + h" if _DP_C[s] == 1.0 else f"t + {_DP_C[s]!r} * h"
+        if not scalar:
+            # ui, ai, bi, ... are the components of u and of k0, k1, ...
+            state = "unew" if s == 6 else "us"
+            each = ", ".join(f"{x}i" for x in stage_names[:s])
+            ks = ", ".join(f"k{j}" for j in range(s))
+            lines += [f"{state} = tuple([{stage(s, 'i')} for ui, {each} in zip(u, {ks})])",
+                      f"k{s} = _rhs_values(f({node}, {state}), {n})"]
+            continue
+        state = "v" if s == 6 else "s"
+        lines += [f"{state}{i} = {stage(s, str(i))}" for i in range(n)]
         if s < 6:
             lines.append(f"ks = f({node}, ({seq('s')}))")
         else:
@@ -781,20 +729,21 @@ def _dp_stages(n: int) -> _Stages:
             "except ValueError:",
             f"    _unpacking_failed(ks, {n})",
         ]
-    # max(abs(ui), abs(vi)) by comparisons: w is abs(ui) (0.0 - ui turns
-    # -0.0 into 0.0), and vi or -vi replaces it only where larger, as in
-    # max(), so a NaN vi leaves w
-    for i in range(n):
-        scale = f"(v{i} if v{i} > w else -v{i} if -v{i} > w else w)"
-        lines += [
-            f"w = u{i} if u{i} > 0.0 else 0.0 - u{i}",
-            f"r{i} = h * ({combination(_DP_E, i)}) / (atol + rtol * {scale})",
-        ]
-    lines.append(f"err = sqrt((0.0{''.join(f' + r{i} * r{i}' for i in range(n))}) / {n})")
-    lines.append(f"return unew, ({seq('q')}), err")
+    if scalar:
+        lines += [x for i in range(n) for x in error(str(i))]
+        lines.append(f"err = sqrt((0.0{''.join(f' + r{i} * r{i}' for i in range(n))}) / {n})")
+        finite = " and ".join(f"v{i} - v{i} == 0.0" for i in range(n))
+        lines.append(f"return unew, ({seq('q')}), err, {finite}")
+    else:
+        lines += ["err = 0.0",
+                  "for ui, vi, ai, bi, ci, di, ei, gi, qi in zip(u, unew, k0, k1, k2, k3, k4, k5, k6):",
+                  *(f"    {x}" for x in error("i") + ["err += ri * ri"]),
+                  f"return unew, k6, sqrt(err / {n}), all(map(isfinite, unew))"]
     source = "def stages(f, t, u, k0, h, rtol, atol):\n" + "".join(f"    {x}\n" for x in lines)
-    namespace = {"_unpacking_failed": _unpacking_failed, "sqrt": math.sqrt}
-    exec(compile(source, f"<Dormand-Prince stages n={n}>", "exec"), namespace)
+    namespace = {"_rhs_values": _rhs_values, "_unpacking_failed": _unpacking_failed,
+                 "isfinite": math.isfinite, "sqrt": math.sqrt}
+    exec(compile(source, f"<Dormand-Prince stages n={n}{'' if scalar else ' on tuples'}>", "exec"),
+         namespace)
     return namespace["stages"]
 
 

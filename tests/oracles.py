@@ -10,7 +10,8 @@ the full-period reference iterates the map over whole periods, one numpy
 pass per period, as ``forced_check`` did before it used the half-period
 symmetry.
 The RK4 reference step takes its accelerations from the public
-``rhs_one_mode`` once per stage, where the integrator inlines them.  The
+``rhs_one_mode`` (m = 1) or ``rhs_m_mode`` (m > 1) once per stage, where the
+integrator inlines them or writes them out on floats.  The
 pure-mode state at time t comes from one tight integration of the
 oscillator from its initial data, and the Hill fundamental matrix over any
 time from one integration per fundamental solution, not from the coupled
@@ -26,7 +27,7 @@ import numpy as np
 
 from fishbone.hill import FORCED_MAGNITUDE_LIMIT, ForcedHillCheck
 from fishbone.integrator import AdaptiveDriver
-from fishbone.model import ModelSpec, SystemState, rhs_one_mode
+from fishbone.model import ModelSpec, SystemState, rhs_m_mode, rhs_one_mode
 
 
 # Dormand-Prince 5(4): nodes, stage weights, 5th- minus 4th-order weights
@@ -154,34 +155,32 @@ def _refine_zero(t0, u0, t1, rel_tol):
     return 0.5 * (lo + hi)
 
 
-def rk4_1m_reference(spec: ModelSpec, u, h: float) -> tuple[float, ...]:
-    """One classical RK4 step of the 1-mode system on (y, z, ydot, zdot).
+def rk4_reference(spec: ModelSpec, u, h: float) -> tuple[float, ...]:
+    """One classical RK4 step of the m-mode system on the flat state
+    (y..., z..., ydot..., zdot...).
 
     The stage arithmetic is the integrator's, in the same order, so the
-    result must agree bit for bit with its inlined kernel.
+    result must agree bit for bit with its kernels.
     """
+    m = spec.m
 
-    def acc(y, z, yd, zd):
-        return rhs_one_mode(spec, SystemState.single(0.0, y, z, yd, zd))
+    def f(u):
+        if m == 1:
+            acc = rhs_one_mode(spec, SystemState.single(0.0, *u))
+        else:
+            state = SystemState(0.0, u[:m], u[m : 2 * m], u[2 * m : 3 * m], u[3 * m :])
+            ydd, zdd = rhs_m_mode(spec, state)
+            acc = ydd.tolist() + zdd.tolist()
+        return (*u[2 * m :], *acc)
 
-    y, z, yd, zd = u
     h2 = 0.5 * h
     h6 = h / 6.0
-    ay1, az1 = acc(y, z, yd, zd)
-    y2, z2 = y + h2 * yd, z + h2 * zd
-    yd2, zd2 = yd + h2 * ay1, zd + h2 * az1
-    ay2, az2 = acc(y2, z2, yd2, zd2)
-    y3, z3 = y + h2 * yd2, z + h2 * zd2
-    yd3, zd3 = yd + h2 * ay2, zd + h2 * az2
-    ay3, az3 = acc(y3, z3, yd3, zd3)
-    y4, z4 = y + h * yd3, z + h * zd3
-    yd4, zd4 = yd + h * ay3, zd + h * az3
-    ay4, az4 = acc(y4, z4, yd4, zd4)
-    return (
-        y + h6 * (yd + 2.0 * (yd2 + yd3) + yd4),
-        z + h6 * (zd + 2.0 * (zd2 + zd3) + zd4),
-        yd + h6 * (ay1 + 2.0 * (ay2 + ay3) + ay4),
-        zd + h6 * (az1 + 2.0 * (az2 + az3) + az4),
+    k1 = f(u)
+    k2 = f([a + h2 * b for a, b in zip(u, k1)])
+    k3 = f([a + h2 * b for a, b in zip(u, k2)])
+    k4 = f([a + h * b for a, b in zip(u, k3)])
+    return tuple(
+        a + h6 * (b1 + 2.0 * (b2 + b3) + b4) for a, b1, b2, b3, b4 in zip(u, k1, k2, k3, k4)
     )
 
 

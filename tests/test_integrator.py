@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import dormand_prince_step, duffing_state, rk4_1m_reference
+from oracles import dormand_prince_step, duffing_state, rk4_reference
 
 import fishbone.integrator
 from fishbone.cli import write_trajectory_csv
@@ -36,7 +36,6 @@ from fishbone.integrator import (
     _dp_stages,
     _Observer,
     _kernel,
-    _tuple_stages,
 )
 from fishbone.model import (
     MAX_MODES,
@@ -768,8 +767,8 @@ GENERATED_CASES = {
 
 
 class TestGeneratedAdvance:
-    """``AdaptiveDriver.advance`` on ``_dp_stages(n)`` against the same
-    driver on ``_tuple_stages``."""
+    """``AdaptiveDriver.advance`` on the scalar layout of ``_dp_stages(n)``
+    against the same driver on its tuple layout."""
 
     @pytest.mark.parametrize("watch", [True, False], ids=["on_step", "no-on_step"])
     @pytest.mark.parametrize("case", list(GENERATED_CASES))
@@ -778,7 +777,7 @@ class TestGeneratedAdvance:
         make_f, targets, kw = GENERATED_CASES[case]
         run = functools.partial(_run_path, _advance, n=n, targets=targets, watch=watch, **kw)
         generated = run(make_f())
-        # every size takes the tuple stages
+        # every size takes the tuple layout
         monkeypatch.setattr(fishbone.integrator, "_DP_SCALAR_MAX", 0)
         tuples = run(make_f())
         assert generated == tuples
@@ -800,7 +799,7 @@ class TestGeneratedAdvance:
         # step on_step was given, with the FSAL derivative of that step
         run = functools.partial(_run_path, _advance, _coupled, n, [1.0, 2.0], halt_at_step=7)
         generated = run()
-        # every size takes the tuple stages
+        # every size takes the tuple layout
         monkeypatch.setattr(fishbone.integrator, "_DP_SCALAR_MAX", 0)
         tuples = run()
         assert generated == tuples
@@ -816,14 +815,14 @@ class TestGeneratedAdvance:
         taken = []
         real = fishbone.integrator._dp_stages
 
-        def spy(n):
-            taken.append(n)
-            return real(n)
+        def spy(n, scalar):
+            taken.append((n, scalar))
+            return real(n, scalar)
 
         monkeypatch.setattr(fishbone.integrator, "_dp_stages", spy)
         for n in (1, 8, 9):
             AdaptiveDriver(_coupled, 0.0, (0.5,) * n).advance(0.1)
-        assert taken == [1, 8]
+        assert taken == [(1, True), (8, True), (9, False)]
 
 
 class TestRhsLength:
@@ -881,14 +880,16 @@ def _first(value):
 
 
 class TestStageFunctions:
-    """One tried step of ``_dp_stages(n)`` against one of ``_tuple_stages``:
-    the new state, its derivative (FSAL) and the error norm, bit for bit,
-    with a NaN error norm equal to a NaN one."""
+    """One tried step of the scalar layout of ``_dp_stages(n)`` against one
+    of its tuple layout: the new state, its derivative (FSAL), the error
+    norm and the finite verdict, bit for bit, with a NaN error norm equal to
+    a NaN one."""
 
     @staticmethod
     def _bits(step):
-        unew, k6, err = step
-        return array("d", unew + k6).tobytes(), "nan" if err != err else err.hex()
+        unew, k6, err, finite = step
+        assert finite is all(map(math.isfinite, unew))
+        return array("d", unew + k6).tobytes(), "nan" if err != err else err.hex(), finite
 
     # the derivative at u is _rotated's, with zeros of both signs; the
     # right-hand sides past _signs make the step non-finite (inf, NaN) or
@@ -905,12 +906,12 @@ class TestStageFunctions:
         # value in every component.  A step of 1/4 moves the state far
         # enough that |new u| exceeds |u| in either sign.
         grid = itertools.product(_SIGNED, repeat=n)
-        stages = _dp_stages(n)
+        scalar, tuples = _dp_stages(n, True), _dp_stages(n, False)
         h = 0.25
         for u in itertools.islice(grid, 0, None, 1 if n <= 6 else 4 ** (n - 6) + 1):
             k0 = _rotated(0.0, u)
-            generated = self._bits(stages(f, 0.0, u, k0, h, 1e-3, 1e-6))
-            assert generated == self._bits(_tuple_stages(f, 0.0, u, k0, h, 1e-3, 1e-6)), u
+            generated = self._bits(scalar(f, 0.0, u, k0, h, 1e-3, 1e-6))
+            assert generated == self._bits(tuples(f, 0.0, u, k0, h, 1e-3, 1e-6)), u
 
 
 class TestPinnedPaths:
@@ -1249,7 +1250,7 @@ SHAPES = {
 
 def reference_run(spec, u, steps, h=1e-3):
     for _ in range(steps):
-        u = rk4_1m_reference(spec, u, h)
+        u = rk4_reference(spec, u, h)
     return u
 
 
@@ -1311,6 +1312,17 @@ class TestKernelOracle:
         assert kernels["cross-delta0"].__code__ is kernels["isolated"].__code__
         assert len({k.__code__ for k in kernels.values()}) == 3
 
+    @pytest.mark.parametrize("m", [2, 4, 9])
+    def test_m_mode_kernels(self, m):
+        # the kernels over the generated accelerations (m <= 8) and over
+        # tuples (m = 9) against one RK4 step per stage call of the public
+        # rhs_m_mode: 300 steps of 1e-3
+        spec = ModelSpec(Variant.ISOLATED, m=m)
+        initial = _every_mode_state(m)
+        final = simulate(spec, initial, cfg(t_end=0.3, sample_every=0.3)).final_state()
+        assert final.t == 0.3
+        assert hexes(final.flat()) == hexes(reference_run(spec, initial.flat(), 300))
+
 
 def _every_mode_state(m):
     # every y_j and z_j nonzero, so every column of both sine projections
@@ -1325,10 +1337,10 @@ def _every_mode_state(m):
 
 
 class TestScalarModes:
-    """Runs of m = 2 up to ``_SCALAR_MAX_MODES`` on the generated kernels
-    and right-hand sides against the tuple closure over numpy's m-mode core,
-    which runs above that cap: every sample, the onset, the early end and
-    max |z1| bit for bit."""
+    """Runs of m = 2 up to ``_SCALAR_MAX_MODES`` on the scalar layout of the
+    kernels and right-hand sides against their tuple layout over numpy's
+    m-mode core, which runs above that cap: every sample, the onset, the
+    early end and max |z1| bit for bit."""
 
     CASES = {
         "every-mode": (_every_mode_state, 0.2, 100.0),
@@ -1364,10 +1376,10 @@ class TestScalarModes:
         def run():
             return self.record(simulate(spec, make(m), config, onset_gain=gain))
 
-        assert _kernel(spec).__name__ == "advance"
+        assert not _kernel(spec).__code__.co_filename.endswith("on tuples>")
         generated = run()
         monkeypatch.setattr(fishbone.integrator, "_SCALAR_MAX_MODES", 1)
-        assert _kernel(spec).__name__ == "advance_m"
+        assert _kernel(spec).__code__.co_filename == f"<{m}-mode RK4 kernel on tuples>"
         assert generated == run()
         if case != "every-mode":
             assert generated[1] is not None

@@ -4,12 +4,13 @@
 # paths the presets do not take (three, four and nine modes, two, three and
 # nine modes on the adaptive scheme, the adaptive scheme, seeds of -0.0 and
 # -1.47 and cross at delta = 0, a short step onto t_end, a blow-up under each scheme and
-# one at three modes, standard output), the standard threshold report,
+# one at three modes, runs of exactly one and of one more than one block of
+# streamed rows, standard output), the standard threshold report,
 # threshold searches of other models, schemes and invalid brackets, sweeps
 # of the three variants, the prop2-grid chart, a chart over the longest
 # forced horizon and one at extreme energies, the cross sweep, the
-# prop2-grid chart, an aerodynamic preset and the standard-output CSV also
-# on one CPU (taskset), each with its exit code in NAME.exit, and a run
+# prop2-grid chart, an aerodynamic preset, the two block runs and the
+# standard-output CSV also on one CPU (taskset), each with its exit code in NAME.exit, and a run
 # whose CSV goes to a full device (/dev/full).
 # Two checkouts give the same DIR contents exactly when their outputs agree:
 #   (cd base && scripts/contract_outputs.sh /tmp/a)
@@ -61,6 +62,10 @@ run adaptive.csv simulate --scheme adaptive_embedded --t-end 5
 # 333 steps of 0.003 sampled every 3 steps, then a short step of 0.0014
 # onto t_end
 run tail-step.csv simulate --step 0.003 --t-end 1.0004
+# the seed and 1023 samples: exactly one block of 1024 rows handed to the
+# writer, so the run's last hand-on has nothing left; then 1025 rows
+run block-exact.csv simulate --t-end 10.23
+run block-plus-one.csv simulate --t-end 10.24
 # seeds no preset takes: -0.0 and a negative amplitude, where the signs of
 # zeros in the aerodynamic sums show, and cross at delta = 0, which runs
 # the kernel without aerodynamic terms
@@ -118,6 +123,8 @@ run prop2-grid-1cpu.csv hill --preset prop2-grid
 # a simulate CSV, to a file and to standard output, written in-process
 # after the run, where two CPUs let a forked child write it during the run
 run fig2-d001-1cpu.csv simulate --preset fig2-d001
+run block-exact-1cpu.csv simulate --t-end 10.23
+run block-plus-one-1cpu.csv simulate --t-end 10.24
 $pin python3 -m fishbone simulate --t-end 0.5 --out - >"$out/stdout-1cpu.csv" \
     2>"$out/stdout-1cpu.csv.stderr"
 echo $? >"$out/stdout-1cpu.csv.exit"

@@ -1560,6 +1560,16 @@ class TestStreaming:
         assert array("d", itertools.chain(*blocks)) == traj.samples._buf
         assert sum(rows) == len(traj.samples)
 
+    @pytest.mark.parametrize("t_end,sizes", [(10.23, [1024]), (10.24, [1024, 1])])
+    def test_block_boundaries(self, t_end, sizes):
+        # the seed and 1023 samples fill exactly one block, so the last
+        # hand-on has nothing left; one sample more is a block of one row
+        blocks = []
+        with fishbone.integrator._streaming(blocks.append):
+            traj = simulate(ISO, make_initial(1.47), cfg(t_end=t_end))
+        assert [len(b) // 5 for b in blocks] == sizes
+        assert array("d", itertools.chain(*blocks)) == traj.samples._buf
+
     def test_nothing_handed_on_outside(self):
         blocks = []
         with fishbone.integrator._streaming(blocks.append):

@@ -27,7 +27,7 @@ from .integrator import (
     Trajectory,
     _check_fixed_step,
     _check_sample_memory,
-    _streaming,
+    _Samples,
     check_onset_gain,
     make_initial,
     simulate,
@@ -314,23 +314,40 @@ _ENERGY_COLUMNS = (
 )
 
 
-def _trajectory_lines(trajectory: Trajectory) -> Iterable[str]:
-    """The CSV line of every sample, from the flat rows of its samples.
+def _write_trajectory_header(
+    spec: ModelSpec, out: TextIO, header_fields: Optional[dict[str, str]]
+) -> None:
+    """One '# key=value' line per ``header_fields`` item, then the column names."""
+    for key, value in (header_fields or {}).items():
+        out.write(f"# {key}={value}\n")
+    modes = range(1, spec.m + 1)
+    header = ["t", *(f"y{j}" for j in modes), *(f"z{j}" for j in modes),
+              *_ENERGY_COLUMNS]
+    out.write(",".join(header) + "\n")
+
+
+def _write_trajectory_rows(
+    spec: ModelSpec, rows: Iterable[tuple[float, ...]], out: TextIO
+) -> None:
+    """The CSV line of every flat sample row (t, y..., z..., ydot..., zdot...),
+    written in chunks of ``_CSV_CHUNK_ROWS`` lines.
 
     Each line is one %-format of 17 significant digits per field, which
     formats every float (signed zeros, inf and nan too) as ``_fmt`` does.
     """
-    m = trajectory.spec.m
-    rows = trajectory.samples.rows()
+    m = spec.m
     if m > 1:
         n = 2 * m + 1
         line = ",".join(["%.17g"] * n) + "," * len(_ENERGY_COLUMNS) + "\n"
-        return (line % row[:n] for row in rows)
-    line = ",".join(["%.17g"] * (3 + len(_ENERGY_COLUMNS))) + "\n"
-    d = _aero_delta(trajectory.spec)
-    return (
-        line % (t, y, z, *_energy_terms(y, z, yd, zd, d)) for t, y, z, yd, zd in rows
-    )
+        lines = (line % row[:n] for row in rows)
+    else:
+        line = ",".join(["%.17g"] * (3 + len(_ENERGY_COLUMNS))) + "\n"
+        d = _aero_delta(spec)
+        lines = (
+            line % (t, y, z, *_energy_terms(y, z, yd, zd, d)) for t, y, z, yd, zd in rows
+        )
+    while chunk := "".join(islice(lines, _CSV_CHUNK_ROWS)):
+        out.write(chunk)
 
 
 def write_trajectory_csv(
@@ -344,15 +361,8 @@ def write_trajectory_csv(
     columns are left empty for m > 1.  The rows are written in chunks of
     ``_CSV_CHUNK_ROWS``, so the whole file is never held as one string.
     """
-    for key, value in (header_fields or {}).items():
-        out.write(f"# {key}={value}\n")
-    modes = range(1, trajectory.spec.m + 1)
-    header = ["t", *(f"y{j}" for j in modes), *(f"z{j}" for j in modes),
-              *_ENERGY_COLUMNS]
-    out.write(",".join(header) + "\n")
-    lines = _trajectory_lines(trajectory)
-    while chunk := "".join(islice(lines, _CSV_CHUNK_ROWS)):
-        out.write(chunk)
+    _write_trajectory_header(trajectory.spec, out, header_fields)
+    _write_trajectory_rows(trajectory.spec, trajectory.samples.rows(), out)
 
 
 def write_chart_csv(rows: Sequence[ChartRow], out: TextIO) -> None:
@@ -404,38 +414,18 @@ def format_threshold_report(result: ThresholdResult) -> str:
 # The trajectory CSV written by a forked child while the run integrates
 
 
-class _ArrivingSamples:
-    """The samples of a run as a writer child reads them from ``conn``:
-    ``rows()`` yields the rows of each block as it arrives, until the
-    parent closes its end, and ``len`` counts the rows received so far
-    (the span that ``benchmarks/tracing.py`` puts on
-    ``write_trajectory_csv`` reads it)."""
-
-    def __init__(self, conn, stride: int):
-        self._conn = conn
-        self._stride = stride
-        self._rows = 0
-
-    def __len__(self) -> int:
-        return self._rows
-
-    def rows(self):
-        while True:
-            try:
-                block = array("d", self._conn.recv_bytes())
-            except EOFError:  # the run has ended
-                return
-            self._rows += len(block) // self._stride
-            yield from zip(*[iter(block)] * self._stride)
-
-
 def _write_arriving(spec, fh, header_fields, rows_in, result_out):
-    """Writer child: ``write_trajectory_csv`` of the blocks arriving on
-    ``rows_in`` to ``fh``, flushed, then None or the exception it raised
-    sent on ``result_out``."""
+    """Writer child: the trajectory CSV header, then the rows of each block
+    arriving on ``rows_in`` as it arrives, to ``fh``, flushed; then None or
+    the exception it raised sent on ``result_out``."""
     try:
-        samples = _ArrivingSamples(rows_in, 4 * spec.m + 1)
-        write_trajectory_csv(Trajectory(spec, samples), fh, header_fields=header_fields)
+        _write_trajectory_header(spec, fh, header_fields)
+        try:
+            while True:
+                block = array("d", rows_in.recv_bytes())
+                _write_trajectory_rows(spec, _Samples(spec, block).rows(), fh)
+        except EOFError:  # the parent closed its end: the run has ended
+            pass
         fh.flush()
         error = None
     except Exception as exc:
@@ -448,8 +438,8 @@ def _write_arriving(spec, fh, header_fields, rows_in, result_out):
 
 @contextmanager
 def _writer_beside(spec: ModelSpec, fh: TextIO, header_fields: dict[str, str]):
-    """Yield the consumer of the sample blocks of the run made inside this
-    block, which a forked ``_write_arriving`` child (``_child``) writes to
+    """Yield the ``on_block`` of the run made inside this block, whose
+    sample blocks a forked ``_write_arriving`` child (``_child``) writes to
     ``fh`` as the trajectory CSV, or None where no child can: no child may
     run beside this process (``_fork_context``), ``fh`` has no file
     descriptor that a child shares, or no descriptor or process is left
@@ -494,8 +484,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     header = cfg.fingerprint()
     # open the output before the (possibly long) run so a bad path fails fast
     with _open_out(args.out) as fh, _writer_beside(spec, fh, header) as consume:
-        with _streaming(consume):
-            traj = simulate(spec, make_initial(cfg.sigma, cfg.modes), config, cfg.onset_gain)
+        traj = simulate(spec, make_initial(cfg.sigma, cfg.modes), config, cfg.onset_gain,
+                        on_block=consume)
         if consume is None:
             write_trajectory_csv(traj, fh, header_fields=header)
     onset = "none" if traj.onset is None else format(traj.onset.t_onset, ".6g")

@@ -30,7 +30,7 @@ they replace.
 
 A run keeps its samples as one flat array of doubles, 4m + 1 a sample;
 ``Trajectory.samples`` reads them as (state, energy) pairs, built only for
-the entries read.  Inside ``_streaming`` a run also hands its samples on,
+the entries read.  Given ``on_block``, a run also hands its samples on,
 a block at a time, while it records them.
 """
 
@@ -43,7 +43,6 @@ import operator
 import sys
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, NoReturn, Optional
 
@@ -97,8 +96,8 @@ _MIN_STEP_FACTOR = 1e-14
 #: Residual gap to a target time treated as already reached (roundoff).
 _TIME_SNAP = 1e-13
 
-#: Sample rows in each block a run hands on inside ``_streaming``, and in
-#: each write of the trajectory CSV writer.
+#: Sample rows in each block a run hands to its ``on_block``, and in each
+#: write of the trajectory CSV writer.
 _CSV_CHUNK_ROWS = 1024
 
 
@@ -777,26 +776,6 @@ class _Stopped(Exception):
     """Ends a run early; ``_Observer.stop`` has recorded why and when."""
 
 
-#: Takes the sample blocks of each run, set only inside ``_streaming``.
-_consumer: Optional[Callable[[array], None]] = None
-
-
-@contextmanager
-def _streaming(consume: Optional[Callable[[array], None]]):
-    """Within this block, each ``simulate`` run that returns has handed
-    ``consume`` all its samples in order, as flat arrays of the rows
-    (t, y..., z..., ydot..., zdot...): one block of ``_CSV_CHUNK_ROWS`` rows
-    as soon as it is recorded, and the rows left when the run ends, at
-    t_end, at a blow-up, at the onset stop or at a step-size collapse.
-    An exception ``consume`` raises ends the run.  None hands nothing on."""
-    global _consumer
-    before, _consumer = _consumer, consume
-    try:
-        yield
-    finally:
-        _consumer = before
-
-
 class _Observer:
     """Fills the Trajectory of one run: onset, running max |z1|, samples.
 
@@ -807,9 +786,9 @@ class _Observer:
     and records its samples, and ``settle`` takes each kernel call's
     result; ``watch`` checks all three for every accepted step of the
     adaptive driver.  ``record`` appends every sample to the flat array
-    behind ``traj.samples`` and hands each completed block on to the
-    ``_streaming`` consumer, and ``hand_on`` the rows left once the run
-    has ended.
+    behind ``traj.samples`` and hands each completed block on to
+    ``on_block``, if given, and ``hand_on`` the rows left once the run has
+    ended.
     Every early end of a run, a blow-up, a step-size collapse or the onset
     step under ``stop_at_onset`` (recorded as the last sample), goes
     through ``stop``, which writes ``traj.terminated_early`` and raises
@@ -817,7 +796,8 @@ class _Observer:
     """
 
     def __init__(
-        self, spec: ModelSpec, t0: float, u0, onset_gain: float, stop_at_onset: bool
+        self, spec: ModelSpec, t0: float, u0, onset_gain: float, stop_at_onset: bool,
+        on_block: Optional[Callable[[array], None]],
     ):
         self.m = spec.m
         self.z_seed = abs(u0[self.m])
@@ -825,11 +805,11 @@ class _Observer:
         self.stop_at_onset = stop_at_onset
         self.buf = array("d")
         self.traj = Trajectory(spec, _Samples(spec, self.buf), max_torsion=self.z_seed)
-        self.consume = _consumer
+        self.on_block = on_block
         self.block = _CSV_CHUNK_ROWS * (4 * self.m + 1)
         # doubles of buf handed on so far, and the length that completes a block
         self.handed = 0
-        self.block_end = sys.maxsize if self.consume is None else self.block
+        self.block_end = sys.maxsize if on_block is None else self.block
         self.record(t0, u0)
 
     def watch(self, t: float, u: tuple[float, ...]) -> None:
@@ -868,10 +848,10 @@ class _Observer:
             self.hand_on()
 
     def hand_on(self) -> None:
-        """Hand the consumer the rows recorded since its last block."""
+        """Hand ``on_block`` the rows recorded since its last block."""
         end = len(self.buf)
-        if self.consume is not None and end > self.handed:
-            self.consume(self.buf[self.handed : end])
+        if self.on_block is not None and end > self.handed:
+            self.on_block(self.buf[self.handed : end])
             self.handed = end
             self.block_end = end + self.block
 
@@ -918,6 +898,7 @@ def simulate(
     onset_gain: float = 100.0,
     *,
     stop_at_onset: bool = False,
+    on_block: Optional[Callable[[array], None]] = None,
 ) -> Trajectory:
     """Integrate to t_end, recording samples, energy, onset, and blow-up.
 
@@ -931,6 +912,12 @@ def simulate(
     scheme.  With ``stop_at_onset`` the run also ends at the onset step,
     which becomes the last sample, and ``terminated_early`` is
     ``(t_onset, "stopped at onset")``.
+
+    ``on_block``, if given, is handed all the run's samples in order, as
+    flat arrays of the rows (t, y..., z..., ydot..., zdot...): one block of
+    ``_CSV_CHUNK_ROWS`` rows as soon as it is recorded, and the rows left
+    when the run ends, at t_end, at a blow-up, at the onset stop or at a
+    step-size collapse.  An exception it raises ends the run.
     """
     check_onset_gain(onset_gain)
     _check_sample_memory(spec, config)
@@ -938,7 +925,7 @@ def simulate(
     if initial.m != spec.m:
         raise ValueError(f"initial state has m={initial.m}, spec has m={spec.m}")
     t0, u0 = initial.t, initial.flat()
-    obs = _Observer(spec, t0, u0, onset_gain, stop_at_onset)
+    obs = _Observer(spec, t0, u0, onset_gain, stop_at_onset, on_block)
     try:
         if not _within_guard(u0):
             obs.stop(t0, _BLOWUP_REASON)

@@ -674,20 +674,20 @@ class TestWriterChild:
         assert err.count("Traceback") == 1 and err.endswith("KeyboardInterrupt\n"), err
 
     def test_killed_writer_exits_3(self, tmp_path):
-        # the writer kills itself once it has formatted its first block; run
-        # in its own process group, so a hang is killed with it
+        # the writer kills itself on its second block, once it has written
+        # the first; run in its own process group, so a hang is killed with it
         script = tmp_path / "dead_writer.py"
         script.write_text(
             "import os, signal, sys\n"
             "import fishbone.cli as cli\n"
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
-            "here, real = os.getpid(), cli._trajectory_lines\n"
-            "def dying(trajectory):\n"
-            "    for k, line in enumerate(real(trajectory)):\n"
-            "        if k == 1024 and os.getpid() != here:\n"
-            "            os.kill(os.getpid(), signal.SIGKILL)\n"
-            "        yield line\n"
-            "cli._trajectory_lines = dying\n"
+            "here, real, calls = os.getpid(), cli._write_trajectory_rows, []\n"
+            "def dying(spec, rows, out):\n"
+            "    calls.append(spec)\n"
+            "    if len(calls) == 2 and os.getpid() != here:\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    real(spec, rows, out)\n"
+            "cli._write_trajectory_rows = dying\n"
             "sys.exit(cli.main(sys.argv[1:]))\n"
         )
         out = tmp_path / "out.csv"
@@ -933,7 +933,7 @@ class TestLibrarySurface:
             "make_initial": "(sigma, m=1)",
             "simulate": (
                 "(spec, initial, config, onset_gain=100.0, *, "
-                "stop_at_onset=False)"
+                "stop_at_onset=False, on_block=None)"
             ),
         },
         "fishbone.hill": {

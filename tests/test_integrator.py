@@ -1531,7 +1531,7 @@ class TestTrajectoryCsvOracle:
 
 
 class TestStreaming:
-    """Inside ``_streaming`` a run hands on all its samples in order, in
+    """Given ``on_block``, a run hands on all its samples in order, in
     blocks of ``_CSV_CHUNK_ROWS`` rows and the rows left at the end,
     however the run ends; its own samples stay whole."""
 
@@ -1551,8 +1551,7 @@ class TestStreaming:
     def test_blocks_are_the_samples(self, name):
         spec, initial, kw, flags = self.ENDS[name]
         blocks = []
-        with fishbone.integrator._streaming(blocks.append):
-            traj = simulate(spec, initial, cfg(**kw), **flags)
+        traj = simulate(spec, initial, cfg(**kw), **flags, on_block=blocks.append)
         assert traj.terminated_early == simulate(spec, initial, cfg(**kw), **flags).terminated_early
         stride = 4 * spec.m + 1
         rows = [len(b) // stride for b in blocks]
@@ -1565,27 +1564,37 @@ class TestStreaming:
         # the seed and 1023 samples fill exactly one block, so the last
         # hand-on has nothing left; one sample more is a block of one row
         blocks = []
-        with fishbone.integrator._streaming(blocks.append):
-            traj = simulate(ISO, make_initial(1.47), cfg(t_end=t_end))
+        traj = simulate(ISO, make_initial(1.47), cfg(t_end=t_end), on_block=blocks.append)
         assert [len(b) // 5 for b in blocks] == sizes
         assert array("d", itertools.chain(*blocks)) == traj.samples._buf
 
     def test_nothing_handed_on_outside(self):
         blocks = []
-        with fishbone.integrator._streaming(blocks.append):
-            pass
+        simulate(ISO, make_initial(1.47), cfg(t_end=1.0), on_block=blocks.append)
         simulate(ISO, make_initial(1.47), cfg(t_end=1.0))
-        with fishbone.integrator._streaming(None):
-            simulate(ISO, make_initial(1.47), cfg(t_end=1.0))
-        assert blocks == [] and fishbone.integrator._consumer is None
+        simulate(ISO, make_initial(1.47), cfg(t_end=1.0), on_block=None)
+        assert [len(b) // 5 for b in blocks] == [101]
+
+    def test_inner_run_hands_nothing_to_the_outer(self):
+        # a run made by a consumer, without on_block of its own, hands its
+        # samples to no one: only the outer run's blocks reach the outer
+        blocks, inner = [], []
+
+        def consume(block):
+            blocks.append(block)
+            inner.append(simulate(ISO, make_initial(1.2), cfg(t_end=25.0)))
+
+        traj = simulate(ISO, make_initial(1.47), cfg(t_end=25.0), on_block=consume)
+        assert [len(b) // 5 for b in blocks] == [1024, 1024, 453]
+        assert array("d", itertools.chain(*blocks)) == traj.samples._buf
+        assert len(inner) == 3 and all(len(t.samples) == 2501 for t in inner)
 
     def test_consumer_error_ends_the_run(self):
         def full(block):
             raise OSError(28, "No space left on device")
 
-        with fishbone.integrator._streaming(full), pytest.raises(OSError, match="No space"):
-            simulate(ISO, make_initial(1.47), cfg(t_end=25.0))
-        assert fishbone.integrator._consumer is None
+        with pytest.raises(OSError, match="No space"):
+            simulate(ISO, make_initial(1.47), cfg(t_end=25.0), on_block=full)
 
 
 def test_tracing_harness_finds_every_name_it_patches():

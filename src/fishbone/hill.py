@@ -44,7 +44,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from ._fork import _fan_out
-from .integrator import AdaptiveDriver
+from .integrator import AdaptiveDriver, StepSizeCollapseError
 from .model import vertical_mode_energy
 
 __all__ = [
@@ -366,7 +366,8 @@ class ForcedHillCheck:
     bounded when the fitted rate would produce less than one decade of
     growth over the whole requested horizon.  ``periods_completed`` is
     smaller than ``horizon_periods`` only if xi or xi' reached
-    FORCED_MAGNITUDE_LIMIT; that period is the last one counted.
+    FORCED_MAGNITUDE_LIMIT; that period is the last one counted, and it is
+    at least 2.
     """
 
     delta: float
@@ -446,6 +447,10 @@ def forced_check(
     max |xi| is the larger of its two half-period maxima.  Bounded
     solutions beat quasi-periodically with zero trend; unstable ones grow
     at the dominant Floquet rate, which the fitted slope recovers.
+
+    A forcing so strong that the half-period integration collapses, or
+    that the response reaches FORCED_MAGNITUDE_LIMIT within the first
+    period, leaves no rate to fit: both raise ValueError.
     """
     _check_delta(delta)
     _check_horizon(horizon_periods)
@@ -473,10 +478,17 @@ def forced_check(
         _FORCED_RTOL,
         _FORCED_ATOL,
     )
-    driver.advance(0.5 * t_period, on_step=lambda t, u: rows.append(u[2:]))
+    where = f"forced response at E={mode.energy:g}, delta={delta:g}"
+    try:
+        driver.advance(0.5 * t_period, on_step=lambda t, u: rows.append(u[2:]))
+    except StepSizeCollapseError as exc:
+        raise ValueError(f"{where}: {exc}") from None
     period_maxima = _period_maxima(np.array(rows), horizon_periods)
 
     completed = len(period_maxima)
+    if completed < 2:
+        raise ValueError(f"{where} reached {FORCED_MAGNITUDE_LIMIT:g} within the "
+                         "first period: no growth rate to fit")
     sup_norm = max(period_maxima, default=0.0)
 
     # the fit's points are (midpoint, log max) of the periods with a nonzero

@@ -420,6 +420,17 @@ class TestHill:
         assert code == 2
         assert classify_calls == []
 
+    @pytest.mark.parametrize("grid,delta", [("6", "1e12"), ("0.5", "1e307"), ("0.5,6", "1e308")])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_forcing_with_no_rate_to_fit_exits_2(self, grid, delta, n, cpus, capsys):
+        # one error line, no traceback, serially and through the fan-out
+        cpus(n)
+        code = main(["hill", "--grid", grid, "--delta", delta, "--out", "-"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err.startswith("error: forced response at E=") and err.count("\n") == 1, err
+        assert out == ""
+
     def test_preset_forbids_horizon_override(self):
         res = run_cli("hill", "--preset", "prop1-check", "--horizon-periods", "50")
         assert res.returncode == 2

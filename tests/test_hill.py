@@ -236,6 +236,24 @@ class TestForcedCheck:
         assert not check.bounded_verdict
         assert check.growth_rate == pytest.approx(nu, rel=0.2)
 
+    @pytest.mark.parametrize("energy,delta,why", [
+        (6.0, 1e12, "within the first period"),
+        (0.5, 1e307, "step size collapsed"),
+        (0.5, 1e308, "step size collapsed"),
+        (6.0, 1e308, "step size collapsed"),
+    ])
+    def test_forcing_with_no_rate_to_fit_is_refused(self, energy, delta, why):
+        # the response trips the magnitude guard within one period, or the
+        # half-period integration collapses: no growth rate can be fitted
+        with pytest.raises(ValueError, match=why):
+            forced_check(mode_from_energy(energy), delta, 200)
+
+    def test_strong_forcing_still_fits_two_periods(self):
+        # a decade weaker: the guard trips in period 6, and the fit has points
+        check = forced_check(mode_from_energy(6.0), 1e11, 200)
+        assert 2 <= check.periods_completed < 200
+        assert not check.bounded_verdict and check.growth_rate > 0.0
+
     def test_forced_magnitude_guard_truncates(self):
         check = forced_check(mode_from_energy(6.0), 0.01, 200)
         assert check.periods_completed < 200

@@ -12,7 +12,7 @@ import argparse
 import math
 import sys
 from array import array
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 from itertools import islice
 from pathlib import Path
@@ -314,9 +314,8 @@ _ENERGY_COLUMNS = (
 )
 
 
-def _write_trajectory_header(
-    spec: ModelSpec, out: TextIO, header_fields: Optional[dict[str, str]]
-) -> None:
+def _write_trajectory_header(spec: ModelSpec, out: TextIO,
+                             header_fields: Optional[dict[str, str]]) -> None:
     """One '# key=value' line per ``header_fields`` item, then the column names."""
     for key, value in (header_fields or {}).items():
         out.write(f"# {key}={value}\n")
@@ -326,9 +325,7 @@ def _write_trajectory_header(
     out.write(",".join(header) + "\n")
 
 
-def _write_trajectory_rows(
-    spec: ModelSpec, rows: Iterable[tuple[float, ...]], out: TextIO
-) -> None:
+def _write_trajectory_rows(spec: ModelSpec, rows: Iterable[tuple], out: TextIO) -> None:
     """The CSV line of every flat sample row (t, y..., z..., ydot..., zdot...),
     written in chunks of ``_CSV_CHUNK_ROWS`` lines.
 
@@ -420,12 +417,10 @@ def _write_arriving(spec, fh, header_fields, rows_in, result_out):
     the exception it raised sent on ``result_out``."""
     try:
         _write_trajectory_header(spec, fh, header_fields)
-        try:
+        with suppress(EOFError):  # until the parent closes its end: the run has ended
             while True:
                 block = array("d", rows_in.recv_bytes())
                 _write_trajectory_rows(spec, _Samples(spec, block).rows(), fh)
-        except EOFError:  # the parent closed its end: the run has ended
-            pass
         fh.flush()
         error = None
     except Exception as exc:

@@ -795,10 +795,8 @@ class _Observer:
     _Stopped for ``simulate`` to catch.
     """
 
-    def __init__(
-        self, spec: ModelSpec, t0: float, u0, onset_gain: float, stop_at_onset: bool,
-        on_block: Optional[Callable[[array], None]],
-    ):
+    def __init__(self, spec: ModelSpec, t0: float, u0, onset_gain: float,
+                 stop_at_onset: bool, on_block: Optional[Callable[[array], None]]):
         self.m = spec.m
         self.z_seed = abs(u0[self.m])
         self.level = onset_gain * self.z_seed if self.z_seed > 0.0 else math.inf
@@ -807,8 +805,7 @@ class _Observer:
         self.traj = Trajectory(spec, _Samples(spec, self.buf), max_torsion=self.z_seed)
         self.on_block = on_block
         self.block = _CSV_CHUNK_ROWS * (4 * self.m + 1)
-        # doubles of buf handed on so far, and the length that completes a block
-        self.handed = 0
+        # the length of buf that completes the block being filled
         self.block_end = sys.maxsize if on_block is None else self.block
         self.record(t0, u0)
 
@@ -849,11 +846,10 @@ class _Observer:
 
     def hand_on(self) -> None:
         """Hand ``on_block`` the rows recorded since its last block."""
-        end = len(self.buf)
-        if self.on_block is not None and end > self.handed:
-            self.on_block(self.buf[self.handed : end])
-            self.handed = end
-            self.block_end = end + self.block
+        start = self.block_end - self.block
+        if start < len(self.buf):
+            self.on_block(self.buf[start:])
+            self.block_end += self.block
 
 
 def check_onset_gain(onset_gain: float) -> None:

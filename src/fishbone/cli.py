@@ -12,7 +12,7 @@ import argparse
 import math
 import sys
 from array import array
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import islice
 from pathlib import Path
@@ -417,10 +417,12 @@ def _write_arriving(spec, fh, header_fields, rows_in, result_out):
     the exception it raised sent on ``result_out``."""
     try:
         _write_trajectory_header(spec, fh, header_fields)
-        with suppress(EOFError):  # until the parent closes its end: the run has ended
-            while True:
+        while True:
+            try:
                 block = array("d", rows_in.recv_bytes())
-                _write_trajectory_rows(spec, _Samples(spec, block).rows(), fh)
+            except EOFError:  # the parent closed its end: the run has ended
+                break
+            _write_trajectory_rows(spec, _Samples(spec, block).rows(), fh)
         fh.flush()
         error = None
     except Exception as exc:

@@ -805,7 +805,8 @@ class _Observer:
         self.traj = Trajectory(spec, _Samples(spec, self.buf), max_torsion=self.z_seed)
         self.on_block = on_block
         self.block = _CSV_CHUNK_ROWS * (4 * self.m + 1)
-        # the length of buf that completes the block being filled
+        # the length of buf that completes the block being filled; never
+        # reached without on_block, so hand_on then hands nothing on
         self.block_end = sys.maxsize if on_block is None else self.block
         self.record(t0, u0)
 

@@ -7,7 +7,7 @@
 # one at three modes, runs of exactly one and of one more than one block of
 # streamed rows, standard output), the standard threshold report,
 # threshold searches of other models, schemes and invalid brackets, sweeps
-# of the three variants, the prop2-grid chart, a chart over the longest
+# of the three variants, runs refused before they start, the prop2-grid chart, a chart over the longest
 # forced horizon and one at extreme energies, the cross sweep, the
 # prop2-grid chart, an aerodynamic preset, the two block runs and the
 # standard-output CSV also on one CPU (taskset), each with its exit code in NAME.exit, and a run
@@ -109,6 +109,17 @@ run sweep-cross.csv sweep --deltas 0,0.01,0.05 --sigmas 1.2,1.47,1100 --t-end 20
 run sweep-crosszero.csv sweep --variant crosszero --deltas 0.01,0.05 --sigmas 1.2,1.47 \
     --onset-gain 300 --t-end 20
 run sweep-modes2.csv sweep --variant isolated --modes 2 --deltas 0 --sigmas 1.47,4,16 --t-end 2
+# runs refused before they start: exit 2 with one error line and no --out
+# file, for a bad onset gain, the fixed RK4 step bound (m = 54) and the
+# 400 MB sample memory (m = 1000); the isolated sweep, since the cross
+# variant refuses m > 1 first
+run refused-gain.csv simulate --onset-gain 1
+run refused-step.csv simulate --modes 54 --sigma 0.01
+run refused-memory.csv simulate --modes 1000
+run refused-gain-threshold.txt threshold --bracket 1.4:1.6 --onset-gain 1
+run refused-step-threshold.txt threshold --bracket 1.4:1.6 --modes 54
+run refused-gain-sweep.csv sweep --deltas 0.01 --sigmas 1.0 --onset-gain 1
+run refused-step-sweep.csv sweep --variant isolated --deltas 0 --sigmas 1.0 --modes 54
 run prop2-grid.csv hill --preset prop2-grid
 # the longest forced horizon, whose half periods are taken a bounded block
 # at a time, and a horizon the magnitude guard ends early (E = 6)

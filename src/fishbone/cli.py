@@ -25,10 +25,8 @@ from .integrator import (
     IntegratorConfig,
     Scheme,
     Trajectory,
-    _check_fixed_step,
-    _check_sample_memory,
+    _check_run,
     _Samples,
-    check_onset_gain,
     make_initial,
     simulate,
 )
@@ -216,14 +214,10 @@ def _preset(table: dict, args: argparse.Namespace, flags: Sequence[str]):
 def _apply_flags(
     cfg: ExperimentConfig, args: argparse.Namespace, flags: Sequence[str]
 ) -> ExperimentConfig:
-    """Override ``cfg`` with the given flags that were set, then validate it."""
+    """Override ``cfg`` with the given flags that were set; the command
+    checks the result before its first side effect."""
     set_flags = {f: getattr(args, f) for f in flags if getattr(args, f) is not None}
-    cfg = _apply_kv(cfg, set_flags)
-    cfg.spec()
-    cfg.integrator()
-    make_initial(cfg.sigma, cfg.modes)
-    check_onset_gain(cfg.onset_gain)
-    return cfg
+    return _apply_kv(cfg, set_flags)
 
 
 def _add_flags(parser: argparse.ArgumentParser, names: Sequence[str]) -> None:
@@ -475,14 +469,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if args.config is not None:
             cfg = _apply_kv(cfg, _parse_kv_file(args.config))
         cfg = _apply_flags(cfg, args, _SIM_FLAGS)
-    spec, config = cfg.spec(), cfg.integrator()
-    _check_sample_memory(spec, config)
-    _check_fixed_step(spec, config)
+    spec, config, initial = cfg.spec(), cfg.integrator(), make_initial(cfg.sigma, cfg.modes)
+    _check_run(spec, config, cfg.onset_gain)
     header = cfg.fingerprint()
     # open the output before the (possibly long) run so a bad path fails fast
     with _open_out(args.out) as fh, _writer_beside(spec, fh, header) as consume:
-        traj = simulate(spec, make_initial(cfg.sigma, cfg.modes), config, cfg.onset_gain,
-                        on_block=consume)
+        traj = simulate(spec, initial, config, cfg.onset_gain, on_block=consume)
         if consume is None:
             write_trajectory_csv(traj, fh, header_fields=header)
     onset = "none" if traj.onset is None else format(traj.onset.t_onset, ".6g")

@@ -66,7 +66,6 @@ __all__ = [
     "Trajectory",
     "StepSizeCollapseError",
     "AdaptiveDriver",
-    "check_onset_gain",
     "make_initial",
     "simulate",
     "BLOWUP_LIMIT",
@@ -84,7 +83,7 @@ MAX_STEPS = 10**9
 #: Largest sample count of a one-mode run, as ``_sample_count`` counts it.
 #: Samples are kept in memory, 8(4m + 1) bytes each: 40 for m = 1, so 400 MB
 #: at the cap.  A run of m modes may hold as many doubles as this many
-#: one-mode samples (``_check_sample_memory``).
+#: one-mode samples (``_check_run``).
 MAX_SAMPLES = 10**7
 
 #: |sigma| from here up overflows the quartic term of the m = 1 initial energy.
@@ -110,10 +109,10 @@ class Scheme(enum.Enum):
 class IntegratorConfig:
     """Scheme selection, step/tolerance settings, horizon, and sampling.
 
-    A run takes at most MAX_STEPS steps t_end / h and MAX_SAMPLES samples,
-    t_end / sample_every under the adaptive scheme and t_end / (h * stride)
-    under fixed RK4, which records every ``_sample_stride`` steps.  An
-    adaptive sample interval must exceed the driver's time snap.
+    A run takes at most MAX_STEPS steps t_end / h.  An adaptive sample
+    interval must exceed the driver's time snap.  The sample memory and the
+    fixed-step bound depend on the model too, so ``_check_run`` checks them
+    when a run starts.
     """
 
     scheme: Scheme = Scheme.FIXED_RK4
@@ -139,8 +138,6 @@ class IntegratorConfig:
                 raise ValueError(f"{name} / h must be finite")
         if self.t_end / self.h > MAX_STEPS:
             raise ValueError(f"t_end / h must be at most {MAX_STEPS} steps")
-        if (samples := _sample_count(self)) > MAX_SAMPLES:
-            raise ValueError(f"{samples:.6g} samples; at most {MAX_SAMPLES} samples a run")
         # AdaptiveDriver takes a gap that short as reached, without a step
         snap = _TIME_SNAP * max(1.0, self.t_end)
         if self.scheme is Scheme.ADAPTIVE_EMBEDDED and min(self.sample_every, self.t_end) <= snap:
@@ -155,7 +152,9 @@ def _sample_stride(config: IntegratorConfig) -> int:
 
 
 def _sample_count(config: IntegratorConfig) -> float:
-    """Samples a run records after its seed: the count both caps bound."""
+    """Samples a run records after its seed: t_end / sample_every under the
+    adaptive scheme, t_end / (h * stride) under fixed RK4, which records
+    every ``_sample_stride`` steps."""
     if config.scheme is Scheme.ADAPTIVE_EMBEDDED:
         return config.t_end / config.sample_every
     return config.t_end / (config.h * _sample_stride(config))
@@ -853,39 +852,32 @@ class _Observer:
             self.block_end += self.block
 
 
-def check_onset_gain(onset_gain: float) -> None:
-    """Reject an onset gain that is not finite or does not exceed 1."""
+def _check_run(spec: ModelSpec, config: IntegratorConfig, onset_gain: float) -> int:
+    """Refuse a run that may not start; else return how many such runs the
+    sample budget holds at once.
+
+    In this order: an onset gain that is not finite or does not exceed 1;
+    samples that would hold more doubles than MAX_SAMPLES one-mode samples
+    of 5 doubles (400 MB); and a fixed RK4 step past h * sqrt(m^4 + 2)
+    < 2 sqrt(2), RK4's reach on the imaginary axis over the stiffest
+    vertical frequency.  A sample is 4m + 1 doubles, so at m = 1000 the
+    budget admits about 12 500 samples.  It counts at least one sample, as
+    a run always records its seed: a horizon far below the sample interval
+    (t_end = 1e-320) would otherwise leave a subnormal count and an infinite
+    budget.
+    """
     if not 1.0 < onset_gain < math.inf:
         raise ValueError("onset_gain must be finite and exceed 1")
-
-
-def _check_sample_memory(spec: ModelSpec, config: IntegratorConfig) -> int:
-    """Reject a run whose samples would hold more doubles than MAX_SAMPLES
-    one-mode samples of 5 doubles (400 MB); else return how many such runs
-    that budget holds at once.
-
-    A sample is 4m + 1 doubles, so at m = 1 this is the check that
-    ``IntegratorConfig`` makes, on the same ``_sample_count``, and at
-    m = 1000 it admits about 12 500 samples.  It counts at least one
-    sample, as a run always records its seed: a horizon far below the
-    sample interval (t_end = 1e-320) would otherwise leave a subnormal count
-    and an infinite budget.
-    """
     doubles = max(1.0, _sample_count(config)) * (4 * spec.m + 1)
     if doubles > 5 * MAX_SAMPLES:
         raise ValueError(
             f"samples would hold {doubles:.3g} doubles (the sample count "
             f"times 4m + 1); at most {5 * MAX_SAMPLES:.0e} (400 MB)"
         )
-    return int(5 * MAX_SAMPLES // doubles)
-
-
-def _check_fixed_step(spec: ModelSpec, config: IntegratorConfig) -> None:
-    """Reject a fixed RK4 step past h * sqrt(m^4 + 2) < 2 sqrt(2): RK4's reach
-    on the imaginary axis over the stiffest vertical frequency."""
     if config.scheme is Scheme.FIXED_RK4 and config.h**2 * (spec.m**4 + 2) >= 8.0:
         raise ValueError(f"fixed RK4 step h={config.h:g} at m={spec.m} breaks h * sqrt(m^4 + 2)"
                          " < 2 sqrt(2), its stability bound (necessary, not sufficient)")
+    return int(5 * MAX_SAMPLES // doubles)
 
 
 def simulate(
@@ -916,9 +908,7 @@ def simulate(
     when the run ends, at t_end, at a blow-up, at the onset stop or at a
     step-size collapse.  An exception it raises ends the run.
     """
-    check_onset_gain(onset_gain)
-    _check_sample_memory(spec, config)
-    _check_fixed_step(spec, config)
+    _check_run(spec, config, onset_gain)
     if initial.m != spec.m:
         raise ValueError(f"initial state has m={initial.m}, spec has m={spec.m}")
     t0, u0 = initial.t, initial.flat()

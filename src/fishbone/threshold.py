@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from ._fork import _child, _fan_out, _fork_context
-from .integrator import (IntegratorConfig, OnsetEvent, Scheme, _check_fixed_step,
-                         _check_sample_memory, make_initial, simulate)
+from .integrator import (IntegratorConfig, OnsetEvent, Scheme, _check_run, make_initial,
+                         simulate)
 from .model import ModelSpec, SystemState, Variant, energy
 
 __all__ = [
@@ -76,11 +76,7 @@ def _probe(
     spec: ModelSpec, sigma: float, config: IntegratorConfig, onset_gain: float
 ) -> Optional[OnsetEvent]:
     # a probe reads only the onset, so it stops at the onset step: nothing
-    # after it can change the verdict.  Onset is detected on every fixed step
-    # whatever the sampling, so there it records only its endpoints;
-    # adaptive steps land on the sample times, so those keep theirs
-    if config.scheme is Scheme.FIXED_RK4:
-        config = replace(config, sample_every=max(config.t_end, config.sample_every))
+    # after it can change the verdict
     initial = make_initial(sigma, spec.m)
     return simulate(spec, initial, config, onset_gain, stop_at_onset=True).onset
 
@@ -193,7 +189,13 @@ def find_threshold(
     min_tol = 2.0 * math.ulp(max(abs(lo), abs(hi)))
     if not min_tol <= tol < math.inf:
         raise ValueError(f"tol must be finite and at least {min_tol:.3g}")
-    _check_fixed_step(spec, config)
+    # onset is detected on every fixed step whatever the sampling, so there
+    # a probe records only its endpoints; adaptive steps land on the sample
+    # times, so those keep theirs
+    probe_config = config
+    if config.scheme is Scheme.FIXED_RK4:
+        probe_config = replace(config, sample_every=max(config.t_end, config.sample_every))
+    _check_run(spec, probe_config, onset_gain)
 
     ctx = _fork_context()
     search = _bisection(lo, hi, tol)
@@ -201,7 +203,7 @@ def find_threshold(
     try:
         while True:
             # the probe here, then the verdicts a child ran ahead, in serial order
-            for ran, onset in _probe_ahead(ctx, search, spec, sigma, config, onset_gain):
+            for ran, onset in _probe_ahead(ctx, search, spec, sigma, probe_config, onset_gain):
                 assert ran == sigma
                 sigma = search.send(onset)
     except StopIteration as done:
@@ -248,8 +250,9 @@ def sweep(
 ) -> list[SweepRow]:
     """One run per (delta, sigma) pair, rows in input (delta-major) order.
 
-    Every delta and sigma, the runs' sample memory and the fixed step are
-    checked before the first run; neither list may be empty.  Early
+    Every delta and sigma and the run itself (``_check_run``: the onset
+    gain, the sample memory, the fixed step) are checked before the first
+    run and before any fork; neither list may be empty.  Early
     termination of a run is recorded in its row and never aborts the sweep.
     The runs fan out (``_fork._fan_out``) to no more processes than the one-run
     sample budget holds runs at once, with the same rows.
@@ -262,6 +265,4 @@ def sweep(
         (d, s, ModelSpec(variant, m=m, delta=d), make_initial(s, m), config, onset_gain)
         for d, s in itertools.product(map(float, deltas), map(float, sigmas))
     ]
-    in_budget = _check_sample_memory(tasks[0][2], config)
-    _check_fixed_step(tasks[0][2], config)
-    return _fan_out(_sweep_task, tasks, in_budget)
+    return _fan_out(_sweep_task, tasks, _check_run(tasks[0][2], config, onset_gain))

@@ -779,15 +779,24 @@ class TestRunFlags:
         assert res.returncode == 2, res.stderr
         assert "t_end / h must be finite" in res.stderr
 
-    @pytest.mark.parametrize("t_end", ["1e300", "2e5"])
-    @pytest.mark.parametrize("command", [
-        ["threshold", "--bracket", "1.4:1.6"],
-        ["sweep", "--deltas", "0.01", "--sigmas", "1.0"],
-    ], ids=["threshold", "sweep"])
+    # a threshold probe records only its endpoints, so only the step count
+    # caps its horizon
+    @pytest.mark.parametrize("command,t_end", [
+        (["threshold", "--bracket", "1.4:1.6"], "1e300"),
+        (["sweep", "--deltas", "0.01", "--sigmas", "1.0"], "1e300"),
+        (["sweep", "--deltas", "0.01", "--sigmas", "1.0"], "2e5"),
+    ], ids=["threshold-1e300", "sweep-1e300", "sweep-2e5"])
     def test_step_or_sample_count_above_cap_is_config_error(self, command, t_end):
         res = run_cli(*command, "--t-end", t_end, "--out", "-")
         assert res.returncode == 2, res.stderr
         assert "at most" in res.stderr
+
+    def test_threshold_horizon_past_the_sample_cap_runs(self):
+        # 1.00001e7 samples of the caller's sampling, which no probe records:
+        # the search runs, and sigma_lo = 5 fires at once
+        res = run_cli("threshold", "--bracket", "5:6", "--t-end", "100001", "--out", "-")
+        assert res.returncode == 5, res.stderr
+        assert "onset already present at sigma_lo=5" in res.stderr
 
 
 class TestSurface:
@@ -889,7 +898,7 @@ class TestLibrarySurface:
         "fishbone.integrator": [
             "AdaptiveDriver", "BLOWUP_LIMIT", "IntegratorConfig", "MAX_SAMPLES",
             "MAX_STEPS", "OnsetEvent", "Scheme", "StepSizeCollapseError",
-            "Trajectory", "check_onset_gain", "make_initial", "simulate",
+            "Trajectory", "make_initial", "simulate",
         ],
         "fishbone.hill": [
             "ForcedHillCheck", "HARMONIC_PERIOD", "HillStabilityReport",
@@ -940,7 +949,6 @@ class TestLibrarySurface:
             "Trajectory.final_energy": "(self)",
             "Trajectory.final_state": "(self)",
             "Trajectory.initial_energy": "(self)",
-            "check_onset_gain": "(onset_gain)",
             "make_initial": "(sigma, m=1)",
             "simulate": (
                 "(spec, initial, config, onset_gain=100.0, *, "

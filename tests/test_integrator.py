@@ -31,8 +31,7 @@ from fishbone.integrator import (
     StepSizeCollapseError,
     make_initial,
     simulate,
-    _check_fixed_step,
-    _check_sample_memory,
+    _check_run,
     _dp_stages,
     _Observer,
     _kernel,
@@ -127,7 +126,8 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="/ h must be finite"):
             cfg(**kw)
 
-    # a finite count may still be too large to run or to keep
+    # a finite count may still be too large to run (the config refuses it)
+    # or to keep (the run refuses it)
     @pytest.mark.parametrize("kw,what", [
         (dict(t_end=1e300), "steps"),
         (dict(h=1.0, sample_every=1e9 + 1, t_end=1e9 + 1), "steps"),
@@ -136,8 +136,8 @@ class TestConfigValidation:
         (dict(h=1.0, sample_every=1.4, t_end=1.4e7), "samples"),
     ])
     def test_step_or_sample_count_above_cap_rejected(self, kw, what):
-        with pytest.raises(ValueError, match=f"at most .* {what}"):
-            cfg(**kw)
+        with pytest.raises(ValueError, match=f"at most .* {what}|{what} would hold"):
+            _check_run(ISO, cfg(**kw), 100.0)
 
     def test_adaptive_interval_within_time_snap_rejected(self):
         # the adaptive driver takes a gap within 1e-13 max(1, |t|) as
@@ -153,10 +153,11 @@ class TestConfigValidation:
 
     def test_counts_at_cap_accepted(self):
         cfg(h=1.0, sample_every=float(MAX_STEPS), t_end=float(MAX_STEPS))
-        cfg(h=1.0, sample_every=1.0, t_end=float(MAX_SAMPLES))
+        _check_run(ISO, cfg(h=1.0, sample_every=1.0, t_end=float(MAX_SAMPLES)), 100.0)
         # the cap counts the samples each scheme records
-        cfg(scheme=Scheme.ADAPTIVE_EMBEDDED, h=1.0, sample_every=1.4, t_end=1.4e7)
-        cfg(h=1.0, sample_every=1.6, t_end=2e7)
+        ad = Scheme.ADAPTIVE_EMBEDDED
+        _check_run(ISO, cfg(scheme=ad, h=1.0, sample_every=1.4, t_end=1.4e7), 100.0)
+        _check_run(ISO, cfg(h=1.0, sample_every=1.6, t_end=2e7), 100.0)
 
     @pytest.mark.parametrize("scheme,recorded", [
         (Scheme.FIXED_RK4, 1491), (Scheme.ADAPTIVE_EMBEDDED, 1001),
@@ -167,55 +168,57 @@ class TestConfigValidation:
         traj = simulate(ISO, make_initial(1.0), config)
         assert len(traj.samples) == recorded
         # the memory budget counts the same samples after the seed
-        assert _check_sample_memory(ISO, config) == 5 * MAX_SAMPLES // (5 * (recorded - 1))
+        assert _check_run(ISO, config, 100.0) == 5 * MAX_SAMPLES // (5 * (recorded - 1))
 
     def test_sample_memory_capped_at_one_mode_budget(self):
         # a sample holds 4m + 1 doubles; the cap on their total is the
         # m = 1 budget, so MAX_SAMPLES samples pass at m = 1 and no more
         at_cap = cfg(h=1.0, sample_every=1.0, t_end=float(MAX_SAMPLES))
-        _check_sample_memory(ISO, at_cap)
+        _check_run(ISO, at_cap, 100.0)
         with pytest.raises(ValueError, match="400 MB"):
-            _check_sample_memory(ModelSpec(Variant.ISOLATED, m=2), at_cap)
-        # m = 1000: 4001 doubles a sample, so 12 496 samples and no more
+            _check_run(ModelSpec(Variant.ISOLATED, m=2), at_cap, 100.0)
+        # m = 1000: 4001 doubles a sample, so 12 496 samples and no more;
+        # adaptive, as fixed RK4 at h = 1 is unstable there
         spec = ModelSpec(Variant.ISOLATED, m=MAX_MODES)
-        _check_sample_memory(spec, cfg(h=1.0, sample_every=1.0, t_end=12496.0))
+        ad = Scheme.ADAPTIVE_EMBEDDED
+        _check_run(spec, cfg(scheme=ad, h=1.0, sample_every=1.0, t_end=12496.0), 100.0)
         with pytest.raises(ValueError, match="400 MB"):
-            _check_sample_memory(spec, cfg(h=1.0, sample_every=1.0, t_end=12497.0))
+            _check_run(spec, cfg(scheme=ad, h=1.0, sample_every=1.0, t_end=12497.0), 100.0)
 
     def test_sample_memory_says_how_many_runs_fit(self):
         # what a sweep's pool may hold at once: the default 20 000 samples of
         # 5 doubles fit 500 times, 10 000 samples of 2001 doubles twice
-        assert _check_sample_memory(ISO, cfg()) == 500
+        assert _check_run(ISO, cfg(), 100.0) == 500
         spec = ModelSpec(Variant.ISOLATED, m=500)
-        assert _check_sample_memory(spec, cfg(t_end=100.0)) == 2
-        assert _check_sample_memory(spec, cfg(t_end=125.0)) == 1
+        ad = Scheme.ADAPTIVE_EMBEDDED
+        assert _check_run(spec, cfg(scheme=ad, t_end=100.0), 100.0) == 2
+        assert _check_run(spec, cfg(scheme=ad, t_end=125.0), 100.0) == 1
 
-    def test_simulate_rejects_sample_memory_before_running(self, monkeypatch):
+    @pytest.mark.parametrize("m,sigma,gain,t_end,match", [
+        (1, 1.0, 1.0, 1.0, "onset_gain"),
         # 20 001 samples of 4001 doubles: 640 MB at the default sampling
-        spec = ModelSpec(Variant.ISOLATED, m=MAX_MODES)
+        (MAX_MODES, 1.0, 100.0, 200.0, "400 MB"),
+        (54, 0.01, 100.0, 1.0, "necessary"),
+    ], ids=["gain", "memory", "step"])
+    def test_simulate_refuses_before_running(self, monkeypatch, m, sigma, gain, t_end, match):
+        spec = ModelSpec(Variant.ISOLATED, m=m)
         monkeypatch.setattr(fishbone.integrator, "_Observer", None)
-        with pytest.raises(ValueError, match="400 MB"):
-            simulate(spec, make_initial(1.0, MAX_MODES), cfg(t_end=200.0))
+        with pytest.raises(ValueError, match=match):
+            simulate(spec, make_initial(sigma, m), cfg(t_end=t_end), gain)
 
     def test_fixed_step_bound(self):
         # h * sqrt(m^4 + 2) < 2 sqrt(2), RK4's reach on the imaginary axis:
         # 2.809 at m = 53 and 2.916 at m = 54 for h = 1e-3
         m53, m54 = ModelSpec(Variant.ISOLATED, m=53), ModelSpec(Variant.ISOLATED, m=54)
-        _check_fixed_step(m53, cfg())
+        _check_run(m53, cfg(), 100.0)
         with pytest.raises(ValueError, match="necessary, not sufficient"):
-            _check_fixed_step(m54, cfg())
-        _check_fixed_step(m54, cfg(h=5e-4))
-        _check_fixed_step(m54, cfg(scheme=Scheme.ADAPTIVE_EMBEDDED))
+            _check_run(m54, cfg(), 100.0)
+        _check_run(m54, cfg(h=5e-4), 100.0)
+        _check_run(m54, cfg(scheme=Scheme.ADAPTIVE_EMBEDDED), 100.0)
         # m = 1: sqrt(3) h, so h = 1.6 passes and 1.7 does not
-        _check_fixed_step(ISO, cfg(h=1.6, sample_every=1.6))
+        _check_run(ISO, cfg(h=1.6, sample_every=1.6), 100.0)
         with pytest.raises(ValueError, match="h=1.7 at m=1"):
-            _check_fixed_step(ISO, cfg(h=1.7, sample_every=1.7))
-
-    def test_simulate_rejects_unstable_fixed_step_before_running(self, monkeypatch):
-        spec = ModelSpec(Variant.ISOLATED, m=54)
-        monkeypatch.setattr(fishbone.integrator, "_Observer", None)
-        with pytest.raises(ValueError, match="necessary"):
-            simulate(spec, make_initial(0.01, 54), cfg(t_end=1.0))
+            _check_run(ISO, cfg(h=1.7, sample_every=1.7), 100.0)
 
 
 class TestSimulateBasics:

@@ -45,6 +45,21 @@ def widths(monkeypatch):
     return recorded
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """The target of each child asked of ``_fork._child``, by the threshold
+    look-ahead or by a sweep's fan-out."""
+    real, asked = fishbone._fork._child, []
+
+    def spy(ctx, target, args, down=0):
+        asked.append(target)
+        return real(ctx, target, args, down)
+
+    monkeypatch.setattr(fishbone._fork, "_child", spy)
+    monkeypatch.setattr(fishbone.threshold, "_child", spy)
+    return asked
+
+
 class TestFindThreshold:
     def test_bracket_with_both_endpoints_stable(self):
         config = IntegratorConfig(t_end=50.0)
@@ -268,6 +283,12 @@ class TestLookAhead:
         assert bool(refused_forks) == (failure == "fork")
         assert all(conn.closed for conn in refused_forks)
         assert multiprocessing.active_children() == []
+
+    def test_bad_gain_refused_before_any_fork(self, cpus, forks):
+        cpus(2)
+        with pytest.raises(ValueError, match="onset_gain"):
+            find_threshold(ISO, (1.5, 3.5), 0.25, IntegratorConfig(t_end=10.0), onset_gain=1.0)
+        assert forks == []
 
     def test_ctrl_c(self, ctrl_c, tmp_path):
         # Ctrl-C while the child probes ahead: only this process reports it
@@ -518,8 +539,8 @@ class TestSweep:
         sweep(Variant.CROSS_DERIV, [0.01], [1.0], config)
         assert widths == [4, 2]
         for in_budget in (3, 1):
-            monkeypatch.setattr(fishbone.threshold, "_check_sample_memory",
-                                lambda spec, config: in_budget)
+            monkeypatch.setattr(fishbone.threshold, "_check_run",
+                                lambda spec, config, onset_gain: in_budget)
             sweep(Variant.CROSS_DERIV, [0.01, 0.02], [1.0, 1.1, 1.2], config)
         assert widths == [4, 2, 3]
 
@@ -541,6 +562,13 @@ class TestSweep:
             find_threshold(ModelSpec(Variant.ISOLATED, m=54), (0.01, 0.02), 1e-3,
                            IntegratorConfig(t_end=1.0))
         assert calls == []
+
+    def test_bad_gain_refused_before_any_fork(self, cpus, forks):
+        cpus(2)
+        with pytest.raises(ValueError, match="onset_gain"):
+            sweep(Variant.CROSS_DERIV, [0.01], [1.0, 1.1], IntegratorConfig(t_end=0.01),
+                  onset_gain=1.0)
+        assert forks == []
 
     @pytest.mark.parametrize("cause", ["one-cpu", "daemonic", "threaded"])
     def test_serial_without_a_free_cpu_or_a_safe_fork(self, cpus, widths, monkeypatch, cause):

@@ -7,7 +7,8 @@
 # one at three modes, runs of exactly one and of one more than one block of
 # streamed rows, standard output), the standard threshold report,
 # threshold searches of other models, schemes and invalid brackets, sweeps
-# of the three variants, runs refused before they start, the prop2-grid chart, a chart over the longest
+# of the three variants, runs refused before they start, the prop2-grid chart, two unforced
+# charts, a chart over the longest
 # forced horizon and one at extreme energies, the cross sweep, the
 # prop2-grid chart, an aerodynamic preset, the two block runs and the
 # standard-output CSV also on one CPU (taskset), each with its exit code in NAME.exit, and a run
@@ -121,6 +122,10 @@ run refused-step-threshold.txt threshold --bracket 1.4:1.6 --modes 54
 run refused-gain-sweep.csv sweep --deltas 0.01 --sigmas 1.0 --onset-gain 1
 run refused-step-sweep.csv sweep --variant isolated --deltas 0 --sigmas 1.0 --modes 54
 run prop2-grid.csv hill --preset prop2-grid
+# unforced charts, whose rows are classify's alone: the prop2-grid energies
+# without forcing, and the sufficient-region scan
+run hill-unforced.csv hill --grid 0.5:10:0.5
+run prop1-check.csv hill --preset prop1-check
 # the longest forced horizon, whose half periods are taken a bounded block
 # at a time, and a horizon the magnitude guard ends early (E = 6)
 run hill-long-horizon.csv hill --grid 0.5,6 --delta 0.01 --horizon-periods 100000

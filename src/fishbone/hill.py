@@ -22,10 +22,12 @@ judged from the growth trend of the solution over a horizon of many
 periods, obtained from half of one: the state at the start of half period
 j follows the affine map x_{j+1} = M_h x_j + (-1)^j b_h, and each half
 period's max |xi| is rebuilt from the half-period table of the fundamental
-and particular solutions.  The two verdicts are expected to agree away
-from the stability boundary.  The first boundary itself, the energy where
-the trace leaves 2 upward, is located from a quarter period
-(:func:`boundary_energy`).
+and particular solutions.  That table comes from the monodromy
+integration itself, with the particular solution carried along, so a
+forced chart row integrates half a period once for both verdicts.  The
+two verdicts are expected to agree away from the stability boundary.  The
+first boundary itself, the energy where the trace leaves 2 upward, is
+located from a quarter period (:func:`boundary_energy`).
 
 A classical sufficient condition guarantees stability for amplitudes up to
 sqrt(10/21), i.e. energies up to 235/294 (the "zhukovskii" flag).
@@ -39,7 +41,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -97,8 +99,6 @@ _EVAL_RTOL = 1e-12
 _EVAL_ATOL = 1e-14
 _MONODROMY_RTOL = 1e-11
 _MONODROMY_ATOL = 1e-13
-_FORCED_RTOL = 1e-10
-_FORCED_ATOL = 1e-12
 
 
 def _left_sum(terms: Iterable[float]) -> float:
@@ -247,40 +247,54 @@ class HillStabilityReport:
     zhukovskii_sufficient: bool
 
 
+_Matrix = tuple[tuple[float, float], tuple[float, float]]
+
+
 def _fundamental_matrix(
-    mode: PureVerticalMode, t_end: float
-) -> tuple[tuple[float, float], tuple[float, float]]:
+    mode: PureVerticalMode,
+    t_end: float,
+    delta: Optional[float] = None,
+    on_step: Optional[Callable[[float, tuple[float, ...]], None]] = None,
+) -> _Matrix:
     # the two fundamental solutions (xi(0), xi'(0)) = (1, 0) and (0, 1)
     # integrated together with ybar itself as one coupled system, so no
-    # interpolation of a(t) enters the result
-    def f(t: float, u: Sequence[float]):
-        y, yd, x1, x1d, x2, x2d = u
-        a = 7.0 + 13.5 * y * y
-        return (yd, -(3.0 * y + 1.5 * y * y * y), x1d, -a * x1, x2d, -a * x2)
+    # interpolation of a(t) enters the result.  Given a delta, the particular
+    # solution p of the forced equation from rest rides along as components
+    # 7 and 8, outside the error norm: the first six read nothing of p, so
+    # they take the steps, and the bits, they take without it
+    if delta is None:
+        def f(t: float, u: Sequence[float]):
+            y, yd, x1, x1d, x2, x2d = u
+            a = 7.0 + 13.5 * y * y
+            return (yd, -(3.0 * y + 1.5 * y * y * y), x1d, -a * x1, x2d, -a * x2)
 
-    driver = AdaptiveDriver(
-        f,
-        0.0,
-        (mode.eta0, mode.eta1, 1.0, 0.0, 0.0, 1.0),
-        _MONODROMY_RTOL,
-        _MONODROMY_ATOL,
-    )
-    _, u = driver.advance(t_end)
-    _, _, x1, x1d, x2, x2d = u
-    return ((x1, x2), (x1d, x2d))
+        u0: tuple[float, ...] = (mode.eta0, mode.eta1, 1.0, 0.0, 0.0, 1.0)
+    else:
+        def f(t: float, u: Sequence[float]):
+            y, yd, x1, x1d, x2, x2d, p, pd = u
+            a = 7.0 + 13.5 * y * y
+            return (yd, -(3.0 * y + 1.5 * y * y * y), x1d, -a * x1, x2d, -a * x2,
+                    pd, -a * p - delta * yd)
+
+        u0 = (mode.eta0, mode.eta1, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
+    driver = AdaptiveDriver(f, 0.0, u0, _MONODROMY_RTOL, _MONODROMY_ATOL, controlled=6)
+    _, u = driver.advance(t_end, on_step=on_step)
+    return ((u[2], u[4]), (u[3], u[5]))
 
 
-def monodromy_matrix(
-    mode: PureVerticalMode,
-) -> tuple[tuple[float, float], tuple[float, float]]:
+def _square(m: _Matrix) -> _Matrix:
+    (a, b), (c, d) = m
+    return ((a * a + b * c, a * b + b * d), (c * a + d * c, c * b + d * d))
+
+
+def monodromy_matrix(mode: PureVerticalMode) -> _Matrix:
     """Fundamental solution matrix of xi'' + a(t) xi = 0 after one period.
 
     a(t) has period T/2 on every orbit, so the matrix after T is the square
     of the one after T/2, which a single integration of ybar and both
     fundamental solutions gives.
     """
-    (a, b), (c, d) = _fundamental_matrix(mode, 0.5 * mode.period)
-    return ((a * a + b * c, a * b + b * d), (c * a + d * c, c * b + d * d))
+    return _square(_fundamental_matrix(mode, 0.5 * mode.period))
 
 
 def boundary_energy(lo: float, hi: float, tol: float) -> float:
@@ -325,7 +339,11 @@ def classify(mode: PureVerticalMode) -> HillStabilityReport:
     |trace| > 2 means one multiplier grows exponentially (Unstable); traces
     within TRACE_MARGIN of 2 are reported Marginal rather than guessed.
     """
-    (m11, m12), (m21, m22) = monodromy_matrix(mode)
+    return _report(mode, monodromy_matrix(mode))
+
+
+def _report(mode: PureVerticalMode, monodromy: _Matrix) -> HillStabilityReport:
+    (m11, m12), (m21, m22) = monodromy
     trace = m11 + m22
     det = m11 * m22 - m12 * m21
     disc = cmath.sqrt(complex(trace * trace - 4.0 * det))
@@ -384,9 +402,10 @@ def _check_delta(delta: float) -> None:
 
 
 def _check_horizon(horizon_periods: int) -> None:
-    if not MIN_HORIZON_PERIODS <= horizon_periods <= MAX_HORIZON_PERIODS:
+    if not (isinstance(horizon_periods, int)
+            and MIN_HORIZON_PERIODS <= horizon_periods <= MAX_HORIZON_PERIODS):
         raise ValueError(
-            f"horizon_periods must be between {MIN_HORIZON_PERIODS} and "
+            f"horizon_periods must be an int between {MIN_HORIZON_PERIODS} and "
             f"{MAX_HORIZON_PERIODS}"
         )
 
@@ -448,39 +467,30 @@ def forced_check(
     solutions beat quasi-periodically with zero trend; unstable ones grow
     at the dominant Floquet rate, which the fitted slope recovers.
 
+    The integration is the one of :func:`monodromy_matrix`, at its
+    tolerances, with p outside the error norm: ybar, x1 and x2 take
+    exactly its steps.
+
     A forcing so strong that the half-period integration collapses, or
     that the response reaches FORCED_MAGNITUDE_LIMIT within the first
     period, leaves no rate to fit: both raise ValueError.
     """
     _check_delta(delta)
     _check_horizon(horizon_periods)
+    return _forced(mode, delta, horizon_periods)[1]
+
+
+def _forced(
+    mode: PureVerticalMode, delta: float, horizon_periods: int
+) -> tuple[_Matrix, ForcedHillCheck]:
+    # the fundamental matrix after T/2, and forced_check's verdict, from one
+    # integration
     t_period = mode.period
-
-    def f(t: float, u: Sequence[float]):
-        y, yd, x1, x1d, x2, x2d, p, pd = u
-        a = 7.0 + 13.5 * y * y
-        return (
-            yd,
-            -(3.0 * y + 1.5 * y * y * y),
-            x1d,
-            -a * x1,
-            x2d,
-            -a * x2,
-            pd,
-            -a * p - delta * yd,
-        )
-
     rows: list[tuple[float, ...]] = []
-    driver = AdaptiveDriver(
-        f,
-        0.0,
-        (mode.eta0, mode.eta1, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0),
-        _FORCED_RTOL,
-        _FORCED_ATOL,
-    )
     where = f"forced response at E={mode.energy:g}, delta={delta:g}"
     try:
-        driver.advance(0.5 * t_period, on_step=lambda t, u: rows.append(u[2:]))
+        half = _fundamental_matrix(mode, 0.5 * t_period, delta,
+                                   on_step=lambda t, u: rows.append(u[2:]))
     except StepSizeCollapseError as exc:
         raise ValueError(f"{where}: {exc}") from None
     period_maxima = _period_maxima(np.array(rows), horizon_periods)
@@ -510,7 +520,7 @@ def forced_check(
         growth_rate = 0.0
 
     cutoff = math.log(10.0) / (horizon_periods * t_period)
-    return ForcedHillCheck(
+    return half, ForcedHillCheck(
         delta=float(delta),
         horizon_periods=horizon_periods,
         sup_norm=sup_norm,
@@ -543,9 +553,11 @@ def stability_chart(
     """Classify each energy; optionally add the forced boundedness verdict.
 
     Every energy, the horizon and the forcing are checked before the first
-    is classified; the horizon is checked with or without forcing.  The
-    energies are independent, so they fan out over the usable CPUs
-    (``_fork._fan_out``), with the same rows.
+    is classified; the horizon is checked with or without forcing.  With a
+    forcing, each row takes its classification and its forced verdict from
+    one half-period integration, with the bits of :func:`classify` and
+    :func:`forced_check`.  The energies are independent, so they fan out
+    over the usable CPUs (``_fork._fan_out``), with the same rows.
     """
     if not all(0.0 < e <= _MAX_ENERGY for e in energies):
         raise ValueError(f"chart energies must be positive and at most {_MAX_ENERGY:g}")
@@ -555,10 +567,11 @@ def stability_chart(
 
     def row(e: float) -> ChartRow:
         mode = mode_from_energy(e)
-        report = classify(mode)
-        forced = None
-        if forced_delta is not None:
-            forced = forced_check(mode, forced_delta, horizon_periods)
+        if forced_delta is None:
+            report, forced = classify(mode), None
+        else:
+            half, forced = _forced(mode, forced_delta, horizon_periods)
+            report = _report(mode, _square(half))
         return ChartRow(
             energy=float(e),
             amplitude=mode.amplitude,

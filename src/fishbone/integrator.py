@@ -522,6 +522,13 @@ class AdaptiveDriver:
     ``on_step(t, u)`` callbacks fire after every accepted step, which is how
     callers track onset events, running maxima, or dense output.
 
+    ``controlled``, if given, is how many leading components of the state
+    enter the error norm (all by default).  The rest ride along on the steps
+    those choose, with no error control of their own: where the first
+    ``controlled`` components of ``f`` do not read them, those components
+    take the steps, and the bits, of a driver over them alone.  The finite
+    test still covers every component.
+
     ``t0`` and every component of ``u0`` must be finite, ``u0`` non-empty,
     and ``h0`` and both tolerances finite and positive; a ValueError says
     which is not, and ``advance`` raises one when ``f`` returns another
@@ -548,10 +555,13 @@ class AdaptiveDriver:
         rel_tol: float = 1e-10,
         abs_tol: float = 1e-12,
         h0: float = 1e-3,
+        *,
+        controlled: Optional[int] = None,
     ):
         self.f = f
         self.t = float(t0)
         self.u = tuple(float(v) for v in u0)
+        self.controlled = len(self.u) if controlled is None else controlled
         self.rel_tol = rel_tol
         self.abs_tol = abs_tol
         self.h = float(h0)
@@ -566,6 +576,8 @@ class AdaptiveDriver:
         for name, v in (("h0", self.h), ("rel_tol", rel_tol), ("abs_tol", abs_tol)):
             if not 0.0 < v < math.inf:
                 raise ValueError(f"{name} must be finite and positive")
+        if not (isinstance(self.controlled, int) and 1 <= self.controlled <= len(self.u)):
+            raise ValueError(f"controlled must be an int from 1 to {len(self.u)}")
 
     def advance(
         self,
@@ -582,7 +594,7 @@ class AdaptiveDriver:
         rtol = self.rel_tol
         atol = self.abs_tol
         n = len(self.u)
-        stages = _dp_stages(n, n <= _DP_SCALAR_MAX)
+        stages = _dp_stages(n, n <= _DP_SCALAR_MAX, self.controlled)
         while self.t < t_target:
             t = self.t
             # max(1.0, abs(t)), the time scale of the snap and the floor
@@ -661,9 +673,11 @@ _DP_SCALAR_MAX = 8
 
 
 @functools.lru_cache(maxsize=None)
-def _dp_stages(n: int, scalar: bool) -> _Stages:
+def _dp_stages(n: int, scalar: bool, k: int) -> _Stages:
     """The stage function of ``AdaptiveDriver.advance`` for states of n
-    components, in the layout that ``advance`` chooses.
+    components, in the layout that ``advance`` chooses, whose error norm
+    is the root mean square over the first k of them; the finite verdict
+    covers all n.
 
     Each stage state is ui + h * sum(a_j * k_j[i]), written out as a
     left-to-right sum from 0.0: the float operations of sum() up to Python
@@ -728,20 +742,22 @@ def _dp_stages(n: int, scalar: bool) -> _Stages:
             f"    _unpacking_failed(ks, {n})",
         ]
     if scalar:
-        lines += [x for i in range(n) for x in error(str(i))]
-        lines.append(f"err = sqrt((0.0{''.join(f' + r{i} * r{i}' for i in range(n))}) / {n})")
+        lines += [x for i in range(k) for x in error(str(i))]
+        lines.append(f"err = sqrt((0.0{''.join(f' + r{i} * r{i}' for i in range(k))}) / {k})")
         finite = " and ".join(f"v{i} - v{i} == 0.0" for i in range(n))
         lines.append(f"return unew, ({seq('q')}), err, {finite}")
     else:
+        # zip stops at the end of the controlled prefix of u
+        prefix = "u" if k == n else f"u[:{k}]"
         lines += ["err = 0.0",
-                  "for ui, vi, ai, bi, ci, di, ei, gi, qi in zip(u, unew, k0, k1, k2, k3, k4, k5, k6):",
+                  f"for ui, vi, ai, bi, ci, di, ei, gi, qi in zip({prefix}, unew, k0, k1, k2, k3, k4, k5, k6):",
                   *(f"    {x}" for x in error("i") + ["err += ri * ri"]),
-                  f"return unew, k6, sqrt(err / {n}), all(map(isfinite, unew))"]
+                  f"return unew, k6, sqrt(err / {k}), all(map(isfinite, unew))"]
     source = "def stages(f, t, u, k0, h, rtol, atol):\n" + "".join(f"    {x}\n" for x in lines)
     namespace = {"_rhs_values": _rhs_values, "_unpacking_failed": _unpacking_failed,
                  "isfinite": math.isfinite, "sqrt": math.sqrt}
-    exec(compile(source, f"<Dormand-Prince stages n={n}{'' if scalar else ' on tuples'}>", "exec"),
-         namespace)
+    name = f"n={n}{'' if k == n else f', {k} controlled'}{'' if scalar else ' on tuples'}"
+    exec(compile(source, f"<Dormand-Prince stages {name}>", "exec"), namespace)
     return namespace["stages"]
 
 

@@ -47,16 +47,17 @@ def run_standard():
 
 
 @pytest.fixture
-def classify_calls(monkeypatch):
-    """Modes passed to ``fishbone.hill.classify`` while the test runs."""
+def charted_energies(monkeypatch):
+    """Energies ``fishbone.hill`` makes a mode of while the test runs: one
+    a chart row, forced or not."""
     calls = []
-    real = fishbone.hill.classify
+    real = fishbone.hill.mode_from_energy
 
-    def counting(mode):
-        calls.append(mode)
-        return real(mode)
+    def counting(e):
+        calls.append(e)
+        return real(e)
 
-    monkeypatch.setattr(fishbone.hill, "classify", counting)
+    monkeypatch.setattr(fishbone.hill, "mode_from_energy", counting)
     return calls
 
 

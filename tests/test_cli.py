@@ -408,17 +408,17 @@ class TestHill:
         res = run_cli("hill", "--grid", "1", "--horizon-periods", "-3", "--out", "-")
         assert res.returncode == 2, res.stderr
 
-    def test_horizon_below_minimum_rejected_before_first_energy(self, classify_calls):
+    def test_horizon_below_minimum_rejected_before_first_energy(self, charted_energies):
         code = main(["hill", "--grid", "1,2", "--delta", "0.01",
                      "--horizon-periods", "5", "--out", "-"])
         assert code == 2
-        assert classify_calls == []
+        assert charted_energies == []
 
     @pytest.mark.parametrize("delta", ["-0.01", "nan"])
-    def test_bad_delta_rejected_before_first_energy(self, classify_calls, delta):
+    def test_bad_delta_rejected_before_first_energy(self, charted_energies, delta):
         code = main(["hill", "--grid", "1,2,3", "--delta", delta, "--out", "-"])
         assert code == 2
-        assert classify_calls == []
+        assert charted_energies == []
 
     @pytest.mark.parametrize("grid,delta", [("6", "1e12"), ("0.5", "1e307"), ("0.5,6", "1e308")])
     @pytest.mark.parametrize("n", [1, 2])
@@ -741,7 +741,7 @@ class TestOutputPins:
         ),
         "hill-forced": (
             ["hill", "--grid", "0.5,6", "--delta", "0.01", "--horizon-periods", "20"],
-            "36fd7d997892d59a86927d53d78c45068581f23398c9eb9266c11aa8ec737aba",
+            "4b623aadbe56a5868ae79edd3a3e6eb7ff49080b8409ca9f0080128449660b45",
         ),
         "hill-plain": (
             ["hill", "--grid", "1,2"],
@@ -933,7 +933,7 @@ class TestLibrarySurface:
         },
         "fishbone.integrator": {
             "AdaptiveDriver.__init__": (
-                "(self, f, t0, u0, rel_tol=1e-10, abs_tol=1e-12, h0=0.001)"
+                "(self, f, t0, u0, rel_tol=1e-10, abs_tol=1e-12, h0=0.001, *, controlled=None)"
             ),
             "AdaptiveDriver.advance": "(self, t_target, on_step=None)",
             "IntegratorConfig.__init__": (

@@ -270,12 +270,12 @@ class TestVerdictPins:
 
     PINS = {
         1.0: ("-0x1.1b2f080e304f8p-1", "0x1.ffffffffca6a5p-1",
-              "-0x1.b2d331c2e5536p-20", "0x1.16c2e0454d71bp-8", 200),
+              "-0x1.b101184bab76dp-20", "0x1.16c2ded9f0feep-8", 200),
         5.0: ("0x1.0269ac88f689ep+1", "0x1.ffffffffd0c74p-1",
-              "0x1.9ac181a35811ap-5", "0x1.ec61ec23578dfp+29", 200),
+              "0x1.9ac15eef94eb5p-5", "0x1.ec5f6421c737ep+29", 200),
         # the forced magnitude guard ends the horizon early
         9.5: ("0x1.6bcd36de3bb0cp+1", "0x1.ffffffffd0e20p-1",
-              "0x1.77ecd6cb1b9aap-2", "0x1.3271756db44dfp+38", 37),
+              "0x1.77ece96697269p-2", "0x1.32744e52ccee2p+38", 37),
     }
 
     @pytest.mark.parametrize("energy", list(PINS))
@@ -405,20 +405,61 @@ class TestBoundaryEnergy:
 
 
 class TestChart:
-    def test_rejects_nonpositive_energy(self, classify_calls):
+    def test_rejects_nonpositive_energy(self, charted_energies):
         for energies in ([0.0], [math.nan], [math.inf], [1.0, -1.0], [1.0, math.nan],
                          [1.0, 1e46]):
             with pytest.raises(ValueError, match="energies"):
                 stability_chart(energies)
         # every energy is checked before the first is classified
-        assert classify_calls == []
+        assert charted_energies == []
 
-    def test_rejects_bad_forcing_before_first_energy(self, classify_calls):
+    def test_rejects_bad_forcing_before_first_energy(self, charted_energies):
         for delta, horizon, match in ((-0.01, 200, "delta"), (math.nan, 200, "delta"),
                                       (0.01, 5, "horizon"), (None, 5, "horizon")):
             with pytest.raises(ValueError, match=match):
                 stability_chart([1.0, 2.0], forced_delta=delta, horizon_periods=horizon)
-        assert classify_calls == []
+        assert charted_energies == []
+
+    @pytest.mark.parametrize("delta", [None, 0.01])
+    @pytest.mark.parametrize("horizon", [10.5, 200.0, "200"])
+    def test_rejects_a_horizon_that_is_not_an_int(self, charted_energies, delta, horizon):
+        # a float horizon would reach range() in the forced check, or be
+        # taken without forcing
+        with pytest.raises(ValueError, match="horizon_periods must be an int"):
+            stability_chart([1.0], forced_delta=delta, horizon_periods=horizon)
+        with pytest.raises(ValueError, match="horizon_periods must be an int"):
+            forced_check(mode_from_energy(1.0), 0.01, horizon)
+        assert charted_energies == []
+
+    @pytest.mark.parametrize("delta,energies", [
+        (0.0, PROP2_ENERGIES), (0.01, PROP2_ENERGIES), (0.05, PROP2_ENERGIES), (1e11, [6.0]),
+    ])
+    def test_forced_rows_keep_the_bits_of_classify(self, cpus, monkeypatch, delta, energies):
+        # a forced row takes its report from the forced check's integration;
+        # trace, det, multipliers and classification are classify's
+        cpus(1)
+        reports = {}
+        real = fishbone.hill._report
+
+        def kept(mode, monodromy):
+            reports[mode.energy] = real(mode, monodromy)
+            return reports[mode.energy]
+
+        monkeypatch.setattr(fishbone.hill, "_report", kept)
+        rows = stability_chart(energies, forced_delta=delta)
+        charted = dict(reports)
+        assert sorted(charted) == energies
+
+        def bits(report):
+            return (report.trace.hex(), report.det.hex(),
+                    [(z.real.hex(), z.imag.hex()) for z in report.multipliers],
+                    report.classification)
+
+        for row in rows:
+            want = classify(mode_from_energy(row.energy))
+            assert bits(charted[row.energy]) == bits(want), row.energy
+            assert (row.trace.hex(), row.classification) == (want.trace.hex(),
+                                                              want.classification)
 
     def test_csv_format(self):
         rows = stability_chart([0.799, 5.0])
@@ -445,20 +486,20 @@ class TestChart:
 PROP2_GRID = HILL_PRESETS["prop2-grid"]["grid"]
 
 
-def classified_where(monkeypatch, log, fail_at=None):
-    """Logs the pid of each energy ``classify`` sees to ``log``; at
+def charted_where(monkeypatch, log, fail_at=None):
+    """Logs the pid of each energy a chart row takes to ``log``; at
     ``fail_at`` it raises, naming its pid."""
-    real = fishbone.hill.classify
+    real = fishbone.hill.mode_from_energy
     log.write_text("")
 
-    def logging(mode):
+    def logging(e):
         with open(log, "a") as fh:
-            fh.write(f"{mode.energy!r} {os.getpid()}\n")
-        if mode.energy == fail_at:
-            raise RuntimeError(f"classify failed in {os.getpid()}")
-        return real(mode)
+            fh.write(f"{e!r} {os.getpid()}\n")
+        if e == fail_at:
+            raise RuntimeError(f"row failed in {os.getpid()}")
+        return real(e)
 
-    monkeypatch.setattr(fishbone.hill, "classify", logging)
+    monkeypatch.setattr(fishbone.hill, "mode_from_energy", logging)
     return lambda: {float(e): int(pid) for e, pid in
                     (line.split() for line in log.read_text().splitlines())}
 
@@ -478,7 +519,7 @@ class TestChartFanOut:
     def test_energies_shared_with_a_child(self, cpus, monkeypatch, tmp_path):
         cpus(2)
         energies = [0.5, 1.0, 1.5, 2.0, 2.5]
-        where = classified_where(monkeypatch, tmp_path / "log")
+        where = charted_where(monkeypatch, tmp_path / "log")
         rows = stability_chart(energies)
         assert [r.energy for r in rows] == energies
         # this process runs the first energy, one child the second, and
@@ -502,7 +543,7 @@ class TestChartFanOut:
             return real(mode)
 
         monkeypatch.setattr(fishbone.hill, "classify", slow_here)
-        where = classified_where(monkeypatch, tmp_path / "log")
+        where = charted_where(monkeypatch, tmp_path / "log")
         rows = stability_chart(energies)
         assert [r.energy for r in rows] == energies
         pids = where()
@@ -517,7 +558,7 @@ class TestChartFanOut:
             raise AssertionError("forked a child")
 
         monkeypatch.setattr(multiprocessing.get_context("fork").Process, "start", refuse)
-        where = classified_where(monkeypatch, tmp_path / "log")
+        where = charted_where(monkeypatch, tmp_path / "log")
         stability_chart([1.0], forced_delta=0.01, horizon_periods=20)
         assert where() == {1.0: os.getpid()}
         assert multiprocessing.active_children() == []
@@ -533,7 +574,7 @@ class TestChartFanOut:
             monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
         else:
             monkeypatch.setattr(fishbone._fork.threading, "active_count", lambda: 2)
-        where = classified_where(monkeypatch, tmp_path / "log")
+        where = charted_where(monkeypatch, tmp_path / "log")
         stability_chart([1.0, 2.0, 3.0])
         assert where() == {1.0: os.getpid(), 2.0: os.getpid(), 3.0: os.getpid()}
         assert multiprocessing.active_children() == []
@@ -545,7 +586,7 @@ class TestChartFanOut:
         cpus(1)
         expected = repr(stability_chart([1.0, 2.0, 3.0]))
         cpus(2)
-        where = classified_where(monkeypatch, tmp_path / "log")
+        where = charted_where(monkeypatch, tmp_path / "log")
         assert repr(stability_chart([1.0, 2.0, 3.0])) == expected
         assert where() == {1.0: os.getpid(), 2.0: os.getpid(), 3.0: os.getpid()}
         assert refused_forks and all(conn.closed for conn in refused_forks)
@@ -610,12 +651,12 @@ hill.stability_chart([1.0, 2.0])
 
     def test_child_exception_reaches_the_caller(self, cpus, monkeypatch, tmp_path):
         cpus(2)
-        where = classified_where(monkeypatch, tmp_path / "log", fail_at=2.0)
-        with pytest.raises(RuntimeError, match="classify failed in") as err:
+        where = charted_where(monkeypatch, tmp_path / "log", fail_at=2.0)
+        with pytest.raises(RuntimeError, match="row failed in") as err:
             stability_chart([1.0, 2.0])
         child = where()[2.0]
         assert child != os.getpid()
-        assert str(err.value) == f"classify failed in {child}"
+        assert str(err.value) == f"row failed in {child}"
         assert multiprocessing.active_children() == []
 
     def test_own_failure_raised_first(self, cpus, monkeypatch):

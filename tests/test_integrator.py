@@ -587,6 +587,10 @@ class TestAdaptiveDriverInputs:
         (dict(u0=()), "u0"),
         (dict(u0=(1.0, math.nan)), "u0"),
         (dict(u0=(math.inf, 0.0)), "u0"),
+        # an error norm over no component, or over more than the state has
+        (dict(controlled=0), "controlled"),
+        (dict(controlled=3), "controlled"),
+        (dict(controlled=1.0), "controlled"),
     ])
     def test_constructor_rejects(self, kw, name):
         args = dict(f=_oscillators, t0=0.0, u0=(1.0, 0.0)) | kw
@@ -818,14 +822,54 @@ class TestGeneratedAdvance:
         taken = []
         real = fishbone.integrator._dp_stages
 
-        def spy(n, scalar):
-            taken.append((n, scalar))
-            return real(n, scalar)
+        def spy(*args):
+            taken.append(args)
+            return real(*args)
 
         monkeypatch.setattr(fishbone.integrator, "_dp_stages", spy)
-        for n in (1, 8, 9):
-            AdaptiveDriver(_coupled, 0.0, (0.5,) * n).advance(0.1)
-        assert taken == [(1, True), (8, True), (9, False)]
+        for n, controlled in ((1, None), (8, None), (8, 6), (9, None)):
+            AdaptiveDriver(_coupled, 0.0, (0.5,) * n, controlled=controlled).advance(0.1)
+        assert taken == [(1, True, 1), (8, True, 8), (8, True, 6), (9, False, 9)]
+
+    @pytest.mark.parametrize("layout", ["generated", "tuples"])
+    @pytest.mark.parametrize("case", list(GENERATED_CASES))
+    @pytest.mark.parametrize("n,k", [(2, 1), (8, 6), (9, 6), (12, 8)])
+    def test_controlled_prefix_takes_the_prefix_steps(self, n, k, case, layout, monkeypatch):
+        # the first k of n components, which read nothing of the rest,
+        # control the steps: they take the steps and bits of a driver over
+        # them alone, and so do its rejections, collapses and exceptions
+        if layout == "tuples":
+            monkeypatch.setattr(fishbone.integrator, "_DP_SCALAR_MAX", 0)
+        make_f, targets, kw = GENERATED_CASES[case]
+        u0 = tuple(0.3 + 0.1 * i * (-1) ** i for i in range(n))
+
+        def run(size, controlled=None):
+            f = make_f()
+            if size > k:
+                # the rest follow the prefix, and stay finite where it does
+                g = lambda t, u: tuple(f(t, u[:k])) + tuple(
+                    [math.atan(u[i % k]) - u[i] for i in range(k, size)])
+            else:
+                g = f
+            log = []
+            driver = AdaptiveDriver(g, 0.0, u0[:size], controlled=controlled, **kw)
+
+            def on_step(t, u):
+                log.append((t.hex(), [v.hex() for v in u[:k]]))
+
+            for target in targets:
+                try:
+                    driver.advance(target, on_step)
+                except (StepSizeCollapseError, _Halt) as exc:
+                    log.append(type(exc).__name__)
+                    break
+                log.append((driver.t.hex(), driver.h.hex(), [v.hex() for v in driver.u[:k]]))
+            return log
+
+        prefix = run(n, k)
+        assert prefix == run(k)
+        # every run but the one raising in its first step takes steps
+        assert (len(prefix) > len(targets)) == (case != "rhs-raises-first")
 
 
 class TestRhsLength:
@@ -909,12 +953,46 @@ class TestStageFunctions:
         # value in every component.  A step of 1/4 moves the state far
         # enough that |new u| exceeds |u| in either sign.
         grid = itertools.product(_SIGNED, repeat=n)
-        scalar, tuples = _dp_stages(n, True), _dp_stages(n, False)
+        scalar, tuples = _dp_stages(n, True, n), _dp_stages(n, False, n)
         h = 0.25
         for u in itertools.islice(grid, 0, None, 1 if n <= 6 else 4 ** (n - 6) + 1):
             k0 = _rotated(0.0, u)
             generated = self._bits(scalar(f, 0.0, u, k0, h, 1e-3, 1e-6))
             assert generated == self._bits(tuples(f, 0.0, u, k0, h, 1e-3, 1e-6)), u
+
+    @pytest.mark.parametrize("f", [
+        _rotated, _signs, _first(math.inf), _first(-math.inf), _first(math.nan),
+        _first(1.7e308), _first(-1.7e308),
+    ], ids=["rotated", "signs", "inf", "-inf", "nan", "huge", "-huge"])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_controlled_prefix_same_step_as_tuple_stages(self, n, f):
+        # an error norm over the first k < n components: the two layouts
+        # agree, on every state of {0, -0, +-0.5}^n up to n = 4 and on every
+        # (4^(n-4) + 1)-th above; the finite verdict covers all n
+        for k in sorted({1, n - 1}):
+            scalar, tuples = _dp_stages(n, True, k), _dp_stages(n, False, k)
+            grid = itertools.product(_SIGNED, repeat=n)
+            for u in itertools.islice(grid, 0, None, 1 if n <= 4 else 4 ** (n - 4) + 1):
+                k0 = _rotated(0.0, u)
+                generated = self._bits(scalar(f, 0.0, u, k0, 0.25, 1e-3, 1e-6))
+                assert generated == self._bits(tuples(f, 0.0, u, k0, 0.25, 1e-3, 1e-6)), (k, u)
+
+    @pytest.mark.parametrize("scalar", [True, False], ids=["generated", "tuples"])
+    def test_controlled_prefix_norm(self, scalar):
+        # the norm is the root mean square of the first k error terms: a
+        # third component, which the first two do not read, changes neither
+        # it nor their new values, but a non-finite one fails the step
+        def rotate(t, v):
+            return (v[1], -v[0])
+
+        full = _dp_stages(2, scalar, 2)(rotate, 0.0, (0.5, -0.5), (-0.5, -0.5), 0.25, 1e-3, 1e-6)
+        for other, finite in ((0.0, True), (-7.0, True), (1e300, False)):
+            def f(t, v):
+                return rotate(t, v) + (other * v[2],)
+
+            unew, _, err, ok = _dp_stages(3, scalar, 2)(f, 0.0, (0.5, -0.5, 1.0),
+                                                        (-0.5, -0.5, other), 0.25, 1e-3, 1e-6)
+            assert unew[:2] == full[0] and err == full[2] and ok is finite
 
 
 class TestPinnedPaths:

@@ -3,7 +3,8 @@
 # directory into DIR: every `simulate` preset CSV, the trajectory CSVs of
 # paths the presets do not take (three, four and nine modes, two, three and
 # nine modes on the adaptive scheme, the adaptive scheme, seeds of -0.0 and
-# -1.47 and cross at delta = 0, a short step onto t_end, a blow-up under each scheme and
+# -1.47 and cross at delta = 0, a short step onto t_end, two runs set by a
+# --config file, a blow-up under each scheme and
 # one at three modes, runs of exactly one and of one more than one block of
 # streamed rows, standard output), the standard threshold report,
 # threshold searches of other models, schemes and invalid brackets, sweeps
@@ -63,6 +64,14 @@ run adaptive.csv simulate --scheme adaptive_embedded --t-end 5
 # 333 steps of 0.003 sampled every 3 steps, then a short step of 0.0014
 # onto t_end
 run tail-step.csv simulate --step 0.003 --t-end 1.0004
+# runs set by a --config file, written into DIR so that every checkout reads
+# the same file: one set by the file alone, and one whose file step of 0.05
+# only a sample interval from the flags admits
+printf 'variant=cross\ndelta=0.02\nsigma=1.5\nt_end=2\nstep=0.05\nsample_every=0.1\n' \
+    >"$out/config-only.cfg"
+run config-only.csv simulate --config "$out/config-only.cfg"
+printf 'step=0.05\n' >"$out/config-step.cfg"
+run config-and-flags.csv simulate --config "$out/config-step.cfg" --sample-every 0.1 --sigma 1.47
 # the seed and 1023 samples: exactly one block of 1024 rows handed to the
 # writer, so the run's last hand-on has nothing left; then 1025 rows
 run block-exact.csv simulate --t-end 10.23

@@ -55,34 +55,19 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """Fully resolved simulate-run settings."""
+class ExperimentConfig(IntegratorConfig):
+    """Fully resolved run settings: the integrator's, which it checks when
+    built, and the model, seed and onset gain of the run."""
 
     variant: Variant = Variant.ISOLATED
     modes: int = 1
     delta: float = 0.0
     sigma: float = 1.47
-    scheme: Scheme = Scheme.FIXED_RK4
-    h: float = 1e-3
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    t_end: float = 200.0
-    sample_every: float = 0.01
     onset_gain: float = 100.0
     preset: Optional[str] = None
 
     def spec(self) -> ModelSpec:
         return ModelSpec(self.variant, m=self.modes, delta=self.delta)
-
-    def integrator(self) -> IntegratorConfig:
-        return IntegratorConfig(
-            scheme=self.scheme,
-            h=self.h,
-            rel_tol=self.rel_tol,
-            abs_tol=self.abs_tol,
-            t_end=self.t_end,
-            sample_every=self.sample_every,
-        )
 
     def fingerprint(self) -> dict[str, str]:
         fields = {
@@ -92,7 +77,7 @@ class ExperimentConfig:
             "delta": _fmt(self.delta),
             "sigma": _fmt(self.sigma),
         }
-        fields.update(config_fingerprint(self.integrator(), self.onset_gain))
+        fields.update(config_fingerprint(self, self.onset_gain))
         return fields
 
 
@@ -182,16 +167,20 @@ def _parse_kv_file(path: str) -> dict[str, str]:
     return values
 
 
-def _apply_kv(cfg: ExperimentConfig, values: dict[str, str]) -> ExperimentConfig:
-    for key, raw in values.items():
-        if key not in _SETTINGS:
-            raise ConfigError(f"unknown config key: {key}")
-        try:
-            value = _SETTINGS[key](raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key}: {raw!r}") from exc
-        cfg = replace(cfg, **{"h" if key == "step" else key: value})
-    return cfg
+def _apply_kv(cfg: ExperimentConfig, *sources: dict[str, str]) -> ExperimentConfig:
+    """``cfg`` with the settings of each source, a later source's overriding
+    an earlier's.  Every value of a source is converted before the next
+    source's, and all before the one ``replace`` that checks the result."""
+    settings = {}
+    for values in sources:
+        for key, raw in values.items():
+            if key not in _SETTINGS:
+                raise ConfigError(f"unknown config key: {key}")
+            try:
+                settings["h" if key == "step" else key] = _SETTINGS[key](raw)
+            except ValueError as exc:
+                raise ConfigError(f"bad value for {key}: {raw!r}") from exc
+    return replace(cfg, **settings)
 
 
 def _preset(table: dict, args: argparse.Namespace, flags: Sequence[str]):
@@ -211,13 +200,9 @@ def _preset(table: dict, args: argparse.Namespace, flags: Sequence[str]):
         raise ConfigError(f"unknown preset: {args.preset}") from None
 
 
-def _apply_flags(
-    cfg: ExperimentConfig, args: argparse.Namespace, flags: Sequence[str]
-) -> ExperimentConfig:
-    """Override ``cfg`` with the given flags that were set; the command
-    checks the result before its first side effect."""
-    set_flags = {f: getattr(args, f) for f in flags if getattr(args, f) is not None}
-    return _apply_kv(cfg, set_flags)
+def _set_flags(args: argparse.Namespace, flags: Sequence[str]) -> dict[str, str]:
+    """The raw value of each of ``flags`` that was set."""
+    return {f: getattr(args, f) for f in flags if getattr(args, f) is not None}
 
 
 def _add_flags(parser: argparse.ArgumentParser, names: Sequence[str]) -> None:
@@ -465,16 +450,14 @@ def _writer_beside(spec: ModelSpec, fh: TextIO, header_fields: dict[str, str]):
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _preset(PRESETS, args, _SIM_FLAGS + ("config",))
     if cfg is None:
-        cfg = ExperimentConfig()
-        if args.config is not None:
-            cfg = _apply_kv(cfg, _parse_kv_file(args.config))
-        cfg = _apply_flags(cfg, args, _SIM_FLAGS)
-    spec, config, initial = cfg.spec(), cfg.integrator(), make_initial(cfg.sigma, cfg.modes)
-    _check_run(spec, config, cfg.onset_gain)
+        file_values = {} if args.config is None else _parse_kv_file(args.config)
+        cfg = _apply_kv(ExperimentConfig(), file_values, _set_flags(args, _SIM_FLAGS))
+    spec, initial = cfg.spec(), make_initial(cfg.sigma, cfg.modes)
+    _check_run(spec, cfg, cfg.onset_gain)
     header = cfg.fingerprint()
     # open the output before the (possibly long) run so a bad path fails fast
     with _open_out(args.out) as fh, _writer_beside(spec, fh, header) as consume:
-        traj = simulate(spec, initial, config, cfg.onset_gain, on_block=consume)
+        traj = simulate(spec, initial, cfg, cfg.onset_gain, on_block=consume)
         if consume is None:
             write_trajectory_csv(traj, fh, header_fields=header)
     onset = "none" if traj.onset is None else format(traj.onset.t_onset, ".6g")
@@ -502,11 +485,10 @@ def cmd_hill(args: argparse.Namespace) -> int:
     else:
         energies = _parse_grid(args.grid)
         forced_delta = args.delta
-    horizon = 200 if args.horizon_periods is None else args.horizon_periods
     if not energies:
         raise ConfigError("energy grid is empty")
-    rows = stability_chart(energies, forced_delta=forced_delta,
-                           horizon_periods=horizon)
+    horizon = {} if args.horizon_periods is None else {"horizon_periods": args.horizon_periods}
+    rows = stability_chart(energies, forced_delta=forced_delta, **horizon)
     with _open_out(args.out) as fh:
         write_chart_csv(rows, fh)
     n_stable = sum(r.classification.value == "stable" for r in rows)
@@ -522,10 +504,8 @@ def cmd_threshold(args: argparse.Namespace) -> int:
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError:
         raise ConfigError(f"non-numeric bracket in {args.bracket!r}") from None
-    cfg = _apply_flags(ExperimentConfig(), args, _RUN_FLAGS + ("delta",))
-    result = find_threshold(
-        cfg.spec(), (lo, hi), args.tol, cfg.integrator(), onset_gain=cfg.onset_gain
-    )
+    cfg = _apply_kv(ExperimentConfig(), _set_flags(args, _RUN_FLAGS + ("delta",)))
+    result = find_threshold(cfg.spec(), (lo, hi), args.tol, cfg, onset_gain=cfg.onset_gain)
     report = format_threshold_report(result)
     with _open_out(args.out) as fh:
         fh.write(report)
@@ -535,15 +515,10 @@ def cmd_threshold(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _apply_flags(ExperimentConfig(variant=Variant.CROSS_DERIV), args, _RUN_FLAGS)
-    rows = sweep(
-        cfg.variant,
-        _parse_floats(args.deltas),
-        _parse_floats(args.sigmas),
-        cfg.integrator(),
-        onset_gain=cfg.onset_gain,
-        m=cfg.modes,
-    )
+    deltas, sigmas = _parse_floats(args.deltas), _parse_floats(args.sigmas)
+    base = ExperimentConfig(variant=Variant.CROSS_DERIV)
+    cfg = _apply_kv(base, _set_flags(args, _RUN_FLAGS))
+    rows = sweep(cfg.variant, deltas, sigmas, cfg, onset_gain=cfg.onset_gain, m=cfg.modes)
     with _open_out(args.out) as fh:
         write_sweep_csv(rows, fh)
     _summary(args.out, f"rows={len(rows)}")

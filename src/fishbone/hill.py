@@ -546,7 +546,7 @@ class ChartRow:
 
 
 def stability_chart(
-    energies: Sequence[float],
+    energies: Iterable[float],
     forced_delta: Optional[float] = None,
     horizon_periods: int = 200,
 ) -> list[ChartRow]:
@@ -559,6 +559,7 @@ def stability_chart(
     :func:`forced_check`.  The energies are independent, so they fan out
     over the usable CPUs (``_fork._fan_out``), with the same rows.
     """
+    energies = list(energies)  # an iterator is read once
     if not all(0.0 < e <= _MAX_ENERGY for e in energies):
         raise ValueError(f"chart energies must be positive and at most {_MAX_ENERGY:g}")
     _check_horizon(horizon_periods)
@@ -582,4 +583,4 @@ def stability_chart(
             forced=forced,
         )
 
-    return _fan_out(row, list(energies), len(energies))
+    return _fan_out(row, energies, len(energies))

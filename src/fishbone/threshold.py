@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Iterable, Optional
 
 from ._fork import _child, _fan_out, _fork_context
 from .integrator import (IntegratorConfig, OnsetEvent, Scheme, _check_run, make_initial,
@@ -242,8 +242,8 @@ def _sweep_task(
 
 def sweep(
     variant: Variant,
-    deltas: Sequence[float],
-    sigmas: Sequence[float],
+    deltas: Iterable[float],
+    sigmas: Iterable[float],
     config: IntegratorConfig,
     onset_gain: float = 100.0,
     m: int = 1,
@@ -257,12 +257,12 @@ def sweep(
     The runs fan out (``_fork._fan_out``) to no more processes than the one-run
     sample budget holds runs at once, with the same rows.
     """
-    if not deltas or not sigmas:
-        raise ValueError("deltas and sigmas must not be empty")
     # building every run checks every delta and sigma; a row keeps the
     # caller's delta, which ModelSpec zeroes for the isolated variant
     tasks = [
         (d, s, ModelSpec(variant, m=m, delta=d), make_initial(s, m), config, onset_gain)
         for d, s in itertools.product(map(float, deltas), map(float, sigmas))
     ]
+    if not tasks:  # also an empty iterator, which is truthy
+        raise ValueError("deltas and sigmas must not be empty")
     return _fan_out(_sweep_task, tasks, _check_run(tasks[0][2], config, onset_gain))

@@ -116,6 +116,36 @@ class TestSimulate:
         assert res.returncode == 0
         assert "# sigma=0.5" in res.stdout
 
+    # the file's and the flags' values resolve into one record, checked once:
+    # a step above the default sample interval of 0.01 is admitted by the
+    # sample interval set beside it
+    STEP_RUN = ["--sample-every", "0.1", "--t-end", "1"]
+
+    def test_step_and_sample_interval_checked_together(self, tmp_path):
+        out = tmp_path / "a.csv"
+        res = run_cli("simulate", "--step", "0.05", *self.STEP_RUN, "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        assert "# h=0.050000000000000003" in out.read_text().splitlines()
+
+    def test_config_step_checked_with_flag_sample_interval(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("step=0.05\n")
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        r1 = run_cli("simulate", "--step", "0.05", *self.STEP_RUN, "--out", str(a))
+        r2 = run_cli("simulate", "--config", str(cfg), *self.STEP_RUN, "--out", str(b))
+        assert r1.returncode == 0 and r2.returncode == 0, r2.stderr
+        assert a.read_text().replace("# preset=\n", "") == b.read_text().replace(
+            "# preset=\n", ""
+        )
+
+    def test_bad_config_value_refused_under_a_flag(self, tmp_path):
+        # the file's values are converted before the flags override them
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sigma=abc\n")
+        res = run_cli("simulate", "--config", str(cfg), "--sigma", "1.5", "--out", "-")
+        assert res.returncode == 2
+        assert "bad value for sigma" in res.stderr
+
     def test_malformed_config_file(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("sigma 1.5\n")

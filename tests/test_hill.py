@@ -420,6 +420,11 @@ class TestChart:
                 stability_chart([1.0, 2.0], forced_delta=delta, horizon_periods=horizon)
         assert charted_energies == []
 
+    def test_energies_from_an_iterator(self):
+        # the energies are read once, for the check and the rows alike
+        rows = stability_chart(iter([1.0, 2.0]))
+        assert repr(rows) == repr(stability_chart([1.0, 2.0]))
+
     @pytest.mark.parametrize("delta", [None, 0.01])
     @pytest.mark.parametrize("horizon", [10.5, 200.0, "200"])
     def test_rejects_a_horizon_that_is_not_an_int(self, charted_energies, delta, horizon):

@@ -522,6 +522,15 @@ class TestSweep:
             sweep(Variant.CROSS_DERIV, deltas, sigmas, IntegratorConfig(t_end=0.1))
         assert calls == []
 
+    @pytest.mark.parametrize("deltas,sigmas", [
+        (iter([]), [1.0]),
+        ([0.01], (s for s in [])),
+    ], ids=["empty-delta-iterator", "empty-sigma-generator"])
+    def test_empty_iterator_refused(self, deltas, sigmas):
+        # an empty iterator is truthy; the runs built from it are none
+        with pytest.raises(ValueError, match="must not be empty"):
+            sweep(Variant.CROSS_DERIV, deltas, sigmas, IntegratorConfig(t_end=1.0))
+
     def test_rows_keep_caller_delta(self):
         # the isolated spec zeroes delta; the row reports what was asked
         rows = sweep(Variant.ISOLATED, [0.02], [1.0], IntegratorConfig(t_end=0.1))

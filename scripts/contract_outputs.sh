@@ -10,10 +10,12 @@
 # threshold searches of other models, schemes and invalid brackets, sweeps
 # of the three variants, runs refused before they start, the prop2-grid chart, two unforced
 # charts, a chart over the longest
-# forced horizon and one at extreme energies, the cross sweep, the
-# prop2-grid chart, an aerodynamic preset, the two block runs and the
-# standard-output CSV also on one CPU (taskset), each with its exit code in NAME.exit, and a run
-# whose CSV goes to a full device (/dev/full).
+# forced horizon and one at extreme energies, a forced chart refused by
+# the energy a fan-out child charts (exit 2), the cross sweep, the
+# prop2-grid chart, the refused chart, an aerodynamic preset, the two block
+# runs and the standard-output CSV also on one CPU (taskset), each with its
+# exit code in NAME.exit, and a run whose CSV goes to a full device
+# (/dev/full), from a forked writer and, on one CPU, in-process.
 # Two checkouts give the same DIR contents exactly when their outputs agree:
 #   (cd base && scripts/contract_outputs.sh /tmp/a)
 #   (cd head && scripts/contract_outputs.sh /tmp/b) && diff -r /tmp/a /tmp/b
@@ -140,11 +142,15 @@ run prop1-check.csv hill --preset prop1-check
 run hill-long-horizon.csv hill --grid 0.5,6 --delta 0.01 --horizon-periods 100000
 # extreme energies: tiny Dormand-Prince steps and many rejected ones
 run hill-extreme.csv hill --grid 1e3,1e12,1e30 --delta 0.01 --horizon-periods 10
+# a forcing with no growth rate to fit at E = 6, which on two CPUs a
+# fan-out child charts: its error reaches this process, exit 2, no file
+run hill-no-rate.csv hill --grid 0.5,6 --delta 1e12
 # the same sweep and chart bound to one CPU, where they run serially: with
 # the runs above, both paths of each checkout are in the contract
 pin="taskset -c 0"
 run sweep-cross-1cpu.csv sweep --deltas 0,0.01,0.05 --sigmas 1.2,1.47,1100 --t-end 20
 run prop2-grid-1cpu.csv hill --preset prop2-grid
+run hill-no-rate-1cpu.csv hill --grid 0.5,6 --delta 1e12
 # a simulate CSV, to a file and to standard output, written in-process
 # after the run, where two CPUs let a forked child write it during the run
 run fig2-d001-1cpu.csv simulate --preset fig2-d001
@@ -153,3 +159,7 @@ run block-plus-one-1cpu.csv simulate --t-end 10.24
 $pin python3 -m fishbone simulate --t-end 0.5 --out - >"$out/stdout-1cpu.csv" \
     2>"$out/stdout-1cpu.csv.stderr"
 echo $? >"$out/stdout-1cpu.csv.exit"
+# the CSV to a full device, written in-process: exit 3 as from the writer child
+$pin python3 -m fishbone simulate --t-end 1 --out /dev/full >"$out/full-disk-1cpu.stdout" \
+    2>"$out/full-disk-1cpu.stderr"
+echo $? >"$out/full-disk-1cpu.exit"

@@ -1,6 +1,7 @@
-"""Child processes: when one may be forked (``_fork_context``), and how
-every one is started, talks to this process over one-way pipes and is
-reaped (``_child``); each caller keeps only its own messages."""
+"""Child processes: when one may be forked (``_fork_context``), how every
+one is started, talks to this process over one-way pipes and is reaped
+(``_child``), and the one report a child sends and this process reads
+(``_report``, ``_outcome``); each caller keeps only its own messages."""
 
 from __future__ import annotations
 
@@ -94,16 +95,33 @@ def _take(fn, tasks, i, tickets) -> list:
     return done
 
 
-def _run_share(fn, tasks, first, tickets, writer) -> None:
-    """Child of ``_fan_out``: send its ``_take`` of the tasks, or the
-    exception of the first task that raised.  A parent that is gone (killed)
+def _report(fn, *args) -> None:
+    """Child: send ``fn(*args)``, or the exception it raised, on the writer
+    that ``_child`` appends to ``args``.  A parent that is gone (killed)
     leaves nobody to send to, and the child ends quietly."""
+    *args, writer = args
     try:
-        share = _take(fn, tasks, first, tickets)
+        report = (True, fn(*args))
     except Exception as exc:
-        share = exc
+        report = (False, exc)
     with suppress(BrokenPipeError):
-        writer.send(share)
+        writer.send(report)
+
+
+def _outcome(child, reader):
+    """The value the ``_report`` of ``child`` sent on ``reader``, or the
+    exception it sent raised here; ChildProcessError, naming the exit code,
+    where the child died before it reported."""
+    try:
+        returned, value = reader.recv()
+    except EOFError:
+        child.join()
+        raise ChildProcessError(
+            f"a child process died before it reported (exit code {child.exitcode})"
+        ) from None
+    if not returned:
+        raise value
+    return value
 
 
 def _fan_out(fn, tasks, width):
@@ -113,8 +131,7 @@ def _fan_out(fn, tasks, width):
     left, so a process slowed by other load runs fewer.  Where a fork
     fails (no descriptor or process to spare), this process also runs
     that child's task j.  A task's exception is raised here, this
-    process's first, then each child's in turn, and a child that died
-    before it sent raises ChildProcessError."""
+    process's first, then each child's in turn (``_outcome``)."""
     ctx = _fork_context()
     width = 1 if ctx is None else min(width, len(tasks), len(os.sched_getaffinity(0)))
     if width < 2:
@@ -122,16 +139,10 @@ def _fan_out(fn, tasks, width):
     with tempfile.TemporaryFile() as tickets, ExitStack() as children:
         fd = tickets.fileno()
         os.pwrite(fd, width.to_bytes(8, "little"), 0)
-        forked = {j: children.enter_context(_child(ctx, _run_share, (fn, tasks, j, fd)))
+        forked = {j: children.enter_context(_child(ctx, _report, (_take, fn, tasks, j, fd)))
                   for j in range(1, width)}
         shares = [_take(fn, tasks, 0, fd),
                   [(j, fn(tasks[j])) for j, ends in forked.items() if ends is None]]
-        for _, reader in filter(None, forked.values()):
-            try:
-                shares.append(reader.recv())
-            except EOFError:  # the child died
-                raise ChildProcessError("a child died before sending its results") from None
-            if isinstance(shares[-1], Exception):
-                raise shares[-1]
+        shares += [_outcome(*ends) for ends in filter(None, forked.values())]
     # every task's (index, result) once, in task order
     return [result for _, result in sorted(itertools.chain(*shares), key=lambda p: p[0])]

@@ -18,7 +18,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence, TextIO
 
-from ._fork import _child, _fork_context
+from ._fork import _child, _fork_context, _outcome, _report
 from .hill import ChartRow, stability_chart
 from .integrator import (
     _CSV_CHUNK_ROWS,
@@ -390,26 +390,18 @@ def format_threshold_report(result: ThresholdResult) -> str:
 # The trajectory CSV written by a forked child while the run integrates
 
 
-def _write_arriving(spec, fh, header_fields, rows_in, result_out):
-    """Writer child: the trajectory CSV header, then the rows of each block
-    arriving on ``rows_in`` as it arrives, to ``fh``, flushed; then None or
-    the exception it raised sent on ``result_out``."""
-    try:
-        _write_trajectory_header(spec, fh, header_fields)
-        while True:
-            try:
-                block = array("d", rows_in.recv_bytes())
-            except EOFError:  # the parent closed its end: the run has ended
-                break
-            _write_trajectory_rows(spec, _Samples(spec, block).rows(), fh)
-        fh.flush()
-        error = None
-    except Exception as exc:
-        error = exc
-    try:
-        result_out.send(error)
-    except OSError:  # the parent is gone
-        pass
+def _write_arriving(spec, fh, header_fields, rows_in) -> None:
+    """Writer child (``_fork._report``): the trajectory CSV header, then the
+    rows of each block arriving on ``rows_in`` as it arrives, to ``fh``,
+    flushed."""
+    _write_trajectory_header(spec, fh, header_fields)
+    while True:
+        try:
+            block = array("d", rows_in.recv_bytes())
+        except EOFError:  # the parent closed its end: the run has ended
+            break
+        _write_trajectory_rows(spec, _Samples(spec, block).rows(), fh)
+    fh.flush()
 
 
 @contextmanager
@@ -420,15 +412,15 @@ def _writer_beside(spec: ModelSpec, fh: TextIO, header_fields: dict[str, str]):
     run beside this process (``_fork_context``), ``fh`` has no file
     descriptor that a child shares, or no descriptor or process is left
     to spare.  The caller then writes the CSV itself.  After the block
-    this takes the child's report and raises the exception the child
-    sent, or OSError if it died."""
+    this takes the child's report (``_outcome``), and so raises the
+    exception the child raised, or ChildProcessError if it died."""
     ctx = _fork_context()
     try:
         fh.fileno()
     except (OSError, ValueError):  # an in-memory stream
         ctx = None
     fh.flush()  # nothing this process holds may reach fh after the child's rows
-    with _child(ctx, _write_arriving, (spec, fh, header_fields), down=1) as forked:
+    with _child(ctx, _report, (_write_arriving, spec, fh, header_fields), down=1) as forked:
         if forked is None:
             yield None
             return
@@ -438,13 +430,7 @@ def _writer_beside(spec: ModelSpec, fh: TextIO, header_fields: dict[str, str]):
             rows_out.close()  # the end of the rows
         except BrokenPipeError:  # the child stopped reading; its report says why
             pass
-        try:
-            error = result_in.recv()
-        except EOFError:  # no report: the child died
-            child.join()
-            error = OSError(f"the CSV writer process died (exit code {child.exitcode})")
-        if error is not None:
-            raise error
+        _outcome(child, result_in)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

@@ -222,24 +222,6 @@ def find_threshold(
     )
 
 
-def _sweep_task(
-    args: tuple[float, float, ModelSpec, SystemState, IntegratorConfig, float]
-) -> SweepRow:
-    delta, sigma, spec, initial, config, onset_gain = args
-    traj = simulate(spec, initial, config, onset_gain)
-    e0 = traj.initial_energy()
-    ef = traj.final_energy()
-    return SweepRow(
-        delta=delta,
-        sigma=sigma,
-        t_onset=None if traj.onset is None else traj.onset.t_onset,
-        max_torsion=traj.max_torsion,
-        energy_initial=float("nan") if e0 is None else e0,
-        energy_final=float("nan") if ef is None else ef,
-        terminated_early=traj.terminated_early,
-    )
-
-
 def sweep(
     variant: Variant,
     deltas: Iterable[float],
@@ -260,9 +242,24 @@ def sweep(
     # building every run checks every delta and sigma; a row keeps the
     # caller's delta, which ModelSpec zeroes for the isolated variant
     tasks = [
-        (d, s, ModelSpec(variant, m=m, delta=d), make_initial(s, m), config, onset_gain)
+        (d, s, ModelSpec(variant, m=m, delta=d), make_initial(s, m))
         for d, s in itertools.product(map(float, deltas), map(float, sigmas))
     ]
     if not tasks:  # also an empty iterator, which is truthy
         raise ValueError("deltas and sigmas must not be empty")
-    return _fan_out(_sweep_task, tasks, _check_run(tasks[0][2], config, onset_gain))
+
+    def run(task: tuple[float, float, ModelSpec, SystemState]) -> SweepRow:
+        delta, sigma, spec, initial = task
+        traj = simulate(spec, initial, config, onset_gain)
+        e0, ef = traj.initial_energy(), traj.final_energy()
+        return SweepRow(
+            delta=delta,
+            sigma=sigma,
+            t_onset=None if traj.onset is None else traj.onset.t_onset,
+            max_torsion=traj.max_torsion,
+            energy_initial=float("nan") if e0 is None else e0,
+            energy_final=float("nan") if ef is None else ef,
+            terminated_early=traj.terminated_early,
+        )
+
+    return _fan_out(run, tasks, _check_run(tasks[0][2], config, onset_gain))

@@ -604,7 +604,7 @@ class TestDeadChild:
             proc.communicate()
             pytest.fail("the chart still waited on its dead child after 60 s")
         assert proc.returncode == 3, err
-        assert err == "i/o error: a child died before sending its results\n"
+        assert err == "i/o error: a child process died before it reported (exit code -9)\n"
         assert not out.exists()
 
 
@@ -744,7 +744,7 @@ class TestWriterChild:
             proc.communicate()
             pytest.fail("simulate still waited on its dead writer after 60 s")
         assert proc.returncode == 3, err
-        assert err == "i/o error: the CSV writer process died (exit code -9)\n"
+        assert err == "i/o error: a child process died before it reported (exit code -9)\n"
         assert stdout == ""
 
 

@@ -680,6 +680,32 @@ hill.stability_chart([1.0, 2.0])
             stability_chart([1.0, 2.0, 3.0])
         assert multiprocessing.active_children() == []
 
+    def test_child_report_reaches_the_caller(self):
+        # the one report of a fan-out or writer child: the value its target
+        # returned, the exception it raised, or, where it died before it
+        # reported, ChildProcessError naming its exit code
+        def returns(x):
+            return x, os.getpid()
+
+        def raises(x):
+            raise KeyError(x)
+
+        def exits(x):
+            os._exit(7)
+
+        ctx = multiprocessing.get_context("fork")
+        with fishbone._fork._child(ctx, fishbone._fork._report, (returns, 1.5)) as ends:
+            value, pid = fishbone._fork._outcome(*ends)
+        assert value == 1.5 and pid != os.getpid()
+        with fishbone._fork._child(ctx, fishbone._fork._report, (raises, "k")) as ends:
+            with pytest.raises(KeyError, match="'k'"):
+                fishbone._fork._outcome(*ends)
+        with fishbone._fork._child(ctx, fishbone._fork._report, (exits, 0)) as ends:
+            with pytest.raises(ChildProcessError) as err:
+                fishbone._fork._outcome(*ends)
+        assert str(err.value) == "a child process died before it reported (exit code 7)"
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.parametrize("where", ["task", "ticket-lock"])
     def test_dead_child_raises(self, tmp_path, where):
         # a child killed outright, in a task or holding the lock on the task

@@ -54,6 +54,16 @@ class ConfigError(ValueError):
     """A flag, config file or preset that cannot be used (exit 2)."""
 
 
+def _check_isolated_delta(variant: Variant, deltas: Iterable[float]) -> None:
+    """Refuse a nonzero delta for the isolated variant, which ``ModelSpec``
+    would run at delta 0 while the output named the delta given."""
+    for delta in deltas if variant is Variant.ISOLATED else ():
+        if delta != 0.0:
+            raise ConfigError(
+                f"the isolated variant has no aerodynamic terms; delta must be 0, got {delta:g}"
+            )
+
+
 @dataclass(frozen=True)
 class ExperimentConfig(IntegratorConfig):
     """Fully resolved run settings: the integrator's, which it checks when
@@ -65,6 +75,10 @@ class ExperimentConfig(IntegratorConfig):
     sigma: float = 1.47
     onset_gain: float = 100.0
     preset: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        _check_isolated_delta(self.variant, [self.delta])
 
     def spec(self) -> ModelSpec:
         return ModelSpec(self.variant, m=self.modes, delta=self.delta)
@@ -336,9 +350,17 @@ def write_trajectory_csv(
     The header lines fingerprint the run's config into its output.  Energy
     columns are left empty for m > 1.  The rows are written in chunks of
     ``_CSV_CHUNK_ROWS``, so the whole file is never held as one string.
+    The rows are read from ``simulate``'s sample view as they are, and from
+    any other sequence of (state, energy) pairs, a slice of the view say,
+    one state at a time.
     """
+    samples = trajectory.samples
+    if isinstance(samples, _Samples):
+        rows = samples.rows()
+    else:
+        rows = ((state.t, *state.flat()) for state, _ in samples)
     _write_trajectory_header(trajectory.spec, out, header_fields)
-    _write_trajectory_rows(trajectory.spec, trajectory.samples.rows(), out)
+    _write_trajectory_rows(trajectory.spec, rows, out)
 
 
 def write_chart_csv(rows: Sequence[ChartRow], out: TextIO) -> None:
@@ -471,6 +493,8 @@ def cmd_hill(args: argparse.Namespace) -> int:
     else:
         energies = _parse_grid(args.grid)
         forced_delta = args.delta
+        if forced_delta is None and args.horizon_periods is not None:
+            raise ConfigError("--horizon-periods is the forced check's horizon: it needs --delta")
     if not energies:
         raise ConfigError("energy grid is empty")
     horizon = {} if args.horizon_periods is None else {"horizon_periods": args.horizon_periods}
@@ -504,6 +528,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     deltas, sigmas = _parse_floats(args.deltas), _parse_floats(args.sigmas)
     base = ExperimentConfig(variant=Variant.CROSS_DERIV)
     cfg = _apply_kv(base, _set_flags(args, _RUN_FLAGS))
+    _check_isolated_delta(cfg.variant, deltas)
     rows = sweep(cfg.variant, deltas, sigmas, cfg, onset_gain=cfg.onset_gain, m=cfg.modes)
     with _open_out(args.out) as fh:
         write_sweep_csv(rows, fh)

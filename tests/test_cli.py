@@ -461,6 +461,14 @@ class TestHill:
         assert err.startswith("error: forced response at E=") and err.count("\n") == 1, err
         assert out == ""
 
+    def test_horizon_refused_without_forcing(self, charted_energies, capsys):
+        # an unforced chart has no forced check whose horizon the flag sets
+        code = main(["hill", "--grid", "1,2", "--horizon-periods", "50", "--out", "-"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --horizon-periods is the forced check's horizon: it needs --delta\n")
+        assert charted_energies == []
+
     def test_preset_forbids_horizon_override(self):
         res = run_cli("hill", "--preset", "prop1-check", "--horizon-periods", "50")
         assert res.returncode == 2
@@ -546,6 +554,59 @@ class TestSweep:
                       "--sigmas", "1e100", "--t-end", "1", "--out", "-")
         assert res.returncode == 0, res.stderr
         assert res.stdout.splitlines()[1] == "0,1e+100,,1e+96,nan,nan"
+
+
+class TestIsolatedDelta:
+    """The isolated variant runs at delta 0 whatever it is given, so a
+    nonzero delta for it is refused before any output file or run: the
+    output would name a delta the run did not use."""
+
+    class Started(Exception):
+        pass
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        # each run the command starts, ended there by Started
+        started = []
+
+        def start(name):
+            started.append(name)
+            raise self.Started(name)
+
+        for name in ("simulate", "find_threshold", "sweep"):
+            monkeypatch.setattr(f"fishbone.cli.{name}", lambda *a, name=name, **kw: start(name))
+        return started
+
+    @pytest.mark.parametrize("argv,config", [
+        (["simulate", "--variant", "isolated", "--delta", "0.05"], None),
+        (["simulate", "--delta", "0.05"], None),  # isolated is the default
+        (["simulate"], "variant=isolated\ndelta=0.05\n"),
+        (["simulate", "--variant", "isolated"], "variant=cross\ndelta=0.05\n"),
+        (["threshold", "--bracket", "1.4:1.6", "--variant", "isolated", "--delta", "0.05"],
+         None),
+        (["sweep", "--variant", "isolated", "--deltas", "0,0.05", "--sigmas", "1.47"], None),
+    ], ids=["simulate", "simulate-default", "simulate-config", "simulate-config-and-flag",
+            "threshold", "sweep"])
+    def test_nonzero_delta_refused(self, argv, config, runs, tmp_path, capsys):
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config)
+            argv = [*argv, "--config", str(tmp_path / "run.cfg")]
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: the isolated variant has no aerodynamic terms; delta must be 0, "
+            "got 0.05\n")
+        assert runs == [] and not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--variant", "isolated", "--delta", "-0.0"],
+        ["threshold", "--bracket", "1.4:1.6", "--delta", "0"],
+        ["sweep", "--variant", "isolated", "--deltas", "0,-0.0", "--sigmas", "1.47"],
+    ], ids=["simulate", "threshold", "sweep"])
+    def test_zero_delta_runs(self, argv, runs, tmp_path):
+        with pytest.raises(self.Started):
+            main([*argv, "--out", str(tmp_path / "out")])
+        assert runs == [argv[0].replace("threshold", "find_threshold")]
 
 
 class TestDeadChild:

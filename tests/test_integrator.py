@@ -29,6 +29,7 @@ from fishbone.integrator import (
     IntegratorConfig,
     Scheme,
     StepSizeCollapseError,
+    Trajectory,
     make_initial,
     simulate,
     _check_run,
@@ -469,6 +470,26 @@ class TestTrajectoryCsv:
         last_state = traj.final_state()
         last = lines[-1].split(",")
         assert float(last[1]) == last_state.y[0]
+
+    @pytest.mark.parametrize("spec", [
+        ModelSpec(Variant.CROSS_DERIV_ZERO, delta=0.03), ModelSpec(Variant.ISOLATED, m=3),
+    ], ids=["crosszero", "isolated-m3"])
+    def test_samples_as_a_list(self, spec):
+        # a slice of the samples is a list of (state, energy) pairs: a
+        # trajectory holding a list copy writes the original's bytes, and
+        # one holding a slice the original's first rows
+        traj = simulate(spec, make_initial(1.47, spec.m), cfg(t_end=2.0))
+
+        def csv(trajectory):
+            buf = io.StringIO()
+            write_trajectory_csv(trajectory, buf, header_fields={"sigma": "1.47"})
+            return buf.getvalue()
+
+        whole = csv(traj)
+        assert csv(Trajectory(spec, list(traj.samples))) == whole
+        head = csv(Trajectory(spec, traj.samples[:100]))
+        assert head.splitlines() == whole.splitlines()[:102]
+        assert len(whole.splitlines()) > 102
 
     def test_multimode_energy_columns_empty(self):
         spec = ModelSpec(Variant.ISOLATED, m=2)

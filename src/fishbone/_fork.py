@@ -1,7 +1,7 @@
 """Child processes: when one may be forked (``_fork_context``), how every
 one is started, talks to this process over one-way pipes and is reaped
 (``_child``), and the one report a child sends and this process reads
-(``_report``, ``_outcome``); each caller keeps only its own messages."""
+(``_report``, ``_outcome``); each caller keeps only its own payload."""
 
 from __future__ import annotations
 

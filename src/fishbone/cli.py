@@ -57,11 +57,11 @@ class ConfigError(ValueError):
 def _check_isolated_delta(variant: Variant, deltas: Iterable[float]) -> None:
     """Refuse a nonzero delta for the isolated variant, which ``ModelSpec``
     would run at delta 0 while the output named the delta given."""
-    for delta in deltas if variant is Variant.ISOLATED else ():
-        if delta != 0.0:
-            raise ConfigError(
-                f"the isolated variant has no aerodynamic terms; delta must be 0, got {delta:g}"
-            )
+    nonzero = [d for d in deltas if d != 0.0]
+    if variant is Variant.ISOLATED and nonzero:
+        raise ConfigError(
+            f"the isolated variant has no aerodynamic terms; delta must be 0, got {nonzero[0]:g}"
+        )
 
 
 @dataclass(frozen=True)

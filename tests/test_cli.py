@@ -598,15 +598,15 @@ class TestIsolatedDelta:
             "got 0.05\n")
         assert runs == [] and not out.exists()
 
-    @pytest.mark.parametrize("argv", [
-        ["simulate", "--variant", "isolated", "--delta", "-0.0"],
-        ["threshold", "--bracket", "1.4:1.6", "--delta", "0"],
-        ["sweep", "--variant", "isolated", "--deltas", "0,-0.0", "--sigmas", "1.47"],
+    @pytest.mark.parametrize("argv,run", [
+        (["simulate", "--variant", "isolated", "--delta", "-0.0"], "simulate"),
+        (["threshold", "--bracket", "1.4:1.6", "--delta", "0"], "find_threshold"),
+        (["sweep", "--variant", "isolated", "--deltas", "0,-0.0", "--sigmas", "1.47"], "sweep"),
     ], ids=["simulate", "threshold", "sweep"])
-    def test_zero_delta_runs(self, argv, runs, tmp_path):
+    def test_zero_delta_runs(self, argv, run, runs, tmp_path):
         with pytest.raises(self.Started):
             main([*argv, "--out", str(tmp_path / "out")])
-        assert runs == [argv[0].replace("threshold", "find_threshold")]
+        assert runs == [run]
 
 
 class TestDeadChild:
